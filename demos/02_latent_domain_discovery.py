@@ -11,14 +11,14 @@ labels.
 import numpy as np
 
 from mdalign import Model, synth_make, train
-from mdalign.data import reveal_domain_label, true_latent_domain
+from mdalign.data import reveal_domain_labels
 from mdalign.experiments import default_experiment, pinned_benchmark
 
 base = default_experiment()
 data = synth_make(pinned_benchmark())
 
 n_src = len(data.source_train)
-domains = [true_latent_domain(s) for s in data.source_train]
+domains = data.source_train.hidden_domains
 print(f"benchmark: {n_src} source samples from {len(set(domains))} hidden domains, "
       f"{len(data.target_train)} unlabeled target samples\n")
 
@@ -36,7 +36,7 @@ print(f"target accuracy {final.acc:.3f}\n")
 print("=== reference: domains revealed and fixed ===")
 from dataclasses import replace
 
-revealed = replace(data, source_train=[reveal_domain_label(s) for s in data.source_train])
+revealed = replace(data, source_train=reveal_domain_labels(data.source_train))
 known_cfg = replace(
     base.resolved_train(),
     weights=replace(base.resolved_train().weights, domain_ce=0.5),

@@ -26,6 +26,7 @@ from .data import (
     FeatureShift,
     ImageShift,
     LabeledSample,
+    Split,
     SynthConfig,
     idx_load,
     image_transform,

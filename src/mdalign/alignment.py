@@ -94,8 +94,9 @@ def compute_alpha(weights: np.ndarray, threshold: float = 1e-6) -> AlphaWeights:
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2:
         raise ValueError(f"assignment matrix must be rank 2, got {w.ndim}")
-    if np.any(w < 0):
-        raise ValueError("assignment weights must be non-negative")
+    # written so that NaN, which fails every comparison, is rejected too
+    if not np.all((w >= 0) & (w < np.inf)):
+        raise ValueError("assignment weights must be finite and non-negative")
     total = w.sum(axis=0)
     live = total > threshold
     alpha = np.zeros_like(w)

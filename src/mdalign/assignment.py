@@ -28,15 +28,25 @@ __all__ = [
     "Assignment",
     "DomainPredictor",
     "DomainTag",
+    "KNOWN_CODE",
     "KNOWN_SOURCE",
     "TARGET",
+    "TARGET_CODE",
+    "UNKNOWN_CODE",
     "UNKNOWN_SOURCE",
     "merge_assignments",
+    "tag_codes",
 ]
 
 KNOWN_SOURCE = "known-source"
 UNKNOWN_SOURCE = "unknown-source"
 TARGET = "target"
+
+# Columnar splits and batches store a tag as an int8 kind code, the kind's
+# position in TAG_KINDS, next to a known-domain index that is -1 unless the
+# row is known-source.
+TAG_KINDS = (KNOWN_SOURCE, UNKNOWN_SOURCE, TARGET)
+KNOWN_CODE, UNKNOWN_CODE, TARGET_CODE = range(len(TAG_KINDS))
 
 
 @dataclass(frozen=True)
@@ -67,9 +77,21 @@ class DomainTag:
     def target(cls) -> "DomainTag":
         return cls(TARGET)
 
+    @classmethod
+    def from_code(cls, code: int, known_domain: int) -> "DomainTag":
+        """The tag of one columnar row: its kind code and known-domain index."""
+        return cls(TAG_KINDS[code], int(known_domain) if code == KNOWN_CODE else None)
+
     @property
     def is_source(self) -> bool:
         return self.kind != TARGET
+
+
+def tag_codes(tags) -> tuple[np.ndarray, np.ndarray]:
+    """Kind codes (int8) and known-domain indices (int64, -1 if not known-source) of a tag list."""
+    kinds = np.array([TAG_KINDS.index(t.kind) for t in tags], dtype=np.int8)
+    known = np.array([-1 if t.index is None else t.index for t in tags], dtype=np.int64)
+    return kinds, known
 
 
 class Assignment:
@@ -122,32 +144,33 @@ class Assignment:
         self.grad[...] = 0.0
 
 
-def merge_assignments(pred: np.ndarray, tags: list[DomainTag]) -> Assignment:
+def merge_assignments(pred: np.ndarray, tags, known_domains: np.ndarray | None = None) -> Assignment:
     """Combine predicted domain probabilities with hard domain knowledge.
 
+    tags is either a list of DomainTag or an array of kind codes, in which
+    case known_domains gives each row's known-domain index (see tag_codes).
     Target rows become one-hot on the target column and fixed; known-source
     rows one-hot on their labeled column and fixed; unknown-source rows carry
     the predicted probabilities with an exact zero in the target column and
     stay free to receive gradient.
     """
+    if known_domains is None:
+        tags, known_domains = tag_codes(tags)
+    tags, known_domains = np.asarray(tags), np.asarray(known_domains)
     pred = np.asarray(pred, dtype=np.float64)
     if pred.ndim != 2 or pred.shape[0] != len(tags):
         raise ValueError(f"predictions {pred.shape} do not match {len(tags)} tags")
     b, k = pred.shape
+    known = np.flatnonzero(tags == KNOWN_CODE)
+    labels = known_domains[known]
+    if labels.size and labels.max() >= k:
+        raise ValueError(f"domain label {labels.max()} out of range for k={k}")
+    free = tags == UNKNOWN_CODE
     probs = np.zeros((b, k + 1))
-    fixed = np.zeros(b, dtype=bool)
-    for i, tag in enumerate(tags):
-        if tag.kind == TARGET:
-            probs[i, k] = 1.0
-            fixed[i] = True
-        elif tag.kind == KNOWN_SOURCE:
-            if tag.index >= k:
-                raise ValueError(f"domain label {tag.index} out of range for k={k}")
-            probs[i, tag.index] = 1.0
-            fixed[i] = True
-        else:
-            probs[i, :k] = pred[i]
-    return Assignment(probs, fixed)
+    probs[tags == TARGET_CODE, k] = 1.0
+    probs[known, labels] = 1.0
+    probs[free, :k] = pred[free]
+    return Assignment(probs, ~free)
 
 
 class DomainPredictor:

@@ -20,8 +20,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .alignment import AlignConfig
 from .data import BatchSpec, FeatureShift, SynthConfig, load_manifest, synth_make
 from .experiments import (
@@ -137,9 +135,9 @@ def resolve_config(doc: dict):
 
     if "manifest" in data_doc:
         dataset = load_manifest(data_doc["manifest"])
-        feat = dataset.source_train[0].features
-        in_dim = int(np.prod(feat.shape)) if feat.ndim == 1 else feat.shape[0]
-        n_classes = 1 + max(s.class_label for s in dataset.source_train)
+        feat = dataset.source_train.features
+        in_dim = feat.shape[1]
+        n_classes = 1 + int(dataset.source_train.class_labels.max())
         synth_cfg = None
     else:
         synth_cfg = _build_synth(data_doc.get("synthetic", {}), "data.synthetic")

@@ -6,22 +6,25 @@ that datasets with a controllable amount of domain shift can be produced
 from a seed alone.  Real digit sets enter through the big-endian IDX format
 and can be turned into pseudo-domains with deterministic pixel transforms.
 
-Ground-truth latent domain ids (and target labels) are carried on hidden
-fields that batches never expose: the sampler and the training loop cannot
-see them, evaluation code reads them through the accessors at the bottom of
-this module.
+Every split is one columnar Split: a feature array [n, ...] and one array
+per field, built once at ingestion.  Ground-truth latent domain ids (and
+target labels) sit in hidden columns that batches never copy: the sampler
+and the training loop cannot see them, and evaluation code reads them from
+the split's hidden columns or, per row, through the accessors at the bottom
+of this module.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .assignment import KNOWN_SOURCE, TARGET, UNKNOWN_SOURCE, DomainTag
+from .assignment import KNOWN_CODE, TARGET_CODE, UNKNOWN_CODE, DomainTag, tag_codes
 
 __all__ = [
     "Batch",
@@ -32,9 +35,12 @@ __all__ = [
     "IdxCountMismatchError",
     "IdxError",
     "IdxMagicError",
+    "IdxShapeMismatchError",
     "IdxTruncatedError",
     "ImageShift",
     "LabeledSample",
+    "NonFiniteFeatureError",
+    "Split",
     "SynthConfig",
     "apply_feature_shift",
     "evaluation_label",
@@ -44,7 +50,7 @@ __all__ = [
     "image_transform",
     "load_manifest",
     "make_batch",
-    "reveal_domain_label",
+    "reveal_domain_labels",
     "synth_make",
     "true_latent_domain",
 ]
@@ -69,6 +75,14 @@ class IdxCountMismatchError(IdxError):
     """Image and label files disagree on the sample count."""
 
 
+class IdxShapeMismatchError(IdxError):
+    """Image files of one split disagree on the image size."""
+
+
+class NonFiniteFeatureError(ValueError):
+    """A split's features hold NaN or infinity."""
+
+
 # ---------------------------------------------------------------------------
 # samples and datasets
 
@@ -90,13 +104,98 @@ class LabeledSample:
     hidden_latent_domain: int | None = field(default=None, repr=False)
 
 
+def _ids(values) -> np.ndarray:
+    return np.array([-1 if v is None else v for v in values], dtype=np.int64)
+
+
+def _opt(value) -> int | None:
+    return None if value < 0 else int(value)
+
+
+@dataclass(eq=False)
+class Split:
+    """One dataset split as columns, one entry per row in every array.
+
+    features is float64 [n, ...]; class_labels is -1 on unlabeled rows;
+    kinds and known_domains encode each row's DomainTag (assignment.tag_codes);
+    dataset_ids is -1 where no file provenance was declared.  hidden_labels
+    and hidden_domains are evaluation-only ground truth, -1 where absent:
+    batches never copy them and training code must not read them.
+
+    split[i] is a LabeledSample whose features are a view of row i; a slice
+    or an index array gives a Split.
+    """
+
+    features: np.ndarray
+    class_labels: np.ndarray
+    kinds: np.ndarray
+    known_domains: np.ndarray
+    dataset_ids: np.ndarray
+    hidden_labels: np.ndarray = field(repr=False)
+    hidden_domains: np.ndarray = field(repr=False)
+
+    @classmethod
+    def from_samples(cls, samples, name: str = "samples") -> "Split":
+        """Stack a list of LabeledSample into columns; non-finite features are rejected."""
+        samples = list(samples)
+        features = np.stack([s.features for s in samples]).astype(np.float64) if samples else np.zeros(0)
+        kinds, known = tag_codes([s.tag for s in samples])
+        split = cls(
+            features,
+            _ids(s.class_label for s in samples),
+            kinds,
+            known,
+            _ids(s.dataset_id for s in samples),
+            _ids(s.hidden_label for s in samples),
+            _ids(s.hidden_latent_domain for s in samples),
+        )
+        split.check_finite(name)
+        return split
+
+    def check_finite(self, name: str) -> None:
+        """Raise NonFiniteFeatureError naming the split and its first row holding NaN or infinity."""
+        if not np.isfinite(self.features).all():
+            bad = ~np.isfinite(self.features.reshape(len(self), -1)).all(axis=1)
+            raise NonFiniteFeatureError(f"{name}: row {np.flatnonzero(bad)[0]} has non-finite features")
+
+    def __len__(self) -> int:
+        return self.features.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return LabeledSample(
+                features=self.features[key],
+                class_label=_opt(self.class_labels[key]),
+                tag=DomainTag.from_code(self.kinds[key], self.known_domains[key]),
+                dataset_id=_opt(self.dataset_ids[key]),
+                hidden_label=_opt(self.hidden_labels[key]),
+                hidden_latent_domain=_opt(self.hidden_domains[key]),
+            )
+        return Split(*(getattr(self, f.name)[key] for f in fields(self)))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def _concat(splits) -> Split:
+    return Split(*(np.concatenate([getattr(s, f.name) for s in splits]) for f in fields(Split)))
+
+
 @dataclass
 class Dataset:
-    source_train: list
-    source_test: list
-    target_train: list
-    target_test: list
+    """Four columnar splits; list splits are converted once with Split.from_samples."""
+
+    source_train: Split
+    source_test: Split
+    target_train: Split
+    target_test: Split
     meta: dict
+
+    def __post_init__(self):
+        for name in ("source_train", "source_test", "target_train", "target_test"):
+            value = getattr(self, name)
+            if not isinstance(value, Split):
+                setattr(self, name, Split.from_samples(value, name))
 
 
 # ---------------------------------------------------------------------------
@@ -212,48 +311,40 @@ def synth_make(cfg: SynthConfig) -> Dataset:
         if cfg.patch_hw is not None:
             h, w = cfg.patch_hw
             x = x[:, :, None, None] + cfg.patch_jitter * rng.normal(size=(count, cfg.feature_dim, h, w))
-        samples = []
-        for i in range(count):
-            if is_target:
-                samples.append(
-                    LabeledSample(
-                        features=x[i],
-                        class_label=None,
-                        tag=DomainTag.target(),
-                        hidden_label=int(labels[i]),
-                    )
-                )
-            else:
-                samples.append(
-                    LabeledSample(
-                        features=x[i],
-                        class_label=int(labels[i]),
-                        tag=DomainTag.unknown_source(),
-                        hidden_label=int(labels[i]),
-                        hidden_latent_domain=domain,
-                    )
-                )
-        return samples
+        return Split(
+            features=x,
+            class_labels=np.full(count, -1) if is_target else labels,
+            kinds=np.full(count, TARGET_CODE if is_target else UNKNOWN_CODE, dtype=np.int8),
+            known_domains=np.full(count, -1),
+            dataset_ids=np.full(count, -1),
+            hidden_labels=labels,
+            hidden_domains=np.full(count, -1 if is_target else domain),
+        )
 
     source_train, source_test = [], []
     for d, shift in enumerate(shifts):
-        source_train += draw(cfg.train_per_domain, shift, domain=d, is_target=False)
-        source_test += draw(cfg.test_per_domain, shift, domain=d, is_target=False)
-    target_train = draw(cfg.train_per_domain, cfg.target_shift, domain=None, is_target=True)
-    target_test = draw(cfg.test_per_domain, cfg.target_shift, domain=None, is_target=True)
+        source_train.append(draw(cfg.train_per_domain, shift, domain=d, is_target=False))
+        source_test.append(draw(cfg.test_per_domain, shift, domain=d, is_target=False))
+    splits = {
+        "source_train": _concat(source_train),
+        "source_test": _concat(source_test),
+        "target_train": draw(cfg.train_per_domain, cfg.target_shift, domain=None, is_target=True),
+        "target_test": draw(cfg.test_per_domain, cfg.target_shift, domain=None, is_target=True),
+    }
+    for name, split in splits.items():
+        split.check_finite(name)
 
     if cfg.standardize:
         # label-free preprocessing: pooled moments of the unlabeled training
         # material, applied to every split
-        pool = np.stack([s.features for s in source_train + target_train])
+        pool = np.concatenate([splits["source_train"].features, splits["target_train"].features])
         axes = tuple(i for i in range(pool.ndim) if i != 1)
         mu = pool.mean(axis=axes)
         sd = pool.std(axis=axes)
         sd[sd == 0] = 1.0
         shape = (-1,) + (1,) * (pool.ndim - 2)
-        for split in (source_train, source_test, target_train, target_test):
-            for s in split:
-                s.features = (s.features - mu.reshape(shape)) / sd.reshape(shape)
+        for split in splits.values():
+            split.features = (split.features - mu.reshape(shape)) / sd.reshape(shape)
 
     meta = {
         "prototypes": prototypes,
@@ -261,7 +352,7 @@ def synth_make(cfg: SynthConfig) -> Dataset:
         "n_classes": cfg.n_classes,
         "feature_dim": cfg.feature_dim,
     }
-    return Dataset(source_train, source_test, target_train, target_test, meta)
+    return Dataset(**splits, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -306,24 +397,24 @@ def _read_exact(f, n: int, path) -> bytes:
     return data
 
 
-def _read_idx_images(path) -> np.ndarray:
+def _read_idx(path, magic: int, n_dims: int) -> np.ndarray:
+    """The uint8 payload of an IDX file, shaped by its header."""
     with open(path, "rb") as f:
-        (magic,) = struct.unpack(">I", _read_exact(f, 4, path))
-        if magic != IMAGE_MAGIC:
-            raise IdxMagicError(f"{path}: magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}")
-        n, h, w = struct.unpack(">III", _read_exact(f, 12, path))
-        pixels = np.frombuffer(_read_exact(f, n * h * w, path), dtype=np.uint8)
-    return pixels.reshape(n, 1, h, w).astype(np.float64) / 255.0
+        (found,) = struct.unpack(">I", _read_exact(f, 4, path))
+        if found != magic:
+            raise IdxMagicError(f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
+        dims = struct.unpack(">" + "I" * n_dims, _read_exact(f, 4 * n_dims, path))
+        payload = _read_exact(f, math.prod(dims), path)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
-def _read_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        (magic,) = struct.unpack(">I", _read_exact(f, 4, path))
-        if magic != LABEL_MAGIC:
-            raise IdxMagicError(f"{path}: magic 0x{magic:08x}, expected 0x{LABEL_MAGIC:08x}")
-        (n,) = struct.unpack(">I", _read_exact(f, 4, path))
-        labels = np.frombuffer(_read_exact(f, n, path), dtype=np.uint8)
-    return labels.astype(np.int64)
+def _idx_pixels(images_path, labels_path):
+    """(uint8 images [n, 1, h, w], int64 labels [n]) of an IDX file pair."""
+    images = _read_idx(images_path, IMAGE_MAGIC, 3)
+    labels = _read_idx(labels_path, LABEL_MAGIC, 1).astype(np.int64)
+    if images.shape[0] != labels.shape[0]:
+        raise IdxCountMismatchError(f"{images.shape[0]} images vs {labels.shape[0]} labels")
+    return images[:, None], labels
 
 
 def idx_load(images_path, labels_path):
@@ -333,11 +424,8 @@ def idx_load(images_path, labels_path):
     magic numbers, truncated payloads, and image/label count disagreements
     each raise their own error type.
     """
-    images = _read_idx_images(images_path)
-    labels = _read_idx_labels(labels_path)
-    if images.shape[0] != labels.shape[0]:
-        raise IdxCountMismatchError(f"{images.shape[0]} images vs {labels.shape[0]} labels")
-    return images, labels
+    images, labels = _idx_pixels(images_path, labels_path)
+    return images / 255.0, labels
 
 
 def idx_write_images(path, images: np.ndarray) -> None:
@@ -389,46 +477,53 @@ def load_manifest(path, data_dir=None, flatten=True) -> Dataset:
         doc = json.load(f)
     manifest_dir = os.path.dirname(os.path.abspath(path))
 
-    def load_pair(entry):
-        images, labels = idx_load(
-            _resolve(entry["images"], data_dir, manifest_dir),
-            _resolve(entry["labels"], data_dir, manifest_dir),
-        )
-        if flatten:
-            images = images.reshape(images.shape[0], -1)
-        return images, labels
+    def load_split(entries, domains=None) -> Split:
+        """One split of IDX pairs, each file's uint8 pixels scaled straight into its rows.
 
-    source_train = []
-    for ds_id, entry in enumerate(doc["sources"]):
-        images, labels = load_pair(entry)
-        domain = entry.get("domain")
-        tag = DomainTag.known_source(domain) if domain is not None else DomainTag.unknown_source()
-        for i in range(images.shape[0]):
-            source_train.append(
-                LabeledSample(
-                    features=images[i],
-                    class_label=int(labels[i]),
-                    tag=tag,
-                    dataset_id=ds_id,
-                    hidden_label=int(labels[i]),
-                    hidden_latent_domain=domain if domain is not None else ds_id,
-                )
-            )
-
-    def load_target(entry):
-        images, labels = load_pair(entry)
-        return [
-            LabeledSample(
-                features=images[i],
-                class_label=None,
-                tag=DomainTag.target(),
-                hidden_label=int(labels[i]),
-            )
-            for i in range(images.shape[0])
+        domains holds each source file's declared domain, or None; without
+        domains the rows are target rows, whose labels stay hidden.
+        """
+        pairs = [
+            _idx_pixels(_resolve(e["images"], data_dir, manifest_dir), _resolve(e["labels"], data_dir, manifest_dir))
+            for e in entries
         ]
+        image_shape = pairs[0][0].shape[1:]
+        for e, (px, _) in zip(entries, pairs):
+            if px.shape[1:] != image_shape:
+                raise IdxShapeMismatchError(f"{e['images']}: images {px.shape[1:]}, expected {image_shape}")
+        counts = [len(labels) for _, labels in pairs]
+        row_shape = (math.prod(image_shape),) if flatten else image_shape
+        features = np.empty((sum(counts),) + row_shape)
+        start = 0
+        for (px, _), n in zip(pairs, counts):
+            np.divide(px.reshape((n,) + row_shape), 255.0, out=features[start : start + n])
+            start += n
+        labels = np.concatenate([labels for _, labels in pairs])
+        n = len(labels)
+        if domains is None:
+            return Split(
+                features, np.full(n, -1), np.full(n, TARGET_CODE, dtype=np.int8), np.full(n, -1),
+                np.full(n, -1), labels, np.full(n, -1),
+            )
+        tags = [DomainTag.unknown_source() if d is None else DomainTag.known_source(d) for d in domains]
+        kinds, known = tag_codes(tags)
+        ids = np.arange(len(entries))
+        return Split(
+            features=features,
+            class_labels=labels,
+            kinds=np.repeat(kinds, counts),
+            known_domains=np.repeat(known, counts),
+            dataset_ids=np.repeat(ids, counts),
+            hidden_labels=labels,
+            hidden_domains=np.repeat(np.where(known >= 0, known, ids), counts),
+        )
 
-    target_train = load_target(doc["target"])
-    target_test = load_target(doc["target_test"]) if "target_test" in doc else target_train
+    sources = doc["sources"]
+    if not sources:
+        raise ValueError(f"{path}: the manifest lists no source files")
+    source_train = load_split(sources, [e.get("domain") for e in sources])
+    target_train = load_split([doc["target"]])
+    target_test = load_split([doc["target_test"]]) if "target_test" in doc else target_train
     return Dataset(source_train, [], target_train, target_test, {"manifest": os.path.abspath(path)})
 
 
@@ -438,39 +533,45 @@ def load_manifest(path, data_dir=None, flatten=True) -> Dataset:
 
 @dataclass
 class Batch:
-    """A stacked training batch; carries no hidden evaluation fields."""
+    """A training batch of public columns; carries no hidden evaluation fields.
+
+    The masks are derived from the kind codes.
+    """
 
     features: np.ndarray
     class_labels: np.ndarray
-    tags: list
-    source_mask: np.ndarray = None
-    target_mask: np.ndarray = None
-    known_mask: np.ndarray = None
-    unknown_mask: np.ndarray = None
-    known_domains: np.ndarray = None
+    kinds: np.ndarray
+    known_domains: np.ndarray
+    source_mask: np.ndarray = field(init=False)
+    target_mask: np.ndarray = field(init=False)
+    known_mask: np.ndarray = field(init=False)
+    unknown_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        kinds = [t.kind for t in self.tags]
-        self.target_mask = np.array([k == TARGET for k in kinds], dtype=bool)
+        self.target_mask = self.kinds == TARGET_CODE
         self.source_mask = ~self.target_mask
-        self.known_mask = np.array([k == KNOWN_SOURCE for k in kinds], dtype=bool)
-        self.unknown_mask = np.array([k == UNKNOWN_SOURCE for k in kinds], dtype=bool)
-        self.known_domains = np.array(
-            [t.index if t.kind == KNOWN_SOURCE else -1 for t in self.tags], dtype=np.int64
-        )
+        self.known_mask = self.kinds == KNOWN_CODE
+        self.unknown_mask = self.kinds == UNKNOWN_CODE
 
     @property
     def size(self) -> int:
         return self.features.shape[0]
 
 
-def make_batch(samples: list) -> Batch:
-    """Stack samples into arrays; target labels come through as -1."""
-    features = np.stack([s.features for s in samples]).astype(np.float64)
-    labels = np.array(
-        [s.class_label if s.class_label is not None else -1 for s in samples], dtype=np.int64
-    )
-    return Batch(features=features, class_labels=labels, tags=[s.tag for s in samples])
+_BATCH_COLUMNS = ("features", "class_labels", "kinds", "known_domains")
+
+
+def _as_split(samples, name: str) -> Split:
+    return samples if isinstance(samples, Split) else Split.from_samples(samples, name)
+
+
+def make_batch(samples) -> Batch:
+    """A batch of a Split's public columns, or of a list of samples; target labels come through as -1.
+
+    A Split's arrays are used as they are, so a whole split costs no copy.
+    """
+    split = _as_split(samples, "batch")
+    return Batch(*(getattr(split, name) for name in _BATCH_COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -520,9 +621,11 @@ class BatchSampler:
     domains), mirroring per-dataset batch quotas.
     """
 
-    def __init__(self, source: list, target: list, spec: BatchSpec):
+    def __init__(self, source, target, spec: BatchSpec):
         if spec.seed is None:
             raise ValueError("BatchSpec.seed must be set before sampling")
+        source = _as_split(source, "source")
+        target = _as_split(target, "target")
         if spec.source_quota > 0 and not source:
             raise ValueError("source pool is empty")
         if spec.target_quota > 0 and not target:
@@ -537,10 +640,10 @@ class BatchSampler:
         self.spec = spec
         self._rng = np.random.default_rng(spec.seed)
         if spec.balance_datasets:
-            ids = sorted({s.dataset_id for s in source})
-            if None in ids:
+            ids = source.dataset_ids
+            if np.any(ids < 0):
                 raise ValueError("balance_datasets requires dataset ids on all source samples")
-            self._groups = [[i for i, s in enumerate(source) if s.dataset_id == g] for g in ids]
+            self._groups = [np.flatnonzero(ids == g) for g in np.unique(ids)]
             self._group_epochs = [_Epoch(len(g), self._rng) for g in self._groups]
         else:
             self._source_epoch = _Epoch(len(source), self._rng) if source else None
@@ -556,18 +659,21 @@ class BatchSampler:
         picks = []
         for gi, (group, epoch) in enumerate(zip(self._groups, self._group_epochs)):
             want = per + (1 if gi < extra else 0)
-            picks.append(np.asarray(group)[epoch.take(want)])
+            picks.append(group[epoch.take(want)])
         return np.concatenate(picks)
 
     def next_batch(self) -> Batch:
-        samples = [self.source[i] for i in self._source_indices()] if self.spec.source_quota else []
+        """Gather the quota rows of both pools' public columns: source rows first, then target."""
+        rows = []
+        if self.spec.source_quota:
+            rows.append((self.source, self._source_indices()))
         if self.spec.target_quota:
             if self.spec.replace:
                 t_idx = self._rng.integers(0, len(self.target), size=self.spec.target_quota)
             else:
                 t_idx = self._target_epoch.take(self.spec.target_quota)
-            samples += [self.target[i] for i in t_idx]
-        return make_batch(samples)
+            rows.append((self.target, t_idx))
+        return Batch(*(np.concatenate([getattr(split, name)[idx] for split, idx in rows]) for name in _BATCH_COLUMNS))
 
 
 # ---------------------------------------------------------------------------
@@ -584,13 +690,18 @@ def evaluation_label(sample: LabeledSample):
     return sample.hidden_label
 
 
-def reveal_domain_label(sample: LabeledSample) -> LabeledSample:
-    """A copy of the sample with its latent domain turned into a known tag.
+def reveal_domain_labels(split: Split, rows=None) -> Split:
+    """A copy of the split whose chosen rows (all by default) are known-source of their latent domain.
 
     Experiment-level operation for semi-supervised runs; the revealed copy is
-    what enters training.
+    what enters training.  Only the tag columns are copied.
     """
-    domain = true_latent_domain(sample)
-    if domain is None:
+    rows = np.arange(len(split)) if rows is None else np.asarray(rows, dtype=np.int64)
+    domains = split.hidden_domains[rows]
+    if np.any(domains < 0):
         raise ValueError("sample has no latent domain to reveal")
-    return replace(sample, tag=DomainTag.known_source(domain))
+    kinds = split.kinds.copy()
+    kinds[rows] = KNOWN_CODE
+    known = split.known_domains.copy()
+    known[rows] = domains
+    return replace(split, kinds=kinds, known_domains=known)

@@ -16,7 +16,7 @@ from statistics import mean, median
 
 import numpy as np
 
-from .data import BatchSpec, Dataset, FeatureShift, SynthConfig, reveal_domain_label, synth_make
+from .data import BatchSpec, Dataset, FeatureShift, Split, SynthConfig, reveal_domain_labels, synth_make
 from .losses import LossWeights
 from .model import Model, ModelConfig
 from .training import MetricsRow, TrainConfig, train
@@ -146,7 +146,7 @@ def run_single(
     return RunResult(label=label, seed=seed, acc=final.acc, nmi=final.nmi, purity=final.purity, rows=tuple(rows))
 
 
-def _reveal_fraction(samples: list, fraction: float, seed: int) -> list:
+def _reveal_fraction(samples: Split, fraction: float, seed: int) -> Split:
     """Mark a seeded random fraction of source samples as known-domain.
 
     Subsets are nested in the fraction: a larger fraction only adds labels.
@@ -155,8 +155,7 @@ def _reveal_fraction(samples: list, fraction: float, seed: int) -> list:
         raise ValueError("fraction must lie in [0, 1]")
     order = np.random.default_rng(seed).permutation(len(samples))
     n_reveal = int(round(fraction * len(samples)))
-    chosen = set(order[:n_reveal].tolist())
-    return [reveal_domain_label(s) if i in chosen else s for i, s in enumerate(samples)]
+    return reveal_domain_labels(samples, order[:n_reveal])
 
 
 def run_baseline_grid(base: ExperimentConfig, seeds) -> list[dict]:
@@ -171,9 +170,7 @@ def run_baseline_grid(base: ExperimentConfig, seeds) -> list[dict]:
     model_cfg = base.resolved_model()
     train_cfg = base.resolved_train()
     w = train_cfg.weights
-    revealed = replace(
-        data, source_train=[reveal_domain_label(s) for s in data.source_train]
-    )
+    revealed = replace(data, source_train=reveal_domain_labels(data.source_train))
     grid = {
         "source_only": (
             data,

@@ -41,6 +41,7 @@ from .primitives import (
 )
 
 __all__ = [
+    "CheckpointError",
     "EvalRecord",
     "ForwardRecord",
     "Model",
@@ -195,7 +196,7 @@ def _build_assignment(model: Model, batch: Batch, domain_probs: np.ndarray) -> A
     if model.cfg.whole_batch_norm:
         b = batch.size
         return Assignment(np.ones((b, 1)), np.ones(b, dtype=bool))
-    return merge_assignments(domain_probs, batch.tags)
+    return merge_assignments(domain_probs, batch.kinds, batch.known_domains)
 
 
 def forward_train(
@@ -439,9 +440,17 @@ def _config_from_dict(doc: dict) -> ModelConfig:
     return ModelConfig(**doc)
 
 
+CHECKPOINT_FORMAT = 1
+
+
+class CheckpointError(ValueError):
+    """A checkpoint does not match the format or the model its config builds."""
+
+
 def save_checkpoint(model: Model, path) -> None:
     """Write config, every parameter value, and running statistics as JSON."""
     doc = {
+        "format": CHECKPOINT_FORMAT,
         "config": _config_to_dict(model.cfg),
         "params": {name: p.value.tolist() for name, p in model.named_params()},
         "running": {
@@ -457,16 +466,51 @@ def save_checkpoint(model: Model, path) -> None:
         json.dump(doc, f)
 
 
+def _restore(where: str, target: np.ndarray, values) -> None:
+    """Copy checkpoint values into an array of exactly the same shape; nothing broadcasts."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as err:
+        raise CheckpointError(f"{where}: {err}") from err
+    if arr.shape != target.shape:
+        raise CheckpointError(f"{where}: shape {arr.shape}, expected {target.shape}")
+    if not np.can_cast(arr.dtype, target.dtype, "same_kind"):
+        raise CheckpointError(f"{where}: {arr.dtype} values, expected {target.dtype}")
+    target[...] = arr
+
+
+def _same_names(where: str, found, expected) -> None:
+    missing, extra = sorted(set(expected) - set(found)), sorted(set(found) - set(expected))
+    if missing or extra:
+        raise CheckpointError(f"{where}: missing {missing}, unexpected {extra}")
+
+
 def load_checkpoint(path) -> Model:
+    """Rebuild a model from save_checkpoint's JSON.
+
+    The format version, the set of parameter and running-statistics names,
+    and every shape must match the model the stored config builds exactly;
+    any difference raises CheckpointError.
+    """
     with open(path) as f:
         doc = json.load(f)
-    model = Model(_config_from_dict(doc["config"]))
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+        found = doc.get("format") if isinstance(doc, dict) else None
+        raise CheckpointError(f"{path}: checkpoint format {found!r}, expected {CHECKPOINT_FORMAT}")
+    _same_names(str(path), doc, ("format", "config", "params", "running"))
+    try:
+        model = Model(_config_from_dict(doc["config"]))
+    except (TypeError, ValueError) as err:
+        raise CheckpointError(f"{path}: config: {err}") from err
     params = dict(model.named_params())
-    for name, values in doc["params"].items():
-        params[name].value[...] = np.asarray(values, dtype=np.float64)
-    for key, stats in doc["running"].items():
-        layer = model.align_layers[int(key)]
-        layer.running.mean[...] = np.asarray(stats["mean"])
-        layer.running.var[...] = np.asarray(stats["var"])
-        layer.running.count[...] = np.asarray(stats["count"])
+    _same_names(f"{path}: params", doc["params"], params)
+    for name, p in params.items():
+        _restore(f"{path}: params.{name}", p.value, doc["params"][name])
+    layers = {str(j): layer for j, layer in model.align_layers.items()}
+    _same_names(f"{path}: running", doc["running"], layers)
+    for key, layer in layers.items():
+        stats = doc["running"][key]
+        _same_names(f"{path}: running.{key}", stats, ("mean", "var", "count"))
+        for field_name in ("mean", "var", "count"):
+            _restore(f"{path}: running.{key}.{field_name}", getattr(layer.running, field_name), stats[field_name])
     return model

@@ -7,14 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import (
-    BatchSampler,
-    BatchSpec,
-    Dataset,
-    evaluation_label,
-    make_batch,
-    true_latent_domain,
-)
+from .data import BatchSampler, BatchSpec, Dataset, make_batch
 from .losses import LossBreakdown, LossWeights
 from .model import Model, backward_train, calibrate_predictor, forward_eval, forward_train
 
@@ -152,21 +145,20 @@ def domain_discovery_metrics(predicted, true) -> tuple[float, float]:
 def evaluate_model(model: Model, data: Dataset) -> tuple[float, float, float]:
     """Target accuracy plus discovery NMI/purity on the source training set.
 
-    Hidden ground truth is read only here, through the evaluation accessors.
-    Discovery metrics are NaN when the dataset carries no latent domain ids.
+    Hidden ground truth is read only here, from the splits' hidden columns.
+    Each split is evaluated whole, in one forward_eval over its own feature
+    array.  Discovery metrics are NaN when the dataset carries no latent
+    domain ids.
     """
-    target_batch = make_batch(data.target_test)
-    record = forward_eval(model, target_batch)
-    labels = np.array([evaluation_label(s) for s in data.target_test])
-    acc = accuracy(record.class_probs, labels)
+    record = forward_eval(model, make_batch(data.target_test))
+    acc = accuracy(record.class_probs, data.target_test.hidden_labels)
 
-    latent = [true_latent_domain(s) for s in data.source_train]
-    if any(d is None for d in latent) or model.cfg.whole_batch_norm:
+    latent = data.source_train.hidden_domains
+    if np.any(latent < 0) or model.cfg.whole_batch_norm:
         return acc, float("nan"), float("nan")
-    source_batch = make_batch(data.source_train)
-    source_record = forward_eval(model, source_batch)
+    source_record = forward_eval(model, make_batch(data.source_train))
     predicted = np.argmax(source_record.domain_probs, axis=1)
-    nmi, purity = domain_discovery_metrics(predicted, np.array(latent))
+    nmi, purity = domain_discovery_metrics(predicted, latent)
     return acc, nmi, purity
 
 

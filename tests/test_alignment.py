@@ -84,6 +84,12 @@ class TestComputeAlpha:
         with pytest.raises(ValueError):
             compute_alpha(np.array([[-0.1, 1.1]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # NaN slips past a `w < 0` test and used to turn its column dead silently
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            compute_alpha(np.array([[bad, 1.0], [0.5, 0.5]]))
+
     def test_live_columns_sum_to_one(self):
         rng = np.random.default_rng(0)
         w = rng.uniform(size=(10, 4))

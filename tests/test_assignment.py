@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mdalign.assignment import Assignment, DomainPredictor, DomainTag, merge_assignments
+from mdalign.assignment import Assignment, DomainPredictor, DomainTag, merge_assignments, tag_codes
 from mdalign.primitives import central_difference, max_relative_error, softmax_backward
 
 
@@ -56,6 +56,9 @@ class TestMergeAssignments:
                 else:
                     tags.append(DomainTag.unknown_source())
             a = merge_assignments(pred, tags)
+            coded = merge_assignments(pred, *tag_codes(tags))
+            np.testing.assert_array_equal(coded.probs, a.probs)
+            np.testing.assert_array_equal(coded.fixed, a.fixed)
             np.testing.assert_allclose(a.probs.sum(axis=1), 1.0, atol=1e-9)
             assert np.all(a.probs >= 0) and np.all(a.probs <= 1)
             for i, tag in enumerate(tags):

@@ -9,13 +9,16 @@ import pytest
 from mdalign.assignment import DomainTag
 from mdalign.data import (
     BatchSampler,
+    Dataset,
     BatchSpec,
     FeatureShift,
     IdxCountMismatchError,
     IdxMagicError,
+    IdxShapeMismatchError,
     IdxTruncatedError,
     ImageShift,
     LabeledSample,
+    NonFiniteFeatureError,
     SynthConfig,
     apply_feature_shift,
     evaluation_label,
@@ -25,7 +28,8 @@ from mdalign.data import (
     image_transform,
     load_manifest,
     make_batch,
-    reveal_domain_label,
+    Split,
+    reveal_domain_labels,
     synth_make,
     true_latent_domain,
 )
@@ -109,6 +113,14 @@ class TestSynthMake:
         batch = make_batch(data.source_train[:4])
         assert batch.features.shape == (4, cfg.feature_dim, 2, 3)
 
+    def test_non_finite_features_rejected(self):
+        cfg = SynthConfig(
+            train_per_domain=20,
+            domain_shifts=(FeatureShift(), FeatureShift(offset=np.nan)),
+        )
+        with pytest.raises(NonFiniteFeatureError, match="source_train: row 20 "):
+            synth_make(cfg)
+
     def test_degenerate_configs_rejected(self):
         with pytest.raises(ValueError):
             SynthConfig(n_classes=1)
@@ -116,6 +128,49 @@ class TestSynthMake:
             SynthConfig(n_latent_domains=0)
         with pytest.raises(ValueError):
             SynthConfig(n_latent_domains=2, domain_shifts=(FeatureShift(),))
+
+
+class TestSplit:
+    def samples(self):
+        return [
+            LabeledSample(np.full(3, 0.0), 2, DomainTag.known_source(1), dataset_id=0, hidden_latent_domain=1),
+            LabeledSample(np.full(3, 1.0), 0, DomainTag.unknown_source(), hidden_label=0),
+            LabeledSample(np.full(3, 2.0), None, DomainTag.target(), hidden_label=4),
+        ]
+
+    def test_rows_round_trip_and_view_the_features(self):
+        samples = self.samples()
+        split = Split.from_samples(samples)
+        assert len(split) == 3
+        for i, (row, sample) in enumerate(zip(split, samples)):
+            assert np.shares_memory(row.features, split.features)
+            np.testing.assert_array_equal(row.features, sample.features)
+            assert (row.class_label, row.tag, row.dataset_id) == (sample.class_label, sample.tag, sample.dataset_id)
+            assert (row.hidden_label, row.hidden_latent_domain) == (sample.hidden_label, sample.hidden_latent_domain)
+        assert split[np.int64(2)].tag == DomainTag.target()
+
+    def test_slices_and_index_arrays_give_splits(self):
+        split = Split.from_samples(self.samples())
+        tail = split[1:]
+        assert isinstance(tail, Split) and len(tail) == 2
+        assert np.shares_memory(tail.features, split.features)
+        picked = split[np.array([2, 0])]
+        assert [s.class_label for s in picked] == [None, 2]
+
+    def test_whole_split_batch_is_not_copied(self):
+        split = synth_make(SynthConfig(seed=2, train_per_domain=10)).source_train
+        batch = make_batch(split)
+        assert np.shares_memory(batch.features, split.features)
+        assert batch.size == len(split)
+
+    def test_non_finite_samples_rejected(self):
+        samples = self.samples()
+        samples[1].features = np.array([0.0, np.inf, 0.0])
+        with pytest.raises(NonFiniteFeatureError, match="batch: row 1 "):
+            make_batch(samples)
+        samples[1].features = np.array([0.0, np.nan, 0.0])
+        with pytest.raises(NonFiniteFeatureError, match="target_test: row 1 "):
+            Dataset([], [], [], samples, {})
 
 
 class TestImageTransform:
@@ -238,6 +293,24 @@ class TestManifest:
         assert all(s.class_label is None for s in data.target_train)
         assert len(data.target_test) == 7
 
+    def test_image_size_mismatch_rejected(self, tmp_path):
+        idx_write_images(tmp_path / "b-images.idx", np.zeros((2, 3, 2), dtype=np.uint8))
+        idx_write_labels(tmp_path / "b-labels.idx", [0, 1])
+        doc = {
+            "sources": [self.make_pair(tmp_path, "a", 2, 0), {"images": "b-images.idx", "labels": "b-labels.idx"}],
+            "target": self.make_pair(tmp_path, "t", 2, 1),
+        }
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(IdxShapeMismatchError):
+            load_manifest(manifest)
+
+    def test_no_sources_rejected(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"sources": [], "target": self.make_pair(tmp_path, "t", 2, 1)}))
+        with pytest.raises(ValueError, match="no source files"):
+            load_manifest(manifest)
+
     def test_env_var_resolution(self, tmp_path, monkeypatch):
         datadir = tmp_path / "store"
         datadir.mkdir()
@@ -322,6 +395,48 @@ class TestBatchSampler:
         batch = sampler.next_batch()
         assert batch.source_mask.sum() == 6
 
+    # First four batches (5 source + 3 target rows) of an index-valued pool: source
+    # row i holds i and belongs to dataset i % 3, target row j holds 100 + j.
+    # Recorded from the per-sample list sampler that the columnar one replaced.
+    STREAMS = {
+        (False, False): [
+            [4, 6, 10, 0, 1, 104, 102, 100],
+            [3, 8, 7, 2, 5, 103, 106, 101],
+            [9, 11, 8, 4, 9, 105, 100, 105],
+            [3, 7, 11, 6, 1, 104, 101, 106],
+        ],
+        (False, True): [
+            [4, 3, 8, 3, 11, 103, 103, 103],
+            [6, 6, 6, 11, 9, 105, 104, 104],
+            [4, 11, 5, 2, 10, 101, 106, 104],
+            [1, 0, 5, 0, 1, 103, 106, 103],
+        ],
+        (True, False): [
+            [0, 6, 10, 4, 2, 103, 102, 105],
+            [3, 9, 7, 1, 11, 106, 101, 100],
+            [9, 0, 1, 4, 5, 104, 102, 104],
+            [6, 3, 7, 10, 8, 100, 103, 101],
+        ],
+        (True, True): [
+            [4, 3, 8, 3, 11, 103, 103, 103],
+            [6, 6, 6, 11, 9, 105, 104, 104],
+            [4, 11, 5, 2, 10, 101, 106, 104],
+            [1, 0, 5, 0, 1, 103, 106, 103],
+        ],
+    }
+
+    @pytest.mark.parametrize("balance, replace", sorted(STREAMS))
+    def test_same_batch_stream(self, balance, replace):
+        source = [
+            LabeledSample(np.array([float(i)]), i % 4, DomainTag.unknown_source(), dataset_id=i % 3)
+            for i in range(12)
+        ]
+        target = [LabeledSample(np.array([float(100 + i)]), None, DomainTag.target()) for i in range(7)]
+        spec = BatchSpec(source_quota=5, target_quota=3, seed=7, replace=replace, balance_datasets=balance)
+        sampler = BatchSampler(source, target, spec)
+        stream = [sampler.next_batch().features[:, 0].astype(int).tolist() for _ in range(4)]
+        assert stream == self.STREAMS[balance, replace]
+
     def test_balanced_mode_requires_ids(self):
         source, target = self.make_pools()
         with pytest.raises(ValueError):
@@ -342,12 +457,12 @@ class TestBatchSampler:
 
 class TestRevealDomainLabel:
     def test_reveal_converts_tag(self):
-        sample = LabeledSample(np.zeros(2), 1, DomainTag.unknown_source(), hidden_latent_domain=1)
-        revealed = reveal_domain_label(sample)
-        assert revealed.tag == DomainTag.known_source(1)
-        assert sample.tag.kind == "unknown-source"
+        split = Split.from_samples([LabeledSample(np.zeros(2), 1, DomainTag.unknown_source(), hidden_latent_domain=1)])
+        revealed = reveal_domain_labels(split)
+        assert revealed[0].tag == DomainTag.known_source(1)
+        assert split[0].tag.kind == "unknown-source"
 
     def test_reveal_without_ground_truth_fails(self):
-        sample = LabeledSample(np.zeros(2), 1, DomainTag.unknown_source())
+        split = Split.from_samples([LabeledSample(np.zeros(2), 1, DomainTag.unknown_source())])
         with pytest.raises(ValueError):
-            reveal_domain_label(sample)
+            reveal_domain_labels(split)

@@ -1,13 +1,16 @@
 """Network orchestration: reductions, coupling, end-to-end gradients, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
 from mdalign.alignment import AlignConfig
 from mdalign.assignment import Assignment, DomainTag
-from mdalign.data import LabeledSample, make_batch
+from mdalign.data import Batch, LabeledSample, make_batch
 from mdalign.losses import LossWeights
 from mdalign.model import (
+    CheckpointError,
     Model,
     ModelConfig,
     backward_train,
@@ -41,6 +44,10 @@ def make_mixed_batch(rng, n_known=2, n_unknown=2, n_target=2, dim=4, classes=3, 
     for _ in range(n_target):
         samples.append(LabeledSample(rng.normal(size=dim), None, DomainTag.target()))
     return make_batch(samples)
+
+
+def first_rows(batch, n):
+    return Batch(batch.features[:n], batch.class_labels[:n], batch.kinds[:n], batch.known_domains[:n])
 
 
 def tiny_config(**overrides):
@@ -142,15 +149,8 @@ class TestForwardTrain:
         batch_with = make_mixed_batch(rng, n_known=0, n_unknown=4, n_target=4)
         shifted = batch_with.features.copy()
         shifted[4:] += 3.0  # push the target samples off-distribution
-        batch_with = make_batch(
-            [
-                LabeledSample(shifted[i], batch_with.class_labels[i] if i < 4 else None, batch_with.tags[i])
-                for i in range(8)
-            ]
-        )
-        batch_without = make_batch(
-            [LabeledSample(shifted[i], int(batch_with.class_labels[i]), batch_with.tags[i]) for i in range(4)]
-        )
+        batch_with = Batch(shifted, batch_with.class_labels, batch_with.kinds, batch_with.known_domains)
+        batch_without = first_rows(batch_with, 4)
         with_targets = forward_train(model, batch_with, update_running=False)
         without_targets = forward_train(model, batch_without, update_running=False)
         gap = np.abs(with_targets.class_probs[:4] - without_targets.class_probs).max()
@@ -163,12 +163,7 @@ class TestForwardTrain:
         rng = np.random.default_rng(5)
         model = Model(tiny_config())
         batch_with = make_mixed_batch(rng, n_known=2, n_unknown=2, n_target=3)
-        source_only = make_batch(
-            [
-                LabeledSample(batch_with.features[i], int(batch_with.class_labels[i]), batch_with.tags[i])
-                for i in range(4)
-            ]
-        )
+        source_only = first_rows(batch_with, 4)
         with_targets = forward_train(model, batch_with, update_running=False)
         without_targets = forward_train(model, source_only, update_running=False)
         np.testing.assert_allclose(
@@ -180,12 +175,7 @@ class TestForwardTrain:
 
         rng = np.random.default_rng(6)
         batch = make_mixed_batch(rng, n_known=2, n_unknown=2, n_target=3)
-        source_only = make_batch(
-            [
-                LabeledSample(batch.features[i], int(batch.class_labels[i]), batch.tags[i])
-                for i in range(4)
-            ]
-        )
+        source_only = first_rows(batch, 4)
         weights = LossWeights(domain_ce=0.5, class_entropy=0.2, domain_entropy=0.2)
         no_target_weights = LossWeights(domain_ce=0.5, class_entropy=0.0, domain_entropy=0.2)
         probs = []
@@ -341,3 +331,43 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
         assert load_checkpoint(path).cfg == model.cfg
+
+    @staticmethod
+    def tampered(tmp_path, edit):
+        """Save a fresh model, apply edit to the JSON document, and return the file's path."""
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(Model(tiny_config()), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_scalar_for_vector_rejected(self, tmp_path):
+        # a scalar used to spread silently over the whole bias vector
+        path = self.tampered(tmp_path, lambda doc: doc["params"].__setitem__("trunk.0.bias", 0.5))
+        with pytest.raises(CheckpointError, match=r"trunk\.0\.bias: shape \(\)"):
+            load_checkpoint(path)
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        # a missing name used to leave the parameter at its fresh initialization
+        path = self.tampered(tmp_path, lambda doc: doc["params"].pop("branch.w2"))
+        with pytest.raises(CheckpointError, match=r"missing \['branch\.w2'\]"):
+            load_checkpoint(path)
+
+    def test_extra_parameter_rejected(self, tmp_path):
+        path = self.tampered(tmp_path, lambda doc: doc["params"].__setitem__("trunk.9.bias", [0.0]))
+        with pytest.raises(CheckpointError, match=r"unexpected \['trunk\.9\.bias'\]"):
+            load_checkpoint(path)
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        def transpose(doc):
+            doc["params"]["trunk.0.weight"] = np.array(doc["params"]["trunk.0.weight"]).T.tolist()
+
+        path = self.tampered(tmp_path, transpose)
+        with pytest.raises(CheckpointError, match=r"trunk\.0\.weight: shape"):
+            load_checkpoint(path)
+
+    def test_missing_format_version_rejected(self, tmp_path):
+        path = self.tampered(tmp_path, lambda doc: doc.pop("format"))
+        with pytest.raises(CheckpointError, match="checkpoint format None, expected 1"):
+            load_checkpoint(path)
