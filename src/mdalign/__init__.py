@@ -38,9 +38,7 @@ from .losses import (
     LossBreakdown,
     LossWeights,
     class_entropy,
-    class_log_loss,
     domain_entropy,
-    domain_log_loss,
     total_loss,
 )
 from .model import (
@@ -53,7 +51,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .primitives import ParamBlock, rng_normal
+from .primitives import ParamBlock
 from .training import (
     MetricsRow,
     NumericalAbortError,

@@ -190,9 +190,6 @@ class AlignmentLayer:
             self.gamma = None
             self.beta = None
 
-    def params(self) -> list[ParamBlock]:
-        return [self.gamma, self.beta] if self.cfg.affine else []
-
     def _check(self, x: np.ndarray, w: np.ndarray) -> None:
         if w.ndim != 2 or w.shape[0] != x.shape[0]:
             raise ValueError(f"assignment rows {w.shape} do not match batch {x.shape[0]}")
@@ -200,6 +197,17 @@ class AlignmentLayer:
             raise ValueError(f"layer built for {self.n_domains} domains, got {w.shape[1]}")
         if x.shape[1] != self.channels:
             raise ValueError(f"layer built for {self.channels} channels, got {x.shape[1]}")
+
+    def _mix(self, xr: np.ndarray, w: np.ndarray, mean: np.ndarray, inv_std: np.ndarray):
+        """y_mix_i = sum_d w[i,d] * (x_i - mean_d) * inv_std_d over [b, c, positions] input, then the affine.
+
+        Domains without statistics have inv_std rows of zero.  Returns (mix_scale, y_mix, y).
+        """
+        mix_scale = w @ inv_std
+        y_mix = mix_scale[:, :, None] * xr - (w @ (mean * inv_std))[:, :, None]
+        if not self.cfg.affine:
+            return mix_scale, y_mix, y_mix
+        return mix_scale, y_mix, self.gamma.value[None, :, None] * y_mix + self.beta.value[None, :, None]
 
     def forward(self, x: np.ndarray, assignment, update_running: bool = True):
         """Normalize a training batch with per-domain batch statistics.
@@ -233,17 +241,7 @@ class AlignmentLayer:
         used = aw.live | fallback
         inv_std = np.zeros_like(mean)
         inv_std[used] = 1.0 / np.sqrt(var[used] + self.cfg.eps)
-
-        # y_i = sum_d w[i,d] * (x_i - mean_d) / std_d, folded into one affine
-        # map per sample and channel; dead columns have inv_std rows of zero.
-        mix_scale = w @ inv_std
-        mix_shift = w @ (mean * inv_std)
-        y_mix = mix_scale[:, :, None] * xr - mix_shift[:, :, None]
-
-        if self.cfg.affine:
-            y = self.gamma.value[None, :, None] * y_mix + self.beta.value[None, :, None]
-        else:
-            y = y_mix
+        mix_scale, y_mix, y = self._mix(xr, w, mean, inv_std)
         if update_running:
             self.running.update(stats, self.cfg.running_momentum)
 
@@ -345,10 +343,7 @@ class AlignmentLayer:
             raise UninitializedStatsError(
                 f"domains {np.flatnonzero(missing).tolist()} have no running statistics"
             )
-        xr = _as_bcm(x)
         inv_std = np.zeros_like(self.running.mean)
         inv_std[needed] = 1.0 / np.sqrt(self.running.var[needed] + self.cfg.eps)
-        y = (w @ inv_std)[:, :, None] * xr - (w @ (self.running.mean * inv_std))[:, :, None]
-        if self.cfg.affine:
-            y = self.gamma.value[None, :, None] * y + self.beta.value[None, :, None]
+        _, _, y = self._mix(_as_bcm(x), w, self.running.mean, inv_std)
         return y.reshape(x.shape)

@@ -126,14 +126,6 @@ class Assignment:
         obj.grad = np.zeros_like(obj.probs)
         return obj
 
-    @property
-    def n_domains(self) -> int:
-        return self.probs.shape[1]
-
-    def share(self, layer_count: int) -> tuple["Assignment", ...]:
-        """Views handed to the alignment layers: the same object, not copies."""
-        return (self,) * layer_count
-
     def add_grad(self, grad_w: np.ndarray) -> None:
         if grad_w.shape != self.probs.shape:
             raise ValueError(f"gradient shape {grad_w.shape} does not match {self.probs.shape}")
@@ -193,13 +185,16 @@ class DomainPredictor:
     def params(self) -> list[ParamBlock]:
         return [self.w1, self.b1, self.w2, self.b2]
 
-    def forward(self, features: np.ndarray):
-        """Returns (probs, cache): probability rows over the k domains."""
+    def logits(self, features: np.ndarray):
+        """Returns (logits, cache): unnormalized scores over the k domains."""
         z1 = dense_forward(features, self.w1.value, self.b1.value)
         a1 = relu_forward(z1)
-        z2 = dense_forward(a1, self.w2.value, self.b2.value)
-        probs = softmax(z2)
-        return probs, (features, z1, a1)
+        return dense_forward(a1, self.w2.value, self.b2.value), (features, z1, a1)
+
+    def forward(self, features: np.ndarray):
+        """Returns (probs, cache): probability rows over the k domains."""
+        logits, cache = self.logits(features)
+        return softmax(logits), cache
 
     def backward(self, cache, grad_logits: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients; returns the gradient at the input features."""

@@ -24,7 +24,6 @@ from .alignment import AlignConfig
 from .data import BatchSpec, FeatureShift, SynthConfig, load_manifest, synth_make
 from .experiments import (
     ExperimentConfig,
-    pinned_benchmark,
     run_baseline_grid,
     run_k_ablation,
     run_supervision_sweep,
@@ -82,12 +81,16 @@ def _tupled(value, path):
     return tuple(value)
 
 
+def _optional_tupled(value, path):
+    return None if value is None else _tupled(value, path)
+
+
 def _build_synth(doc: dict, path: str) -> SynthConfig:
     converters = {
         "domain_shifts": lambda v, p: tuple(_as_shift(item, f"{p}[{i}]") for i, item in enumerate(v)),
         "target_shift": _as_shift,
-        "conflict_pair": _tupled,
-        "patch_hw": lambda v, p: tuple(v) if v is not None else None,
+        "conflict_pair": _optional_tupled,
+        "patch_hw": _optional_tupled,
     }
     return _build(SynthConfig, doc, path, converters)
 
@@ -119,6 +122,16 @@ def load_config(path: str, overrides: list[str]) -> dict:
                 raise ConfigError(f"--set {key}: {part} is not an object")
         node[parts[-1]] = value
     return doc
+
+
+def _check_manifest_domains(path: str, k: int) -> None:
+    """Every domain a manifest's source file declares must be one of model.k latent domains."""
+    with open(path) as f:
+        for entry in json.load(f)["sources"]:
+            if entry.get("domain") is not None and entry["domain"] >= k:
+                raise ConfigError(
+                    f"data.manifest: source {entry['images']} declares domain {entry['domain']}, but model.k is {k}"
+                )
 
 
 def resolve_config(doc: dict):
@@ -158,9 +171,11 @@ def resolve_config(doc: dict):
             "align": lambda v, p: _build(AlignConfig, v, p),
             "trunk_widths": _tupled,
             "classifier_widths": _tupled,
-            "align_after": lambda v, p: tuple(v) if v is not None else None,
+            "align_after": _optional_tupled,
         },
     )
+    if synth_cfg is None:
+        _check_manifest_domains(data_doc["manifest"], model_cfg.k)
     train_cfg = _build(
         TrainConfig,
         dict(doc.get("train", {})),
@@ -171,29 +186,6 @@ def resolve_config(doc: dict):
         },
     )
     return dataset, model_cfg, train_cfg, {"synthetic": synth_cfg}
-
-
-def default_config_doc() -> dict:
-    """The pinned benchmark as a plain config document."""
-    pinned = pinned_benchmark()
-    base = ExperimentConfig(data=pinned)
-    synth = dataclasses.asdict(pinned)
-    synth["domain_shifts"] = [dataclasses.asdict(s) for s in pinned.domain_shifts]
-    synth["target_shift"] = dataclasses.asdict(pinned.target_shift)
-    train_cfg = base.resolved_train()
-    return {
-        "data": {"synthetic": synth},
-        "model": {},
-        "train": {
-            "iterations": train_cfg.iterations,
-            "base_lr": train_cfg.base_lr,
-            "schedule": train_cfg.schedule,
-            "weight_decay": train_cfg.weight_decay,
-            "weights": dataclasses.asdict(train_cfg.weights),
-            "batch": dataclasses.asdict(train_cfg.batch),
-            "eval_every": train_cfg.eval_every,
-        },
-    }
 
 
 def _config_hash(doc: dict) -> str:
@@ -268,77 +260,48 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def _experiment_base(doc) -> tuple[ExperimentConfig, dict]:
-    dataset, model_cfg, train_cfg, meta = resolve_config(doc)
+def _run_grid_command(args, runner, key: str, values: tuple[str, ...]) -> int:
+    """Run runner(base, seeds); write manifest.json, runs.csv (key, seed and value columns) and summary.csv."""
+    doc = load_config(args.config, args.set or [])
+    _, model_cfg, train_cfg, meta = resolve_config(doc)
     if meta["synthetic"] is None:
         raise ConfigError("data: experiment runners need a synthetic dataset")
-    return ExperimentConfig(data=meta["synthetic"], model=model_cfg, train=train_cfg), meta
-
-
-def _seeds(args) -> list[int]:
-    return list(range(args.seeds))
+    base = ExperimentConfig(data=meta["synthetic"], model=model_cfg, train=train_cfg)
+    _prepare_out(args.out, args.force)
+    seeds = list(range(args.seeds))
+    rows = runner(base, seeds)
+    _write_manifest(args.out, doc, args.command, seeds)
+    _write_lines(
+        os.path.join(args.out, "runs.csv"),
+        [",".join((key, "seed") + values)]
+        + [",".join([str(r[key]), str(r["seed"])] + [f"{r[v]:.12g}" for v in values]) for r in rows],
+    )
+    med = summarize(rows, key)
+    _write_lines(
+        os.path.join(args.out, "summary.csv"),
+        [f"{key},median_acc,mean_acc,n"] + [f"{s[key]},{s['median']:.12g},{s['mean']:.12g},{s['n']}" for s in med],
+    )
+    for s in med:
+        print(f"{key}={s[key]}: median acc {s['median']:.4f} (mean {s['mean']:.4f}, {s['n']} seeds)")
+    return EXIT_OK
 
 
 def cmd_ablate_k(args) -> int:
-    doc = load_config(args.config, args.set or [])
-    base, _ = _experiment_base(doc)
     k_values = [int(v) for v in args.k.split(",")]
-    _prepare_out(args.out, args.force)
-    rows = run_k_ablation(base, k_values, _seeds(args))
-    _write_manifest(args.out, doc, "ablate-k", _seeds(args))
-    lines = ["k,seed,acc,nmi,purity"] + [
-        f"{r['k']},{r['seed']},{r['acc']:.12g},{r['nmi']:.12g},{r['purity']:.12g}" for r in rows
-    ]
-    _write_lines(os.path.join(args.out, "runs.csv"), lines)
-    med = summarize(rows, "k")
-    _write_lines(
-        os.path.join(args.out, "summary.csv"),
-        ["k,median_acc,mean_acc,n"] + [f"{s['k']},{s['median']:.12g},{s['mean']:.12g},{s['n']}" for s in med],
+    return _run_grid_command(
+        args, lambda base, seeds: run_k_ablation(base, k_values, seeds), "k", ("acc", "nmi", "purity")
     )
-    for s in med:
-        print(f"k={s['k']}: median acc {s['median']:.4f} (mean {s['mean']:.4f}, {s['n']} seeds)")
-    return EXIT_OK
 
 
 def cmd_sweep_labels(args) -> int:
-    doc = load_config(args.config, args.set or [])
-    base, _ = _experiment_base(doc)
     fractions = [float(v) for v in args.fractions.split(",")]
-    _prepare_out(args.out, args.force)
-    rows = run_supervision_sweep(base, fractions, _seeds(args))
-    _write_manifest(args.out, doc, "sweep-labels", _seeds(args))
-    lines = ["fraction,seed,acc"] + [f"{r['fraction']},{r['seed']},{r['acc']:.12g}" for r in rows]
-    _write_lines(os.path.join(args.out, "runs.csv"), lines)
-    med = summarize(rows, "fraction")
-    _write_lines(
-        os.path.join(args.out, "summary.csv"),
-        ["fraction,median_acc,mean_acc,n"]
-        + [f"{s['fraction']},{s['median']:.12g},{s['mean']:.12g},{s['n']}" for s in med],
+    return _run_grid_command(
+        args, lambda base, seeds: run_supervision_sweep(base, fractions, seeds), "fraction", ("acc",)
     )
-    for s in med:
-        print(f"fraction={s['fraction']}: median acc {s['median']:.4f}")
-    return EXIT_OK
 
 
 def cmd_baselines(args) -> int:
-    doc = load_config(args.config, args.set or [])
-    base, _ = _experiment_base(doc)
-    _prepare_out(args.out, args.force)
-    rows = run_baseline_grid(base, _seeds(args))
-    _write_manifest(args.out, doc, "baselines", _seeds(args))
-    lines = ["config,seed,acc,nmi,purity"] + [
-        f"{r['config']},{r['seed']},{r['acc']:.12g},{r['nmi']:.12g},{r['purity']:.12g}" for r in rows
-    ]
-    _write_lines(os.path.join(args.out, "runs.csv"), lines)
-    med = summarize(rows, "config")
-    _write_lines(
-        os.path.join(args.out, "summary.csv"),
-        ["config,median_acc,mean_acc,n"]
-        + [f"{s['config']},{s['median']:.12g},{s['mean']:.12g},{s['n']}" for s in med],
-    )
-    for s in med:
-        print(f"{s['config']}: median acc {s['median']:.4f}")
-    return EXIT_OK
+    return _run_grid_command(args, run_baseline_grid, "config", ("acc", "nmi", "purity"))
 
 
 def build_parser() -> argparse.ArgumentParser:

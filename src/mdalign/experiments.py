@@ -1,12 +1,14 @@
 """Pinned synthetic benchmarks and the desk-scale experiment runners.
 
-Three runners mirror the headline experiments at desk scale: a baseline grid
-(no alignment / unified-source alignment / latent-domain discovery / known
+One grid runner trains a list of cases over a list of seeds.  Three case
+lists mirror the headline experiments at desk scale: a baseline grid (no
+alignment / unified-source alignment / latent-domain discovery / known
 multi-source), an ablation over the number of latent domains k, and a sweep
 over the fraction of domain-labeled source samples.  Every runner output is
 a pure function of (benchmark config, seed list): datasets are built once
-from the pinned config, and each run derives its model and batch stream from
-its own seed, so adding seeds never changes existing rows.
+from the pinned config, and each run derives its model, its batch stream
+and, in the sweep, its revealed labels from its own seed, so adding seeds
+never changes existing rows.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "no_shift_benchmark",
     "pinned_benchmark",
     "run_baseline_grid",
+    "run_grid",
     "run_k_ablation",
     "run_single",
     "run_supervision_sweep",
@@ -127,7 +130,6 @@ def default_experiment() -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    label: str
     seed: int
     acc: float
     nmi: float
@@ -135,15 +137,13 @@ class RunResult:
     rows: tuple[MetricsRow, ...]
 
 
-def run_single(
-    data: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig, seed: int, label: str = "run"
-) -> RunResult:
+def run_single(data: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig, seed: int) -> RunResult:
     """Train one model with everything derived from the given seed."""
     model = Model(replace(model_cfg, seed=seed))
     cfg = replace(train_cfg, seed=seed)
     _, rows = train(model, data, cfg)
     final = rows[-1]
-    return RunResult(label=label, seed=seed, acc=final.acc, nmi=final.nmi, purity=final.purity, rows=tuple(rows))
+    return RunResult(seed=seed, acc=final.acc, nmi=final.nmi, purity=final.purity, rows=tuple(rows))
 
 
 def _reveal_fraction(samples: Split, fraction: float, seed: int) -> Split:
@@ -156,6 +156,22 @@ def _reveal_fraction(samples: Split, fraction: float, seed: int) -> Split:
     order = np.random.default_rng(seed).permutation(len(samples))
     n_reveal = int(round(fraction * len(samples)))
     return reveal_domain_labels(samples, order[:n_reveal])
+
+
+def run_grid(cases, seeds) -> list[dict]:
+    """Train every case once per seed, case-major; one row per run.
+
+    A case is (fields, data, model_cfg, train_cfg).  fields, such as
+    {"k": 3}, lead each of the case's rows, followed by the seed and the
+    final acc, nmi and purity.  data is a Dataset, or a function of the run
+    seed that returns one.
+    """
+    rows = []
+    for fields, data, model_cfg, train_cfg in cases:
+        for seed in seeds:
+            result = run_single(data(seed) if callable(data) else data, model_cfg, train_cfg, seed)
+            rows.append({**fields, "seed": seed, "acc": result.acc, "nmi": result.nmi, "purity": result.purity})
+    return rows
 
 
 def run_baseline_grid(base: ExperimentConfig, seeds) -> list[dict]:
@@ -185,15 +201,7 @@ def run_baseline_grid(base: ExperimentConfig, seeds) -> list[dict]:
             replace(train_cfg, weights=replace(w, domain_ce=0.5)),
         ),
     }
-    rows = []
-    for label in BASELINES:
-        run_data, m_cfg, t_cfg = grid[label]
-        for seed in seeds:
-            result = run_single(run_data, m_cfg, t_cfg, seed, label)
-            rows.append(
-                {"config": label, "seed": seed, "acc": result.acc, "nmi": result.nmi, "purity": result.purity}
-            )
-    return rows
+    return run_grid([({"config": label}, *grid[label]) for label in BASELINES], seeds)
 
 
 def run_k_ablation(base: ExperimentConfig, k_values, seeds) -> list[dict]:
@@ -203,31 +211,21 @@ def run_k_ablation(base: ExperimentConfig, k_values, seeds) -> list[dict]:
     data = synth_make(base.data)
     model_cfg = base.resolved_model()
     train_cfg = base.resolved_train()
-    rows = []
-    for k in k_values:
-        for seed in seeds:
-            result = run_single(data, replace(model_cfg, k=int(k)), train_cfg, seed, f"k={k}")
-            rows.append(
-                {"k": int(k), "seed": seed, "acc": result.acc, "nmi": result.nmi, "purity": result.purity}
-            )
-    return rows
+    return run_grid([({"k": int(k)}, data, replace(model_cfg, k=int(k)), train_cfg) for k in k_values], seeds)
 
 
 def run_supervision_sweep(base: ExperimentConfig, fractions, seeds) -> list[dict]:
-    """Reveal a fraction of domain labels and train with the domain log-loss on."""
+    """Reveal a seeded fraction of domain labels and train with the domain log-loss on."""
     data = synth_make(base.data)
     model_cfg = base.resolved_model()
     train_cfg = base.resolved_train()
     train_cfg = replace(train_cfg, weights=replace(train_cfg.weights, domain_ce=0.5))
-    rows = []
-    for fraction in fractions:
-        for seed in seeds:
-            run_data = replace(
-                data, source_train=_reveal_fraction(data.source_train, fraction, seed)
-            )
-            result = run_single(run_data, model_cfg, train_cfg, seed, f"fraction={fraction}")
-            rows.append({"fraction": float(fraction), "seed": seed, "acc": result.acc})
-    return rows
+
+    def revealed(fraction):
+        return lambda seed: replace(data, source_train=_reveal_fraction(data.source_train, fraction, seed))
+
+    cases = [({"fraction": float(f)}, revealed(f), model_cfg, train_cfg) for f in fractions]
+    return run_grid(cases, seeds)
 
 
 def summarize(rows: list[dict], group_key: str, value_key: str = "acc") -> list[dict]:

@@ -5,9 +5,10 @@ total = class log-loss on labeled source samples
       + w_C * class entropy on unlabeled target samples
       + w_D * domain entropy on source samples without domain labels
 
-The two entropy terms push the network towards confident predictions on the
-unlabeled populations; both use the 0 * log 0 := 0 convention, with
-probabilities clamped to 1e-12 inside logarithms.
+The two log-losses are primitives.cross_entropy.  The two entropy terms push
+the network towards confident predictions on the unlabeled populations; both
+use the 0 * log 0 := 0 convention, with probabilities clamped to 1e-12 inside
+logarithms.
 """
 
 from __future__ import annotations
@@ -16,15 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primitives import cross_entropy
-
 __all__ = [
     "LossBreakdown",
     "LossWeights",
     "class_entropy",
-    "class_log_loss",
     "domain_entropy",
-    "domain_log_loss",
     "total_loss",
 ]
 
@@ -57,30 +54,6 @@ class LossBreakdown:
     n_known: int
     n_target: int
     n_unknown: int
-
-
-def class_log_loss(probs: np.ndarray, labels):
-    """Mean negative log-likelihood over the labeled source batch, with its probs gradient."""
-    if probs.shape[0] == 0:
-        raise ValueError("class log-loss needs at least one source sample")
-    labels = np.asarray(labels, dtype=np.int64)
-    value = cross_entropy(probs, labels)
-    grad = np.zeros_like(probs)
-    rows = np.arange(labels.size)
-    grad[rows, labels] = -1.0 / (labels.size * probs[rows, labels])
-    return value, grad
-
-
-def domain_log_loss(probs: np.ndarray, labels):
-    """Like class_log_loss over domain-labeled rows; an empty population yields 0."""
-    if probs.shape[0] == 0:
-        return 0.0, np.zeros_like(probs)
-    labels = np.asarray(labels, dtype=np.int64)
-    value = cross_entropy(probs, labels)
-    grad = np.zeros_like(probs)
-    rows = np.arange(labels.size)
-    grad[rows, labels] = -1.0 / (labels.size * probs[rows, labels])
-    return value, grad
 
 
 def _entropy(probs: np.ndarray):

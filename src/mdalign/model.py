@@ -156,12 +156,11 @@ class Model:
 
 @dataclass
 class ForwardRecord:
-    """Everything a training forward pass produced, kept for backward."""
+    """Everything a forward pass produced; training passes also keep the caches backward needs."""
 
     class_probs: np.ndarray
     domain_probs: np.ndarray
     assignment: Assignment
-    trunk_out: np.ndarray
     trunk_caches: list
     branch_cache: object
     cls_caches: list
@@ -174,29 +173,74 @@ class EvalRecord:
     domain_probs: np.ndarray
 
 
-def _featurize(features: np.ndarray) -> np.ndarray:
-    if features.ndim == 4:
-        return spatial_mean(features)
-    if features.ndim != 2:
+def _trunk_forward(model: Model, features: np.ndarray, caches: list | None = None) -> np.ndarray:
+    """Trunk output of a batch's features; appends (input, pre-activation) per block to caches if given.
+
+    Rank-4 features enter as their spatial means.
+    """
+    if features.ndim not in (2, 4):
         raise ValueError(f"expected rank 2 or 4 features, got rank {features.ndim}")
-    return features
-
-
-def _trunk_forward(model: Model, x: np.ndarray):
-    caches = []
-    h = x
+    h = spatial_mean(features) if features.ndim == 4 else features
     for layer in model.trunk:
         z = dense_forward(h, layer.weight.value, layer.bias.value)
-        caches.append((h, z))
+        if caches is not None:
+            caches.append((h, z))
         h = relu_forward(z)
-    return h, caches
+    return h
 
 
-def _build_assignment(model: Model, batch: Batch, domain_probs: np.ndarray) -> Assignment:
-    if model.cfg.whole_batch_norm:
-        b = batch.size
-        return Assignment(np.ones((b, 1)), np.ones(b, dtype=bool))
-    return merge_assignments(domain_probs, batch.kinds, batch.known_domains)
+def _forward(
+    model: Model,
+    batch: Batch,
+    train: bool,
+    assignment: Assignment | None = None,
+    update_running: bool = True,
+) -> ForwardRecord:
+    """The one walk through trunk, predictor branch and classifier.
+
+    Training mode normalizes with batch statistics and keeps every activation
+    backward_train needs; evaluation mode normalizes with running statistics
+    and keeps none, so that a whole split can be evaluated in one call.  The
+    predictor runs on every non-target sample in both modes.
+    """
+    trunk_caches = [] if train else None
+    h = _trunk_forward(model, batch.features, trunk_caches)
+
+    src_idx = np.flatnonzero(batch.source_mask)
+    domain_probs = np.zeros((batch.size, model.cfg.k))
+    branch_cache = None
+    if src_idx.size:
+        domain_probs[src_idx], branch_cache = model.branch.forward(h[src_idx])
+        if not train:
+            branch_cache = None
+    if assignment is None and model.cfg.whole_batch_norm:
+        assignment = Assignment(np.ones((batch.size, 1)), np.ones(batch.size, dtype=bool))
+    elif assignment is None:
+        assignment = merge_assignments(domain_probs, batch.kinds, batch.known_domains)
+
+    cls_caches = []
+    last = len(model.classifier) - 1
+    for j, layer in enumerate(model.classifier):
+        z = dense_forward(h, layer.weight.value, layer.bias.value)
+        align_cache = None
+        if j in model.align_layers:
+            if train:
+                z, align_cache = model.align_layers[j].forward(z, assignment, update_running)
+            else:
+                z = model.align_layers[j].infer(z, assignment)
+        if train:
+            cls_caches.append((h, align_cache, z))
+        h = relu_forward(z) if j < last else z
+
+    return ForwardRecord(
+        class_probs=softmax(h),
+        domain_probs=domain_probs,
+        assignment=assignment,
+        trunk_caches=trunk_caches,
+        branch_cache=branch_cache,
+        cls_caches=cls_caches,
+        src_idx=src_idx,
+    )
 
 
 def forward_train(
@@ -214,43 +258,7 @@ def forward_train(
     """
     if not batch.source_mask.any():
         raise ValueError("training batch needs at least one source sample")
-    x = _featurize(batch.features)
-    trunk_out, trunk_caches = _trunk_forward(model, x)
-
-    src_idx = np.flatnonzero(batch.source_mask)
-    domain_probs = np.zeros((batch.size, model.cfg.k))
-    branch_cache = None
-    if src_idx.size:
-        probs_src, branch_cache = model.branch.forward(trunk_out[src_idx])
-        domain_probs[src_idx] = probs_src
-
-    if assignment_override is not None:
-        assignment = assignment_override
-    else:
-        assignment = _build_assignment(model, batch, domain_probs)
-
-    h = trunk_out
-    cls_caches = []
-    last = len(model.classifier) - 1
-    for j, layer in enumerate(model.classifier):
-        z = dense_forward(h, layer.weight.value, layer.bias.value)
-        align_cache = None
-        if j in model.align_layers:
-            z, align_cache = model.align_layers[j].forward(z, assignment, update_running)
-        cls_caches.append((h, align_cache, z))
-        h = relu_forward(z) if j < last else z
-    class_probs = softmax(h)
-
-    return ForwardRecord(
-        class_probs=class_probs,
-        domain_probs=domain_probs,
-        assignment=assignment,
-        trunk_out=trunk_out,
-        trunk_caches=trunk_caches,
-        branch_cache=branch_cache,
-        cls_caches=cls_caches,
-        src_idx=src_idx,
-    )
+    return _forward(model, batch, True, assignment_override, update_running)
 
 
 def compute_loss(record: ForwardRecord, batch: Batch, weights: LossWeights) -> LossBreakdown:
@@ -352,9 +360,6 @@ def backward_train(
         g_b_probs += record.assignment.grad[src_idx][:, : model.cfg.k]
         g_b_logits += softmax_backward(probs_b, g_b_probs)
         g_trunk[src_idx] += model.branch.backward(record.branch_cache, g_b_logits)
-    elif src_idx.size and model.cfg.whole_batch_norm:
-        # keep the predictor's buffers zeroed; it is bypassed in this mode
-        pass
 
     # trunk stack
     grad = g_trunk
@@ -381,12 +386,8 @@ def calibrate_predictor(model: Model, batch: Batch) -> None:
     src_idx = np.flatnonzero(batch.source_mask)
     if src_idx.size == 0 or model.cfg.whole_batch_norm:
         return
-    x = _featurize(batch.features)
-    trunk_out, _ = _trunk_forward(model, x)
-    branch = model.branch
-    z1 = dense_forward(trunk_out[src_idx], branch.w1.value, branch.b1.value)
-    z2 = dense_forward(relu_forward(z1), branch.w2.value, branch.b2.value)
-    branch.b2.value -= z2.mean(axis=0)
+    logits, _ = model.branch.logits(_trunk_forward(model, batch.features)[src_idx])
+    model.branch.b2.value -= logits.mean(axis=0)
 
 
 def forward_eval(model: Model, batch: Batch) -> EvalRecord:
@@ -396,27 +397,8 @@ def forward_eval(model: Model, batch: Batch) -> EvalRecord:
     normalized with their predicted soft assignments.  Works on single-sample
     batches since no batch statistics are involved.
     """
-    x = _featurize(batch.features)
-    h = x
-    for layer in model.trunk:
-        h = relu_forward(dense_forward(h, layer.weight.value, layer.bias.value))
-    trunk_out = h
-
-    src_idx = np.flatnonzero(batch.source_mask)
-    domain_probs = np.zeros((batch.size, model.cfg.k))
-    if src_idx.size:
-        probs_src, _ = model.branch.forward(trunk_out[src_idx])
-        domain_probs[src_idx] = probs_src
-    assignment = _build_assignment(model, batch, domain_probs)
-
-    h = trunk_out
-    last = len(model.classifier) - 1
-    for j, layer in enumerate(model.classifier):
-        z = dense_forward(h, layer.weight.value, layer.bias.value)
-        if j in model.align_layers:
-            z = model.align_layers[j].infer(z, assignment)
-        h = relu_forward(z) if j < last else z
-    return EvalRecord(class_probs=softmax(h), domain_probs=domain_probs)
+    record = _forward(model, batch, False)
+    return EvalRecord(class_probs=record.class_probs, domain_probs=record.domain_probs)
 
 
 # ---------------------------------------------------------------------------

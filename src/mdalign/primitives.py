@@ -21,12 +21,10 @@ __all__ = [
     "max_relative_error",
     "relu_backward",
     "relu_forward",
-    "rng_normal",
     "softmax",
     "softmax_backward",
     "softmax_cross_entropy_backward",
     "spatial_mean",
-    "spatial_mean_backward",
 ]
 
 
@@ -126,21 +124,6 @@ def spatial_mean(x: np.ndarray) -> np.ndarray:
     if x.ndim != 4:
         raise ValueError(f"spatial_mean expects rank 4, got {x.ndim}")
     return x.mean(axis=(2, 3))
-
-
-def spatial_mean_backward(x_shape, grad_out: np.ndarray) -> np.ndarray:
-    """Distribute the incoming gradient uniformly over the h*w positions."""
-    b, c, h, w = x_shape
-    if grad_out.shape != (b, c):
-        raise ValueError(f"grad shape {grad_out.shape} does not match ({b}, {c})")
-    return np.broadcast_to(grad_out[:, :, None, None] / (h * w), x_shape).copy()
-
-
-def rng_normal(seed: int, shape, stddev: float = 1.0) -> np.ndarray:
-    """Deterministic Gaussian draws: same seed, same tensor."""
-    if stddev < 0:
-        raise ValueError("stddev must be >= 0")
-    return np.random.default_rng(seed).normal(0.0, stddev, size=shape)
 
 
 def he_normal(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:

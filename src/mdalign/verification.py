@@ -128,21 +128,12 @@ def _audit_batch(rng, in_dim=4, classes=3, k=2):
 def _relu_margin(model: Model, batch) -> float:
     """Smallest |pre-activation| at any rectifier; the finite-difference
     probe is only valid away from the kinks."""
-    from .primitives import dense_forward, relu_forward
-
-    x = batch.features
-    margin = np.inf
-    h = x
-    for layer in model.trunk:
-        z = dense_forward(h, layer.weight.value, layer.bias.value)
-        margin = min(margin, float(np.abs(z).min()))
-        h = relu_forward(z)
     record = forward_train(model, batch, update_running=False)
-    for j, (_, _, pre_act) in enumerate(record.cls_caches[:-1]):
-        margin = min(margin, float(np.abs(pre_act).min()))
-    src = np.flatnonzero(batch.source_mask)
-    z1 = dense_forward(h[src], model.branch.w1.value, model.branch.b1.value)
-    return min(margin, float(np.abs(z1).min()))
+    pre_acts = [z for _, z in record.trunk_caches]
+    pre_acts += [z for _, _, z in record.cls_caches[:-1]]
+    _, branch_z1, _ = record.branch_cache
+    pre_acts.append(branch_z1)
+    return min(float(np.abs(z).min()) for z in pre_acts)
 
 
 def audit_full_model(seed: int = 0) -> dict:

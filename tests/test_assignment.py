@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from mdalign.assignment import Assignment, DomainPredictor, DomainTag, merge_assignments, tag_codes
+from mdalign.data import LabeledSample, make_batch
+from mdalign.model import Model, ModelConfig, forward_train
 from mdalign.primitives import central_difference, max_relative_error, softmax_backward
 
 
@@ -72,10 +74,14 @@ class TestMergeAssignments:
 
 class TestSharedView:
     def test_layers_see_the_same_rows(self):
-        a = merge_assignments(np.array([[0.5, 0.5]]), [DomainTag.unknown_source()])
-        views = a.share(3)
-        assert all(v is a for v in views)
-        assert all(v.probs is a.probs for v in views)
+        rng = np.random.default_rng(3)
+        tags = [DomainTag.known_source(0), DomainTag.unknown_source(), DomainTag.unknown_source(), DomainTag.target()]
+        batch = make_batch([LabeledSample(rng.normal(size=4), 0, tag) for tag in tags])
+        model = Model(ModelConfig(in_dim=4, n_classes=2, trunk_widths=(6,), classifier_widths=(5, 5)))
+        record = forward_train(model, batch)
+        align_caches = [cache for _, cache, _ in record.cls_caches if cache is not None]
+        assert len(align_caches) == 3
+        assert all(cache.w is record.assignment.probs for cache in align_caches)
 
     def test_gradients_accumulate_across_layers(self):
         a = merge_assignments(

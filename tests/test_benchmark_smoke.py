@@ -19,3 +19,22 @@ def test_digit_files_benchmark_runs_correct():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stdout[-2000:]
     assert result["failed"] == 0
+
+
+def test_benchmark_hooks_resolve():
+    """Every function the traced benchmark wraps still exists where the benchmark looks it up."""
+    from mdalign import training
+
+    sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
+    try:
+        import spans
+    finally:
+        sys.path.pop(0)
+    original = training.forward_train
+    tracer = spans.Tracer()
+    try:
+        spans.instrument(tracer)
+        assert training.forward_train.__wrapped__ is original
+    finally:
+        tracer.restore()
+    assert training.forward_train is original

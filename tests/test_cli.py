@@ -102,6 +102,13 @@ class TestTrainCommand:
         assert code == EXIT_NUMERICAL
         assert "iteration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["conflict_pair", "patch_hw"])
+    def test_optional_pair_accepts_null_and_rejects_a_scalar(self, quick_config, tmp_path, capsys, field):
+        run = ["train", "--config", quick_config, "--set", "train.iterations=5"]
+        assert main(run + ["--out", str(tmp_path / "a"), "--set", f"data.synthetic.{field}=null"]) == EXIT_OK
+        assert main(run + ["--out", str(tmp_path / "b"), "--set", f"data.synthetic.{field}=3"]) == EXIT_CONFIG
+        assert f"data.synthetic.{field}: expected a list" in capsys.readouterr().err
+
     def test_bad_set_syntax(self, quick_config, tmp_path):
         code = main(["train", "--config", quick_config, "--out", str(tmp_path / "o"), "--set", "oops"])
         assert code == EXIT_CONFIG
@@ -164,29 +171,30 @@ class TestRunnerCommands:
         assert [line.split(",")[0] for line in summary[1:]] == ["0.0", "0.05", "0.25", "0.5", "1.0"]
 
 
+def write_digit_set(store, rng, stem, shift):
+    """Write a tiny 3x3 "digit" IDX pair (class = which corner is bright); returns its manifest entry."""
+    from mdalign.data import idx_write_images, idx_write_labels
+
+    n = 24
+    labels = np.arange(n) % 2
+    images = np.zeros((n, 3, 3))
+    images[labels == 0, 0, 0] = 0.9
+    images[labels == 1, 2, 2] = 0.9
+    images += 0.05 * rng.uniform(size=images.shape) + shift
+    idx_write_images(store / f"{stem}-images.idx", (images.clip(0, 1) * 255).astype(np.uint8))
+    idx_write_labels(store / f"{stem}-labels.idx", labels.astype(np.uint8))
+    return {"images": f"{stem}-images.idx", "labels": f"{stem}-labels.idx"}
+
+
 class TestManifestTraining:
     def test_train_from_idx_manifest_with_env_dir(self, tmp_path, monkeypatch):
-        from mdalign.data import idx_write_images, idx_write_labels
-
         rng = np.random.default_rng(0)
         store = tmp_path / "store"
         store.mkdir()
 
-        def write_set(stem, shift):
-            # tiny 3x3 "digit" blobs: class = which corner is bright
-            n = 24
-            labels = np.arange(n) % 2
-            images = np.zeros((n, 3, 3))
-            images[labels == 0, 0, 0] = 0.9
-            images[labels == 1, 2, 2] = 0.9
-            images += 0.05 * rng.uniform(size=images.shape) + shift
-            idx_write_images(store / f"{stem}-images.idx", (images.clip(0, 1) * 255).astype(np.uint8))
-            idx_write_labels(store / f"{stem}-labels.idx", labels.astype(np.uint8))
-            return {"images": f"{stem}-images.idx", "labels": f"{stem}-labels.idx"}
-
         manifest = {
-            "sources": [write_set("a", 0.0), write_set("b", 0.1)],
-            "target": write_set("t", 0.05),
+            "sources": [write_digit_set(store, rng, "a", 0.0), write_digit_set(store, rng, "b", 0.1)],
+            "target": write_digit_set(store, rng, "t", 0.05),
         }
         manifest_path = tmp_path / "digits.json"
         manifest_path.write_text(json.dumps(manifest))
@@ -207,6 +215,22 @@ class TestManifestTraining:
         assert main(["train", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert 0.0 <= summary["acc"] <= 1.0
+
+    def test_declared_domain_beyond_k_is_a_config_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        sources = [write_digit_set(tmp_path, rng, f"s{d}", 0.05 * d) for d in range(3)]
+        for d, entry in enumerate(sources):
+            entry["domain"] = d
+        manifest_path = tmp_path / "digits.json"
+        manifest_path.write_text(json.dumps({"sources": sources, "target": write_digit_set(tmp_path, rng, "t", 0.0)}))
+        config_path = tmp_path / "config.json"
+        train = {"iterations": 5, "batch": {"source_quota": 12, "target_quota": 12}}
+        config_path.write_text(json.dumps({"data": {"manifest": str(manifest_path)}, "train": train}))
+        code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "s2-images.idx" in err and "domain 2" in err and "model.k is 2" in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestHelp:

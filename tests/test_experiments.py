@@ -138,7 +138,7 @@ class TestRunnerContracts:
         base = quick_experiment()
         sweep_row = run_supervision_sweep(base, [1.0], [0])[0]
         grid_row = [r for r in run_baseline_grid(base, [0]) if r["config"] == "multi_source"][0]
-        assert sweep_row["acc"] == grid_row["acc"]
+        assert [sweep_row[v] for v in ("acc", "nmi", "purity")] == [grid_row[v] for v in ("acc", "nmi", "purity")]
 
     def test_zero_supervision_equals_discovery_baseline(self):
         from mdalign.experiments import run_supervision_sweep
@@ -146,7 +146,7 @@ class TestRunnerContracts:
         base = quick_experiment()
         sweep_row = run_supervision_sweep(base, [0.0], [0])[0]
         grid_row = [r for r in run_baseline_grid(base, [0]) if r["config"] == "discovery"][0]
-        assert sweep_row["acc"] == grid_row["acc"]
+        assert [sweep_row[v] for v in ("acc", "nmi", "purity")] == [grid_row[v] for v in ("acc", "nmi", "purity")]
 
 
 class TestNoShiftControl:

@@ -5,55 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from mdalign.losses import (
-    LossWeights,
-    class_entropy,
-    class_log_loss,
-    domain_entropy,
-    domain_log_loss,
-    total_loss,
-)
-from mdalign.primitives import central_difference, max_relative_error, softmax, softmax_backward
-
-
-class TestClassLogLoss:
-    def test_perfect_prediction(self):
-        value, _ = class_log_loss(np.eye(3), [0, 1, 2])
-        assert value == 0.0
-
-    def test_half_probability_is_ln2(self):
-        value, _ = class_log_loss(np.array([[0.5, 0.5]]), [0])
-        assert abs(value - math.log(2)) < 1e-12
-
-    def test_hand_value(self):
-        value, _ = class_log_loss(np.array([[0.8, 0.2]]), [0])
-        assert abs(value + math.log(0.8)) < 1e-12
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            class_log_loss(np.zeros((0, 3)), [])
-
-    def test_grad_matches_finite_differences(self):
-        rng = np.random.default_rng(0)
-        probs = rng.dirichlet(np.ones(4), size=5)
-        labels = rng.integers(0, 4, size=5)
-        _, grad = class_log_loss(probs, labels)
-        fd = central_difference(lambda: class_log_loss(probs, labels)[0], probs)
-        assert max_relative_error(grad, fd) <= 1e-6
-
-
-class TestDomainLogLoss:
-    def test_empty_population_is_vacuous(self):
-        value, grad = domain_log_loss(np.zeros((0, 3)), [])
-        assert value == 0.0 and grad.shape == (0, 3)
-
-    def test_hand_value(self):
-        value, _ = domain_log_loss(np.array([[0.8, 0.2]]), [0])
-        assert abs(value + math.log(0.8)) < 1e-12
-
-    def test_perfect_prediction(self):
-        value, _ = domain_log_loss(np.array([[0.0, 1.0]]), [1])
-        assert value == 0.0
+from mdalign.losses import LossWeights, class_entropy, domain_entropy, total_loss
+from mdalign.primitives import central_difference, cross_entropy, max_relative_error, softmax, softmax_backward
 
 
 class TestClassEntropy:
@@ -147,7 +100,5 @@ class TestTotalLoss:
         probs = rng.dirichlet(np.ones(3), size=6)
         labels = rng.integers(0, 3, size=6)
         perm = rng.permutation(6)
-        assert class_log_loss(probs, labels)[0] == pytest.approx(
-            class_log_loss(probs[perm], labels[perm])[0], abs=1e-12
-        )
+        assert cross_entropy(probs, labels) == pytest.approx(cross_entropy(probs[perm], labels[perm]), abs=1e-12)
         assert class_entropy(probs)[0] == pytest.approx(class_entropy(probs[perm])[0], abs=1e-12)

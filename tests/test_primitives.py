@@ -13,12 +13,10 @@ from mdalign.primitives import (
     max_relative_error,
     relu_backward,
     relu_forward,
-    rng_normal,
     softmax,
     softmax_backward,
     softmax_cross_entropy_backward,
     spatial_mean,
-    spatial_mean_backward,
 )
 
 FD_TOL = 1e-6
@@ -189,34 +187,6 @@ class TestSpatialMean:
         x = np.array([[[[1.0, 3.0], [5.0, 7.0]]]])
         np.testing.assert_array_equal(spatial_mean(x), [[4.0]])
 
-    def test_backward_spreads_uniformly(self):
-        g = spatial_mean_backward((1, 1, 2, 2), np.array([[8.0]]))
-        np.testing.assert_array_equal(g, [[[[2.0, 2.0], [2.0, 2.0]]]])
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(2, 3, 2, 2))
-        probe = rng.normal(size=(2, 3))
-        analytic = spatial_mean_backward(x.shape, probe)
-        fd = central_difference(lambda: float((spatial_mean(x) * probe).sum()), x)
-        assert max_relative_error(analytic, fd) <= FD_TOL
-
     def test_rank_2_rejected(self):
         with pytest.raises(ValueError):
             spatial_mean(np.zeros((2, 3)))
-
-
-class TestRngNormal:
-    def test_same_seed_same_tensor(self):
-        np.testing.assert_array_equal(rng_normal(42, (3, 3)), rng_normal(42, (3, 3)))
-
-    def test_zero_stddev_gives_zeros(self):
-        assert not rng_normal(0, (10,), stddev=0.0).any()
-
-    def test_negative_stddev_rejected(self):
-        with pytest.raises(ValueError):
-            rng_normal(0, (1,), stddev=-1.0)
-
-    def test_law_of_large_numbers(self):
-        draws = rng_normal(123, (100_000,), stddev=1.0)
-        assert abs(draws.mean()) < 0.02
