@@ -22,51 +22,50 @@ from mdalign.training import TrainConfig
 from mdalign.data import BatchSpec
 
 rng = np.random.default_rng(7)
-workdir = tempfile.mkdtemp(prefix="digit-demo-")
-print(f"writing IDX fixtures under {workdir}\n")
+# the IDX files are needed only until load_manifest has read them
+with tempfile.TemporaryDirectory(prefix="digit-demo-") as workdir:
+    print(f"writing IDX fixtures under {workdir}\n")
 
-# two-class 5x5 "digits": a bright bar, horizontal vs vertical
-n = 80
-labels = (np.arange(n) % 2).astype(np.uint8)
-base = np.zeros((n, 5, 5))
-base[labels == 0, 2, :] = 0.8
-base[labels == 1, :, 2] = 0.8
-base += 0.1 * rng.uniform(size=base.shape)
+    # two-class 5x5 "digits": a bright bar, horizontal vs vertical
+    n = 80
+    labels = (np.arange(n) % 2).astype(np.uint8)
+    base = np.zeros((n, 5, 5))
+    base[labels == 0, 2, :] = 0.8
+    base[labels == 1, :, 2] = 0.8
+    base += 0.1 * rng.uniform(size=base.shape)
 
-print("=== deterministic pixel transforms build pseudo-domains ===")
-stack = base[:, None, :, :]
-inverted = image_transform(stack, ImageShift(invert=True))
-noisy = image_transform(stack, ImageShift(noise_sigma=0.08), seed=1)
-roundtrip = image_transform(inverted, ImageShift(invert=True))
-print(f"inversion is an involution: max|x - invert(invert(x))| = {np.abs(roundtrip - stack).max():.1e}")
-print(f"noisy copy is seeded: transforms repeat bit-exactly -> "
-      f"{np.array_equal(noisy, image_transform(stack, ImageShift(noise_sigma=0.08), seed=1))}\n")
+    print("=== deterministic pixel transforms build pseudo-domains ===")
+    stack = base[:, None, :, :]
+    inverted = image_transform(stack, ImageShift(invert=True))
+    noisy = image_transform(stack, ImageShift(noise_sigma=0.08), seed=1)
+    roundtrip = image_transform(inverted, ImageShift(invert=True))
+    print(f"inversion is an involution: max|x - invert(invert(x))| = {np.abs(roundtrip - stack).max():.1e}")
+    print(f"noisy copy is seeded: transforms repeat bit-exactly -> "
+          f"{np.array_equal(noisy, image_transform(stack, ImageShift(noise_sigma=0.08), seed=1))}\n")
 
+    def write_pair(stem, images):
+        px = (images[:, 0].clip(0, 1) * 255).astype(np.uint8)
+        idx_write_images(os.path.join(workdir, f"{stem}-images.idx"), px)
+        idx_write_labels(os.path.join(workdir, f"{stem}-labels.idx"), labels)
+        return {"images": f"{stem}-images.idx", "labels": f"{stem}-labels.idx"}
 
-def write_pair(stem, images):
-    px = (images[:, 0].clip(0, 1) * 255).astype(np.uint8)
-    idx_write_images(os.path.join(workdir, f"{stem}-images.idx"), px)
-    idx_write_labels(os.path.join(workdir, f"{stem}-labels.idx"), labels)
-    return {"images": f"{stem}-images.idx", "labels": f"{stem}-labels.idx"}
+    manifest = {
+        "sources": [write_pair("plain", stack), write_pair("inverted", inverted)],
+        "target": write_pair("noisy", noisy),
+    }
+    manifest_path = os.path.join(workdir, "manifest.json")
+    with open(manifest_path, "w") as f:
+        json.dump(manifest, f, indent=2)
 
+    print("=== the files round-trip through the IDX reader ===")
+    images, loaded_labels = idx_load(
+        os.path.join(workdir, "plain-images.idx"), os.path.join(workdir, "plain-labels.idx")
+    )
+    print(f"loaded {images.shape[0]} images of shape {images.shape[1:]}, labels {sorted(set(loaded_labels.tolist()))}\n")
 
-manifest = {
-    "sources": [write_pair("plain", stack), write_pair("inverted", inverted)],
-    "target": write_pair("noisy", noisy),
-}
-manifest_path = os.path.join(workdir, "manifest.json")
-with open(manifest_path, "w") as f:
-    json.dump(manifest, f, indent=2)
-
-print("=== the files round-trip through the IDX reader ===")
-images, loaded_labels = idx_load(
-    os.path.join(workdir, "plain-images.idx"), os.path.join(workdir, "plain-labels.idx")
-)
-print(f"loaded {images.shape[0]} images of shape {images.shape[1:]}, labels {sorted(set(loaded_labels.tolist()))}\n")
-
-print("=== manifest -> dataset -> short training run ===")
-data = load_manifest(manifest_path)
-print(f"{len(data.source_train)} source samples (2 pseudo-domains), {len(data.target_train)} target samples")
+    print("=== manifest -> dataset -> short training run ===")
+    data = load_manifest(manifest_path)
+    print(f"{len(data.source_train)} source samples (2 pseudo-domains), {len(data.target_train)} target samples")
 
 model_cfg = ModelConfig(in_dim=25, n_classes=2, k=2, trunk_widths=(16,), classifier_widths=(16,), branch_hidden=8)
 train_cfg = TrainConfig(

@@ -124,8 +124,25 @@ def weighted_moments(x: np.ndarray, aw: AlphaWeights) -> DomainStats:
     xr = _as_bcm(x)
     if aw.alpha.shape[0] != xr.shape[0]:
         raise ValueError(f"{aw.alpha.shape[0]} weight rows for {xr.shape[0]} samples")
-    sample_mean = xr.mean(axis=2)
-    sample_sq = (xr**2).mean(axis=2)
+    return _domain_moments(aw, *_sample_moments(xr))
+
+
+def _over_positions(a: np.ndarray, reduce) -> np.ndarray:
+    """reduce (np.mean or np.sum) of [b, c, positions] over positions.
+
+    With one position the reduction returns exactly that element, so the
+    result is a view of it instead of a new array; callers must not write to it.
+    """
+    return a[:, :, 0] if a.shape[2] == 1 else reduce(a, axis=2)
+
+
+def _sample_moments(xr: np.ndarray):
+    """Per-sample, per-channel mean and mean square of [b, c, positions] input."""
+    return _over_positions(xr, np.mean), _over_positions(xr**2, np.mean)
+
+
+def _domain_moments(aw: AlphaWeights, sample_mean: np.ndarray, sample_sq: np.ndarray) -> DomainStats:
+    """weighted_moments from the per-sample moments of its input."""
     mean = aw.alpha.T @ sample_mean
     var = np.maximum(aw.alpha.T @ sample_sq - mean**2, 0.0)
     mean[~aw.live] = 0.0
@@ -158,6 +175,8 @@ class RunningStats:
 class _Cache:
     x_shape: tuple
     xr: np.ndarray
+    sample_mean: np.ndarray
+    sample_sq: np.ndarray
     w: np.ndarray
     fixed: np.ndarray
     aw: AlphaWeights
@@ -204,10 +223,13 @@ class AlignmentLayer:
         Domains without statistics have inv_std rows of zero.  Returns (mix_scale, y_mix, y).
         """
         mix_scale = w @ inv_std
-        y_mix = mix_scale[:, :, None] * xr - (w @ (mean * inv_std))[:, :, None]
+        y_mix = xr * mix_scale[:, :, None]
+        y_mix -= (w @ (mean * inv_std))[:, :, None]
         if not self.cfg.affine:
             return mix_scale, y_mix, y_mix
-        return mix_scale, y_mix, self.gamma.value[None, :, None] * y_mix + self.beta.value[None, :, None]
+        y = y_mix * self.gamma.value[None, :, None]
+        y += self.beta.value[None, :, None]
+        return mix_scale, y_mix, y
 
     def forward(self, x: np.ndarray, assignment, update_running: bool = True):
         """Normalize a training batch with per-domain batch statistics.
@@ -223,7 +245,8 @@ class AlignmentLayer:
         self._check(x, w)
         xr = _as_bcm(x)
         aw = compute_alpha(w, self.cfg.zero_mass_threshold)
-        stats = weighted_moments(x, aw)
+        sample_mean, sample_sq = _sample_moments(xr)
+        stats = _domain_moments(aw, sample_mean, sample_sq)
 
         mean = stats.mean.copy()
         var = stats.var.copy()
@@ -248,6 +271,8 @@ class AlignmentLayer:
         cache = _Cache(
             x_shape=x.shape,
             xr=xr,
+            sample_mean=sample_mean,
+            sample_sq=sample_sq,
             w=w,
             fixed=np.asarray(assignment.fixed, dtype=bool),
             aw=aw,
@@ -267,7 +292,8 @@ class AlignmentLayer:
         couples all samples in a domain.  Fixed assignment rows always come
         back with exactly zero gradient.  Fallback domains normalized with
         running statistics contribute only direct paths, since running
-        estimates are treated as constants.
+        estimates are treated as constants.  The per-sample moments of the
+        input come from the cache, as forward() computed them.
         """
         if grad_out.shape != cache.x_shape:
             raise ValueError(f"grad shape {grad_out.shape} does not match {cache.x_shape}")
@@ -289,8 +315,8 @@ class AlignmentLayer:
         inv_std = cache.inv_std
         n_pos = xr.shape[2]
 
-        gy_sum = gy.sum(axis=2)
-        gyx_sum = (gy * xr).sum(axis=2)
+        gy_sum = _over_positions(gy, np.sum)
+        gyx_sum = _over_positions(gy * xr, np.sum)
 
         # Per-domain reductions of the upstream gradient: G1 = sum w*gy,
         # G2 = sum w*gy*xhat.  Only rows of used domains ever get consumed.
@@ -299,18 +325,25 @@ class AlignmentLayer:
 
         # Input gradient: direct mixing term minus the mean/variance paths of
         # the live domains, spread over spatial positions.
-        c1 = alpha[:, live] @ (g1 * inv_std)[live]
-        c2 = alpha[:, live] @ (g2 * inv_std**2)[live]
-        c3 = alpha[:, live] @ (mean * g2 * inv_std**2)[live]
-        grad_x = gy * cache.mix_scale[:, :, None] - (c1[:, :, None] + xr * c2[:, :, None] - c3[:, :, None]) / n_pos
+        alpha_live = alpha[:, live]
+        c1 = alpha_live @ (g1 * inv_std)[live]
+        c2 = alpha_live @ (g2 * inv_std**2)[live]
+        c3 = alpha_live @ (mean * g2 * inv_std**2)[live]
+        paths = xr * c2[:, :, None]
+        paths += c1[:, :, None]
+        paths -= c3[:, :, None]
+        if n_pos != 1:
+            paths /= n_pos
+        grad_x = gy * cache.mix_scale[:, :, None]
+        grad_x -= paths
 
         # Direct path of the assignment gradient: sum over channels and
         # positions of gy * xhat per domain.
         grad_w = gyx_sum @ inv_std.T - gy_sum @ (mean * inv_std).T
 
         if live.any():
-            sample_mean = xr.mean(axis=2)
-            sample_sq = (xr**2).mean(axis=2)
+            sample_mean = cache.sample_mean
+            sample_sq = cache.sample_sq
             h1 = (g1 * inv_std)[live]
             h2 = (g2 * inv_std**2 / 2.0)[live]
             mu = mean[live]
@@ -322,7 +355,7 @@ class AlignmentLayer:
                 + (mu**2 * h2).sum(axis=1)[None, :]
             )
             # project through alpha = w / column_total
-            colsum = (alpha[:, live] * g_alpha).sum(axis=0)
+            colsum = (alpha_live * g_alpha).sum(axis=0)
             grad_w[:, live] += (g_alpha - colsum[None, :]) / cache.aw.total_weight[live][None, :]
 
         grad_w[cache.fixed] = 0.0

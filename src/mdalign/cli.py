@@ -147,7 +147,10 @@ def resolve_config(doc: dict):
         raise ConfigError("data: synthetic and manifest are mutually exclusive")
 
     if "manifest" in data_doc:
-        dataset = load_manifest(data_doc["manifest"])
+        try:
+            dataset = load_manifest(data_doc["manifest"])
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"data.manifest: {err}") from err
         feat = dataset.source_train.features
         in_dim = feat.shape[1]
         n_classes = 1 + int(dataset.source_train.class_labels.max())

@@ -471,7 +471,8 @@ def load_manifest(path, data_dir=None, flatten=True) -> Dataset:
     MDA_DATA_DIR environment variable, then the manifest's directory.
     Target labels are loaded but hidden from training.  With flatten on
     (the default) images become flat pixel vectors, the natural input for
-    the dense toy networks.
+    the dense toy networks.  A file that cannot be read raises OSError; a
+    malformed manifest or IDX file raises ValueError.
     """
     with open(path) as f:
         doc = json.load(f)
@@ -518,10 +519,20 @@ def load_manifest(path, data_dir=None, flatten=True) -> Dataset:
             hidden_domains=np.repeat(np.where(known >= 0, known, ids), counts),
         )
 
+    for key in ("sources", "target"):
+        if key not in doc:
+            raise ValueError(f"{path}: the manifest has no {key!r} entry")
     sources = doc["sources"]
     if not sources:
         raise ValueError(f"{path}: the manifest lists no source files")
-    source_train = load_split(sources, [e.get("domain") for e in sources])
+    for e in [*sources, doc["target"], doc.get("target_test", doc["target"])]:
+        if not isinstance(e, dict) or "images" not in e or "labels" not in e:
+            raise ValueError(f"{path}: file entry {e!r} needs 'images' and 'labels'")
+    domains = [e.get("domain") for e in sources]
+    for e, d in zip(sources, domains):
+        if d is not None and type(d) is not int:
+            raise ValueError(f"{path}: {e['images']} declares domain {d!r}, which is not an integer")
+    source_train = load_split(sources, domains)
     target_train = load_split([doc["target"]])
     target_test = load_split([doc["target_test"]]) if "target_test" in doc else target_train
     return Dataset(source_train, [], target_train, target_test, {"manifest": os.path.abspath(path)})

@@ -367,7 +367,8 @@ def backward_train(
         inp, pre = record.trunk_caches[i]
         grad = relu_backward(pre, grad)
         layer = model.trunk[i]
-        grad, g_w, g_b = dense_backward(inp, layer.weight.value, grad)
+        # the gradient at the network input is never used
+        grad, g_w, g_b = dense_backward(inp, layer.weight.value, grad, input_grad=i > 0)
         layer.weight.grad += g_w
         layer.bias.grad += g_b
 

@@ -62,14 +62,20 @@ def dense_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.nda
         raise ValueError(f"dense shapes incompatible: x {x.shape}, weight {weight.shape}")
     if bias.shape != (weight.shape[1],):
         raise ValueError(f"bias shape {bias.shape} does not match width {weight.shape[1]}")
-    return x @ weight + bias
+    y = x @ weight
+    y += bias
+    return y
 
 
-def dense_backward(x, weight, grad_out):
-    """Exact gradients of dense_forward: returns (grad_x, grad_weight, grad_bias)."""
+def dense_backward(x, weight, grad_out, input_grad: bool = True):
+    """Exact gradients of dense_forward: returns (grad_x, grad_weight, grad_bias).
+
+    With input_grad off, grad_x is not computed and comes back as None (for a
+    first layer, whose input needs no gradient).
+    """
     if grad_out.shape != (x.shape[0], weight.shape[1]):
         raise ValueError(f"grad shape {grad_out.shape} incompatible with y = x{x.shape} @ W{weight.shape}")
-    grad_x = grad_out @ weight.T
+    grad_x = grad_out @ weight.T if input_grad else None
     grad_w = x.T @ grad_out
     grad_b = grad_out.sum(axis=0)
     return grad_x, grad_w, grad_b
@@ -80,8 +86,17 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Pass the gradient where x > 0; the subgradient at 0 is taken as 0."""
-    return np.where(x > 0.0, grad_out, 0.0)
+    """Pass the gradient where x > 0; the subgradient at 0 is taken as 0.
+
+    Computed as grad_out * (x > 0) + 0.0, whose + 0.0 turns the -0.0 of a
+    negative gradient at a dead unit into +0.0.  For finite gradients this
+    equals np.where(x > 0, grad_out, 0.0) bit for bit, except that a -0.0
+    gradient at a live unit also comes back +0.0; a NaN or infinite gradient
+    at a dead unit gives NaN instead of 0.
+    """
+    out = grad_out * (x > 0.0)
+    out += 0.0
+    return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

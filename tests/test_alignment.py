@@ -397,6 +397,99 @@ class TestBackward:
         assert case >= 20
 
 
+def reference_step(layer, x, assignment, grad_out):
+    """forward() then backward() in their first arithmetic: every temporary unfused, moments recomputed.
+
+    Returns (y, grad_x, grad_w, grad_gamma, grad_beta).  Reads the layer's
+    parameters and running statistics and changes neither.
+    """
+    w = assignment.probs
+    xr = x.reshape(x.shape[0], x.shape[1], -1)
+    aw = compute_alpha(w, layer.cfg.zero_mass_threshold)
+    mean = aw.alpha.T @ xr.mean(axis=2)
+    var = np.maximum(aw.alpha.T @ (xr**2).mean(axis=2) - mean**2, 0.0)
+    mean[~aw.live] = 0.0
+    var[~aw.live] = 0.0
+    fallback = ~aw.live & (w.max(axis=0) > 0.0)
+    mean[fallback] = layer.running.mean[fallback]
+    var[fallback] = layer.running.var[fallback]
+    used = aw.live | fallback
+    inv_std = np.zeros_like(mean)
+    inv_std[used] = 1.0 / np.sqrt(var[used] + layer.cfg.eps)
+    mix_scale = w @ inv_std
+    y_mix = mix_scale[:, :, None] * xr - (w @ (mean * inv_std))[:, :, None]
+
+    gr = grad_out.reshape(xr.shape)
+    if layer.cfg.affine:
+        y = layer.gamma.value[None, :, None] * y_mix + layer.beta.value[None, :, None]
+        grad_gamma = (gr * y_mix).sum(axis=(0, 2))
+        grad_beta = gr.sum(axis=(0, 2))
+        gy = gr * layer.gamma.value[None, :, None]
+    else:
+        y, grad_gamma, grad_beta, gy = y_mix, None, None, gr
+    alpha, live, n_pos = aw.alpha, aw.live, xr.shape[2]
+    gy_sum = gy.sum(axis=2)
+    gyx_sum = (gy * xr).sum(axis=2)
+    g1 = w.T @ gy_sum
+    g2 = (w.T @ gyx_sum - mean * g1) * inv_std
+    c1 = alpha[:, live] @ (g1 * inv_std)[live]
+    c2 = alpha[:, live] @ (g2 * inv_std**2)[live]
+    c3 = alpha[:, live] @ (mean * g2 * inv_std**2)[live]
+    grad_x = gy * mix_scale[:, :, None] - (c1[:, :, None] + xr * c2[:, :, None] - c3[:, :, None]) / n_pos
+    grad_w = gyx_sum @ inv_std.T - gy_sum @ (mean * inv_std).T
+    if live.any():
+        sample_mean = xr.mean(axis=2)
+        sample_sq = (xr**2).mean(axis=2)
+        h1 = (g1 * inv_std)[live]
+        h2 = (g2 * inv_std**2 / 2.0)[live]
+        mu = mean[live]
+        g_alpha = -(
+            sample_mean @ h1.T
+            + sample_sq @ h2.T
+            - 2.0 * sample_mean @ (mu * h2).T
+            + (mu**2 * h2).sum(axis=1)[None, :]
+        )
+        colsum = (alpha[:, live] * g_alpha).sum(axis=0)
+        grad_w[:, live] += (g_alpha - colsum[None, :]) / aw.total_weight[live][None, :]
+    grad_w[assignment.fixed] = 0.0
+    return y.reshape(x.shape), grad_x.reshape(x.shape), grad_w, grad_gamma, grad_beta
+
+
+class TestReferenceArithmetic:
+    @pytest.mark.parametrize("rank", [2, 4])
+    @pytest.mark.parametrize("affine", [True, False])
+    def test_bit_identical_to_reference(self, rank, affine):
+        """Columns: two live, one dead (no weight), one falling back to running statistics; fixed rows."""
+        rng = np.random.default_rng(30 + rank + affine)
+        b, c = 24, 7
+        shape = (b, c) if rank == 2 else (b, c, 3, 2)
+        layer = AlignmentLayer(c, 4, AlignConfig(affine=affine))
+        if affine:
+            layer.gamma.value[...] = rng.uniform(0.5, 1.5, size=c)
+            layer.beta.value[...] = rng.normal(size=c)
+        layer.forward(rng.normal(size=shape) * 2.0 + 1.0, raw_assignment(np.full((b, 4), 0.25)))
+
+        probs = np.zeros((b, 4))
+        probs[:, :2] = rng.dirichlet(np.ones(2), size=b)
+        probs[:4] = [1.0, 0.0, 0.0, 0.0]
+        probs[4:7, 3] = 1e-9
+        fixed = np.zeros(b, dtype=bool)
+        fixed[:4] = True
+        assignment = raw_assignment(probs, fixed)
+        x = rng.normal(size=shape) * 3.0 - 0.5
+        probe = rng.normal(size=shape)
+
+        expected = reference_step(layer, x, assignment, probe)
+        y, cache = layer.forward(x, assignment)
+        got = (y,) + layer.backward(cache, probe)
+        assert not cache.aw.live[2] and not cache.aw.live[3] and cache.inv_std[3].all()
+        for name, e, g in zip(("y", "grad_x", "grad_w", "grad_gamma", "grad_beta"), expected, got):
+            if e is None:
+                assert g is None, name
+            else:
+                assert np.array_equal(e, g), name
+
+
 class TestInfer:
     def test_standard_running_stats_give_identity(self):
         layer = AlignmentLayer(2, 1, AlignConfig(eps=EPS_OFF, affine=False))

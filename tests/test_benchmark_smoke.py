@@ -1,7 +1,11 @@
-"""The benchmark's digit_files workload runs on this checkout and its own output checks pass.
+"""The benchmark's workloads run on this checkout and their own output checks pass.
 
-It reads datasets the way outside code does (row views, whole splits handed
-to make_batch), so this guards that contract end to end.
+Every run checks the alignment layer against the benchmark's plain-loop
+reference at each workload's shape, with gradient probes.  digit_files reads
+datasets the way outside code does (row views, whole splits handed to
+make_batch), so it guards that contract end to end; wide_domains trains
+through alignment layers of 512 rows, up to 256 channels and 6 domains, and
+recomputes the run's accuracy and NMI apart from the program.
 """
 
 import json
@@ -12,13 +16,21 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_digit_files_benchmark_runs_correct():
-    cmd = [sys.executable, "benchmarks/run.py", "--workload", "digit_files", "--seed", "0", "--seconds", "1", "--trace", "0"]
+def run_workload_briefly(workload):
+    cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", "0", "--seconds", "1", "--trace", "0"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stdout[-2000:]
     assert result["failed"] == 0
+
+
+def test_digit_files_benchmark_runs_correct():
+    run_workload_briefly("digit_files")
+
+
+def test_wide_domains_benchmark_runs_correct():
+    run_workload_briefly("wide_domains")
 
 
 def test_benchmark_hooks_resolve():

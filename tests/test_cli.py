@@ -232,6 +232,51 @@ class TestManifestTraining:
         assert "s2-images.idx" in err and "domain 2" in err and "model.k is 2" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "breakage, expected",
+        [
+            ("negative_domain", "domain index >= 0"),
+            ("empty_sources", "no source files"),
+            ("missing_file", "s1-images.idx"),
+            ("image_size", "s1-images.idx: images (1, 4, 4), expected (1, 3, 3)"),
+            ("no_target", "no 'target' entry"),
+            ("no_sources", "no 'sources' entry"),
+            ("no_images_key", "needs 'images' and 'labels'"),
+            ("fractional_domain", "declares domain 0.5, which is not an integer"),
+        ],
+    )
+    def test_bad_manifest_is_a_config_error(self, tmp_path, capsys, breakage, expected):
+        from mdalign.data import idx_write_images
+
+        rng = np.random.default_rng(2)
+        doc = {
+            "sources": [write_digit_set(tmp_path, rng, f"s{d}", 0.0) for d in range(2)],
+            "target": write_digit_set(tmp_path, rng, "t", 0.0),
+        }
+        if breakage == "negative_domain":
+            doc["sources"][0]["domain"] = -1
+        elif breakage == "empty_sources":
+            doc["sources"] = []
+        elif breakage == "missing_file":
+            os.remove(tmp_path / "s1-images.idx")
+        elif breakage == "image_size":
+            idx_write_images(tmp_path / "s1-images.idx", np.zeros((24, 4, 4), dtype=np.uint8))
+        elif breakage == "no_images_key":
+            del doc["sources"][1]["images"]
+        elif breakage == "fractional_domain":
+            doc["sources"][0]["domain"] = 0.5
+        else:
+            del doc[breakage[3:]]
+        manifest_path = tmp_path / "digits.json"
+        manifest_path.write_text(json.dumps(doc))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"data": {"manifest": str(manifest_path)}, "train": {"iterations": 5}}))
+        code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "data.manifest" in err and expected in err
+        assert not (tmp_path / "run").exists()
+
 
 class TestHelp:
     def test_help_enumerates_every_flag(self):

@@ -84,6 +84,14 @@ class TestDense:
         np.testing.assert_array_equal(gw, [[2.0]])
         np.testing.assert_array_equal(gb, [1.0])
 
+    def test_without_input_grad(self):
+        rng = np.random.default_rng(4)
+        x, w, g = rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=(6, 3))
+        _, gw, gb = dense_backward(x, w, g)
+        gx_off, gw_off, gb_off = dense_backward(x, w, g, input_grad=False)
+        assert gx_off is None
+        assert np.array_equal(gw_off, gw) and np.array_equal(gb_off, gb)
+
     def test_additivity_in_x(self):
         rng = np.random.default_rng(7)
         w, b = rng.normal(size=(4, 3)), rng.normal(size=3)
@@ -114,6 +122,18 @@ class TestRelu:
 
     def test_subgradient_at_zero_is_zero(self):
         assert relu_backward(np.array([0.0]), np.array([7.0]))[0] == 0.0
+
+    def test_bitwise_equal_to_where(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(64, 32))
+        x[rng.random(x.shape) < 0.1] = 0.0
+        g = rng.normal(size=x.shape)
+        reference = np.where(x > 0, g, 0.0)
+        assert np.array_equal(relu_backward(x, g).view(np.int64), reference.view(np.int64))
+
+    def test_negative_gradient_at_dead_unit_is_positive_zero(self):
+        g = relu_backward(np.array([-1.0, 0.0]), np.array([-3.0, -2.0]))
+        assert not np.signbit(g).any()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
