@@ -89,7 +89,6 @@ def _build_synth(doc: dict, path: str) -> SynthConfig:
     converters = {
         "domain_shifts": lambda v, p: tuple(_as_shift(item, f"{p}[{i}]") for i, item in enumerate(v)),
         "target_shift": _as_shift,
-        "conflict_pair": _optional_tupled,
         "patch_hw": _optional_tupled,
     }
     return _build(SynthConfig, doc, path, converters)
@@ -188,6 +187,10 @@ def resolve_config(doc: dict):
             "batch": lambda v, p: _build(BatchSpec, v, p),
         },
     )
+    for quota, pool in (("source_quota", "source_train"), ("target_quota", "target_train")):
+        want, size = getattr(train_cfg.batch, quota), len(getattr(dataset, pool))
+        if want > size:
+            raise ConfigError(f"train.batch.{quota}: {want} exceeds the {size} rows of {pool}")
     return dataset, model_cfg, train_cfg, {"synthetic": synth_cfg}
 
 

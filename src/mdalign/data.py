@@ -183,19 +183,11 @@ def _concat(splits) -> Split:
 
 @dataclass
 class Dataset:
-    """Four columnar splits; list splits are converted once with Split.from_samples."""
+    """Source rows for training, unlabeled target rows for training, and held-out target rows for scoring."""
 
     source_train: Split
-    source_test: Split
     target_train: Split
     target_test: Split
-    meta: dict
-
-    def __post_init__(self):
-        for name in ("source_train", "source_test", "target_train", "target_test"):
-            value = getattr(self, name)
-            if not isinstance(value, Split):
-                setattr(self, name, Split.from_samples(value, name))
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +239,11 @@ class SynthConfig:
     Class prototypes are shared across domains; each latent domain applies
     its own transform, and the target domain a held-out one.  The seed fully
     determines the dataset.  patch_hw switches to rank-3 per-sample features
-    [dim, h, w] that exercise the spatial broadcast path.
+    [dim, h, w] that exercise the spatial broadcast path: every position holds
+    the sample's feature vector plus its own N(0, 0.25^2) jitter.
 
-    conflict_pair (i, j) adds opposite offsets of strength/2 times the
-    prototype difference P_j - P_i to the domains (alternating sign), making
-    class i of one domain overlap class j of the other in raw feature space.
-    Pooled statistics cannot untangle that overlap, per-domain statistics
-    can, so it controls how much latent-domain structure matters.
+    Each source domain also draws test_per_domain held-out rows, which no
+    split keeps: the draw stays because the rows drawn after it depend on it.
     """
 
     n_latent_domains: int = 2
@@ -264,11 +254,8 @@ class SynthConfig:
     domain_shifts: tuple[FeatureShift, ...] = ()
     target_shift: FeatureShift = FeatureShift()
     class_separation: float = 3.0
-    conflict_pair: tuple[int, int] | None = None
-    conflict_strength: float = 1.0
     standardize: bool = False
     patch_hw: tuple[int, int] | None = None
-    patch_jitter: float = 0.25
     seed: int = 0
 
     def __post_init__(self):
@@ -280,10 +267,6 @@ class SynthConfig:
             raise ValueError("dimensions and sample counts must be >= 1")
         if self.domain_shifts and len(self.domain_shifts) != self.n_latent_domains:
             raise ValueError("one domain shift per latent domain (or none for identities)")
-        if self.conflict_pair is not None:
-            i, j = self.conflict_pair
-            if not (0 <= i < self.n_classes and 0 <= j < self.n_classes and i != j):
-                raise ValueError("conflict_pair must name two distinct classes")
 
 
 def _balanced_labels(count: int, n_classes: int, rng: np.random.Generator) -> np.ndarray:
@@ -297,20 +280,13 @@ def synth_make(cfg: SynthConfig) -> Dataset:
     prototypes = cfg.class_separation * rng.normal(size=(cfg.n_classes, cfg.feature_dim))
     shifts = cfg.domain_shifts or tuple(FeatureShift() for _ in range(cfg.n_latent_domains))
 
-    conflict = np.zeros(cfg.feature_dim)
-    if cfg.conflict_pair is not None:
-        i, j = cfg.conflict_pair
-        conflict = 0.5 * cfg.conflict_strength * (prototypes[j] - prototypes[i])
-
     def draw(count, shift, *, domain, is_target):
         labels = _balanced_labels(count, cfg.n_classes, rng)
         base = prototypes[labels] + rng.normal(size=(count, cfg.feature_dim))
-        if not is_target and cfg.conflict_pair is not None:
-            base = base + (1.0 if domain % 2 == 0 else -1.0) * conflict
         x = apply_feature_shift(base, shift, rng)
         if cfg.patch_hw is not None:
             h, w = cfg.patch_hw
-            x = x[:, :, None, None] + cfg.patch_jitter * rng.normal(size=(count, cfg.feature_dim, h, w))
+            x = x[:, :, None, None] + 0.25 * rng.normal(size=(count, cfg.feature_dim, h, w))
         return Split(
             features=x,
             class_labels=np.full(count, -1) if is_target else labels,
@@ -321,13 +297,12 @@ def synth_make(cfg: SynthConfig) -> Dataset:
             hidden_domains=np.full(count, -1 if is_target else domain),
         )
 
-    source_train, source_test = [], []
+    source_train = []
     for d, shift in enumerate(shifts):
         source_train.append(draw(cfg.train_per_domain, shift, domain=d, is_target=False))
-        source_test.append(draw(cfg.test_per_domain, shift, domain=d, is_target=False))
+        draw(cfg.test_per_domain, shift, domain=d, is_target=False)  # dropped; later draws depend on it
     splits = {
         "source_train": _concat(source_train),
-        "source_test": _concat(source_test),
         "target_train": draw(cfg.train_per_domain, cfg.target_shift, domain=None, is_target=True),
         "target_test": draw(cfg.test_per_domain, cfg.target_shift, domain=None, is_target=True),
     }
@@ -345,14 +320,7 @@ def synth_make(cfg: SynthConfig) -> Dataset:
         shape = (-1,) + (1,) * (pool.ndim - 2)
         for split in splits.values():
             split.features = (split.features - mu.reshape(shape)) / sd.reshape(shape)
-
-    meta = {
-        "prototypes": prototypes,
-        "n_latent_domains": cfg.n_latent_domains,
-        "n_classes": cfg.n_classes,
-        "feature_dim": cfg.feature_dim,
-    }
-    return Dataset(**splits, meta=meta)
+    return Dataset(**splits)
 
 
 # ---------------------------------------------------------------------------
@@ -450,29 +418,27 @@ def idx_write_labels(path, labels) -> None:
         f.write(arr.tobytes())
 
 
-def _resolve(path_str: str, data_dir, manifest_dir) -> str:
-    if os.path.isabs(path_str):
-        return path_str
-    for root in (data_dir, os.environ.get("MDA_DATA_DIR"), manifest_dir):
-        if root:
-            candidate = os.path.join(root, path_str)
-            if os.path.exists(candidate):
-                return candidate
+def _resolve(path_str: str, manifest_dir) -> str:
+    """An absolute path as it is; a relative one under MDA_DATA_DIR where it exists there, else under manifest_dir."""
+    data_root = os.environ.get("MDA_DATA_DIR")
+    if data_root and not os.path.isabs(path_str) and os.path.exists(os.path.join(data_root, path_str)):
+        return os.path.join(data_root, path_str)
     return os.path.join(manifest_dir, path_str)
 
 
-def load_manifest(path, data_dir=None, flatten=True) -> Dataset:
+def load_manifest(path) -> Dataset:
     """Load a dataset manifest: a JSON document listing IDX files and domain tags.
 
     Schema: {"sources": [{"images", "labels", optional "domain"}...],
     "target": {"images", "labels"}, optional "target_test": {...}}.  Source
     entries with a "domain" index become known-source samples; the others
-    unknown-source.  Relative paths resolve against data_dir, then the
-    MDA_DATA_DIR environment variable, then the manifest's directory.
-    Target labels are loaded but hidden from training.  With flatten on
-    (the default) images become flat pixel vectors, the natural input for
-    the dense toy networks.  A file that cannot be read raises OSError; a
-    malformed manifest or IDX file raises ValueError.
+    unknown-source.  Relative paths resolve against the MDA_DATA_DIR
+    environment variable, then the manifest's directory.
+    Target labels are loaded but hidden from training.  Images become flat
+    pixel vectors [h * w], the input of the dense networks; without a
+    "target_test" entry the target rows are also the held-out rows.  A file
+    that cannot be read raises OSError; a malformed manifest or IDX file
+    raises ValueError.
     """
     with open(path) as f:
         doc = json.load(f)
@@ -485,7 +451,7 @@ def load_manifest(path, data_dir=None, flatten=True) -> Dataset:
         domains the rows are target rows, whose labels stay hidden.
         """
         pairs = [
-            _idx_pixels(_resolve(e["images"], data_dir, manifest_dir), _resolve(e["labels"], data_dir, manifest_dir))
+            _idx_pixels(_resolve(e["images"], manifest_dir), _resolve(e["labels"], manifest_dir))
             for e in entries
         ]
         image_shape = pairs[0][0].shape[1:]
@@ -493,11 +459,11 @@ def load_manifest(path, data_dir=None, flatten=True) -> Dataset:
             if px.shape[1:] != image_shape:
                 raise IdxShapeMismatchError(f"{e['images']}: images {px.shape[1:]}, expected {image_shape}")
         counts = [len(labels) for _, labels in pairs]
-        row_shape = (math.prod(image_shape),) if flatten else image_shape
-        features = np.empty((sum(counts),) + row_shape)
+        row_size = math.prod(image_shape)
+        features = np.empty((sum(counts), row_size))
         start = 0
         for (px, _), n in zip(pairs, counts):
-            np.divide(px.reshape((n,) + row_shape), 255.0, out=features[start : start + n])
+            np.divide(px.reshape(n, row_size), 255.0, out=features[start : start + n])
             start += n
         labels = np.concatenate([labels for _, labels in pairs])
         n = len(labels)
@@ -535,7 +501,7 @@ def load_manifest(path, data_dir=None, flatten=True) -> Dataset:
     source_train = load_split(sources, domains)
     target_train = load_split([doc["target"]])
     target_test = load_split([doc["target_test"]]) if "target_test" in doc else target_train
-    return Dataset(source_train, [], target_train, target_test, {"manifest": os.path.abspath(path)})
+    return Dataset(source_train, target_train, target_test)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +558,6 @@ class BatchSpec:
     source_quota: int = 64
     target_quota: int = 64
     seed: int | None = None
-    replace: bool = False
     balance_datasets: bool = False
 
     def __post_init__(self):
@@ -601,12 +566,13 @@ class BatchSpec:
 
 
 class _Epoch:
-    """Endless epoch-shuffled index stream over one pool."""
+    """Endless epoch-shuffled stream of the given row indices: a fresh permutation per pass."""
 
-    def __init__(self, size: int, rng: np.random.Generator):
-        self.size = size
+    def __init__(self, rows: np.ndarray, rng: np.random.Generator):
+        self.rows = rows
+        self.size = len(rows)
         self.rng = rng
-        self.order = rng.permutation(size)
+        self.order = rows[rng.permutation(self.size)]
         self.cursor = 0
 
     def take(self, count: int) -> np.ndarray:
@@ -614,7 +580,7 @@ class _Epoch:
         got = 0
         while got < count:
             if self.cursor == self.size:
-                self.order = self.rng.permutation(self.size)
+                self.order = self.rows[self.rng.permutation(self.size)]
                 self.cursor = 0
             step = min(count - got, self.size - self.cursor)
             out[got : got + step] = self.order[self.cursor : self.cursor + step]
@@ -624,12 +590,15 @@ class _Epoch:
 
 
 class BatchSampler:
-    """Draws quota batches: uniform over the pooled source set plus target.
+    """Draws quota batches without replacement: source rows first, then target rows.
 
-    The sampler sees only public sample fields; hidden ground truth never
-    reaches a batch.  With balance_datasets on, the source quota is split
-    evenly over the declared dataset ids (file provenance, not latent
-    domains), mirroring per-dataset batch quotas.
+    Each pool is walked in epochs, a fresh permutation per pass, so a quota
+    may not exceed its pool.  Source rows are drawn in one of two modes:
+    uniformly over the pooled source set, or, with balance_datasets on, with
+    the quota split evenly over the declared dataset ids (file provenance,
+    not latent domains), each id walking its own epochs.  The plain mode is
+    the balanced one with a single group holding every row.  The sampler
+    sees only public sample fields; hidden ground truth never reaches a batch.
     """
 
     def __init__(self, source, target, spec: BatchSpec):
@@ -637,15 +606,10 @@ class BatchSampler:
             raise ValueError("BatchSpec.seed must be set before sampling")
         source = _as_split(source, "source")
         target = _as_split(target, "target")
-        if spec.source_quota > 0 and not source:
-            raise ValueError("source pool is empty")
-        if spec.target_quota > 0 and not target:
-            raise ValueError("target pool is empty")
-        if not spec.replace:
-            if spec.source_quota > len(source):
-                raise ValueError(f"source quota {spec.source_quota} exceeds pool size {len(source)}")
-            if spec.target_quota > len(target):
-                raise ValueError(f"target quota {spec.target_quota} exceeds pool size {len(target)}")
+        if spec.source_quota > len(source):
+            raise ValueError(f"source quota {spec.source_quota} exceeds pool size {len(source)}")
+        if spec.target_quota > len(target):
+            raise ValueError(f"target quota {spec.target_quota} exceeds pool size {len(target)}")
         self.source = source
         self.target = target
         self.spec = spec
@@ -654,24 +618,17 @@ class BatchSampler:
             ids = source.dataset_ids
             if np.any(ids < 0):
                 raise ValueError("balance_datasets requires dataset ids on all source samples")
-            self._groups = [np.flatnonzero(ids == g) for g in np.unique(ids)]
-            self._group_epochs = [_Epoch(len(g), self._rng) for g in self._groups]
+            groups = [np.flatnonzero(ids == g) for g in np.unique(ids)]
         else:
-            self._source_epoch = _Epoch(len(source), self._rng) if source else None
-        self._target_epoch = _Epoch(len(target), self._rng) if target else None
+            groups = [np.arange(len(source))] if source else []
+        self._group_epochs = [_Epoch(g, self._rng) for g in groups]
+        self._target_epoch = _Epoch(np.arange(len(target)), self._rng) if target else None
 
     def _source_indices(self) -> np.ndarray:
-        quota = self.spec.source_quota
-        if self.spec.replace:
-            return self._rng.integers(0, len(self.source), size=quota)
-        if not self.spec.balance_datasets:
-            return self._source_epoch.take(quota)
-        per, extra = divmod(quota, len(self._groups))
-        picks = []
-        for gi, (group, epoch) in enumerate(zip(self._groups, self._group_epochs)):
-            want = per + (1 if gi < extra else 0)
-            picks.append(group[epoch.take(want)])
-        return np.concatenate(picks)
+        per, extra = divmod(self.spec.source_quota, len(self._group_epochs))
+        return np.concatenate(
+            [epoch.take(per + (1 if gi < extra else 0)) for gi, epoch in enumerate(self._group_epochs)]
+        )
 
     def next_batch(self) -> Batch:
         """Gather the quota rows of both pools' public columns: source rows first, then target."""
@@ -679,11 +636,7 @@ class BatchSampler:
         if self.spec.source_quota:
             rows.append((self.source, self._source_indices()))
         if self.spec.target_quota:
-            if self.spec.replace:
-                t_idx = self._rng.integers(0, len(self.target), size=self.spec.target_quota)
-            else:
-                t_idx = self._target_epoch.take(self.spec.target_quota)
-            rows.append((self.target, t_idx))
+            rows.append((self.target, self._target_epoch.take(self.spec.target_quota)))
         return Batch(*(np.concatenate([getattr(split, name)[idx] for split, idx in rows]) for name in _BATCH_COLUMNS))
 
 

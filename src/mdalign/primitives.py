@@ -146,10 +146,10 @@ def he_normal(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def central_difference(f, x: np.ndarray, step_scale: float = 1e-5) -> np.ndarray:
+def central_difference(f, x: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient of a scalar function at x.
 
-    Perturbs one entry at a time with step step_scale * max(1, |x_i|).  The
+    Perturbs one entry at a time with step 1e-5 * max(1, |x_i|).  The
     array is modified in place during probing and restored afterwards, so f
     must re-read x on every call.
     """
@@ -158,7 +158,7 @@ def central_difference(f, x: np.ndarray, step_scale: float = 1e-5) -> np.ndarray
     flat = x.reshape(-1)
     gflat = grad.reshape(-1)
     for i in range(flat.size):
-        h = step_scale * max(1.0, abs(flat[i]))
+        h = 1e-5 * max(1.0, abs(flat[i]))
         original = flat[i]
         flat[i] = original + h
         f_plus = f()

@@ -59,6 +59,10 @@ class TrainConfig:
             raise ValueError("base_lr must be > 0")
         if self.schedule not in ("step", "inverse"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
+        if self.batch.source_quota < 1:
+            raise ValueError("batch.source_quota must be >= 1: a training batch needs a source sample")
 
 
 @dataclass(frozen=True)

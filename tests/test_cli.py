@@ -102,12 +102,30 @@ class TestTrainCommand:
         assert code == EXIT_NUMERICAL
         assert "iteration" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["conflict_pair", "patch_hw"])
+    @pytest.mark.parametrize("field", ["patch_hw"])
     def test_optional_pair_accepts_null_and_rejects_a_scalar(self, quick_config, tmp_path, capsys, field):
         run = ["train", "--config", quick_config, "--set", "train.iterations=5"]
         assert main(run + ["--out", str(tmp_path / "a"), "--set", f"data.synthetic.{field}=null"]) == EXIT_OK
         assert main(run + ["--out", str(tmp_path / "b"), "--set", f"data.synthetic.{field}=3"]) == EXIT_CONFIG
         assert f"data.synthetic.{field}: expected a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, expected",
+        [
+            ("data.synthetic.conflict_pair=[0, 1]", "data.synthetic.conflict_pair: unknown field"),
+            ("data.synthetic.conflict_strength=1", "data.synthetic.conflict_strength: unknown field"),
+            ("data.synthetic.patch_jitter=0.5", "data.synthetic.patch_jitter: unknown field"),
+            ("train.batch.replace=true", "train.batch.replace: unknown field"),
+            ("train.eval_every=0", "train: eval_every must be >= 1"),
+            ("train.batch.source_quota=0", "train: batch.source_quota must be >= 1"),
+        ],
+        ids=["conflict_pair", "conflict_strength", "patch_jitter", "replace", "eval_every", "source_quota"],
+    )
+    def test_bad_override_is_a_config_error(self, quick_config, tmp_path, capsys, override, expected):
+        code = main(["train", "--config", quick_config, "--out", str(tmp_path / "run"), "--set", override])
+        assert code == EXIT_CONFIG
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_bad_set_syntax(self, quick_config, tmp_path):
         code = main(["train", "--config", quick_config, "--out", str(tmp_path / "o"), "--set", "oops"])
@@ -275,6 +293,30 @@ class TestManifestTraining:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "data.manifest" in err and expected in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "batch, expected",
+        [
+            ({}, "train.batch.source_quota: 64 exceeds the 24 rows of source_train"),
+            (
+                {"source_quota": 24, "target_quota": 25},
+                "train.batch.target_quota: 25 exceeds the 24 rows of target_train",
+            ),
+        ],
+        ids=["source", "target"],
+    )
+    def test_quota_beyond_pool_is_a_config_error(self, tmp_path, capsys, batch, expected):
+        rng = np.random.default_rng(3)
+        doc = {"sources": [write_digit_set(tmp_path, rng, "s", 0.0)], "target": write_digit_set(tmp_path, rng, "t", 0.0)}
+        manifest_path = tmp_path / "digits.json"
+        manifest_path.write_text(json.dumps(doc))
+        config_path = tmp_path / "config.json"
+        train = {"iterations": 2, "batch": batch}
+        config_path.write_text(json.dumps({"data": {"manifest": str(manifest_path)}, "train": train}))
+        code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")])
+        assert code == EXIT_CONFIG
+        assert expected in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
 

@@ -1,5 +1,6 @@
 """Synthetic generation, pixel transforms, IDX ingestion, and batch sampling."""
 
+import hashlib
 import json
 import struct
 
@@ -9,7 +10,6 @@ import pytest
 from mdalign.assignment import DomainTag
 from mdalign.data import (
     BatchSampler,
-    Dataset,
     BatchSpec,
     FeatureShift,
     IdxCountMismatchError,
@@ -33,6 +33,7 @@ from mdalign.data import (
     synth_make,
     true_latent_domain,
 )
+from mdalign.experiments import pinned_benchmark
 
 
 from conftest import nearest_centroid_accuracy
@@ -61,7 +62,53 @@ class TestFeatureShift:
             apply_feature_shift(np.ones((1, 3)), FeatureShift(permutation=(0, 0, 1)), np.random.default_rng(0))
 
 
+def split_digest(data) -> str:
+    """sha256 over dtype, shape and bytes of all seven columns of the three splits."""
+    digest = hashlib.sha256()
+    for name in ("source_train", "target_train", "target_test"):
+        split = getattr(data, name)
+        for column in (
+            "features", "class_labels", "kinds", "known_domains", "dataset_ids", "hidden_labels", "hidden_domains"
+        ):
+            values = np.ascontiguousarray(getattr(split, column))
+            digest.update(f"{name}.{column}:{values.dtype.str}:{values.shape}".encode())
+            digest.update(values.tobytes())
+    return digest.hexdigest()
+
+
+# synth_make draws held-out source rows that no split keeps; dropping or moving
+# that draw changes every later row, and so these recorded digests.
+RECORDED_SPLITS = {
+    "pinned": (pinned_benchmark(), "25581df7ccb12d754ccc827e42f7a9f83b738367d263b1af858e3c623e1f8ad6"),
+    "patch": (
+        SynthConfig(
+            n_latent_domains=3, n_classes=3, feature_dim=4, train_per_domain=20, test_per_domain=15,
+            patch_hw=(2, 2), seed=3,
+        ),
+        "5a87d14f80160a93c6d63d7e5145698d4ccd7cc011fb5e0f5d81995c4920ccbb",
+    ),
+    "noisy_rotated": (
+        SynthConfig(
+            n_latent_domains=2, n_classes=3, feature_dim=5, train_per_domain=25, test_per_domain=30,
+            domain_shifts=(
+                FeatureShift(rotation=0.7, noise_sigma=0.3),
+                FeatureShift(rotation=-0.4, offset=1.0, scale=1.5, noise_sigma=0.5),
+            ),
+            target_shift=FeatureShift(rotation=0.2, offset=-0.5, noise_sigma=0.2),
+            standardize=True,
+            seed=11,
+        ),
+        "1041a2976ab0ab15e8420c4fe0211d5de310ef36f6f2105f02474690deef469b",
+    ),
+}
+
+
 class TestSynthMake:
+    @pytest.mark.parametrize("recipe", sorted(RECORDED_SPLITS))
+    def test_splits_match_recorded_digest(self, recipe):
+        cfg, expected = RECORDED_SPLITS[recipe]
+        assert split_digest(synth_make(cfg)) == expected
+
     def test_same_seed_bitwise_identical(self):
         cfg = SynthConfig(seed=11)
         d1, d2 = synth_make(cfg), synth_make(cfg)
@@ -169,8 +216,8 @@ class TestSplit:
         with pytest.raises(NonFiniteFeatureError, match="batch: row 1 "):
             make_batch(samples)
         samples[1].features = np.array([0.0, np.nan, 0.0])
-        with pytest.raises(NonFiniteFeatureError, match="target_test: row 1 "):
-            Dataset([], [], [], samples, {})
+        with pytest.raises(NonFiniteFeatureError, match="batch: row 1 "):
+            make_batch(samples)
 
 
 class TestImageTransform:
@@ -377,11 +424,6 @@ class TestBatchSampler:
         with pytest.raises(ValueError):
             BatchSampler(source, target, BatchSpec(source_quota=4, target_quota=1, seed=0))
 
-    def test_replacement_mode_allows_oversampling(self):
-        source, target = self.make_pools(n_source=3)
-        sampler = BatchSampler(source, target, BatchSpec(source_quota=9, target_quota=1, seed=0, replace=True))
-        assert sampler.next_batch().source_mask.sum() == 9
-
     def test_balanced_dataset_quota(self):
         rng = np.random.default_rng(1)
         source = [
@@ -399,43 +441,31 @@ class TestBatchSampler:
     # row i holds i and belongs to dataset i % 3, target row j holds 100 + j.
     # Recorded from the per-sample list sampler that the columnar one replaced.
     STREAMS = {
-        (False, False): [
+        False: [
             [4, 6, 10, 0, 1, 104, 102, 100],
             [3, 8, 7, 2, 5, 103, 106, 101],
             [9, 11, 8, 4, 9, 105, 100, 105],
             [3, 7, 11, 6, 1, 104, 101, 106],
         ],
-        (False, True): [
-            [4, 3, 8, 3, 11, 103, 103, 103],
-            [6, 6, 6, 11, 9, 105, 104, 104],
-            [4, 11, 5, 2, 10, 101, 106, 104],
-            [1, 0, 5, 0, 1, 103, 106, 103],
-        ],
-        (True, False): [
+        True: [
             [0, 6, 10, 4, 2, 103, 102, 105],
             [3, 9, 7, 1, 11, 106, 101, 100],
             [9, 0, 1, 4, 5, 104, 102, 104],
             [6, 3, 7, 10, 8, 100, 103, 101],
         ],
-        (True, True): [
-            [4, 3, 8, 3, 11, 103, 103, 103],
-            [6, 6, 6, 11, 9, 105, 104, 104],
-            [4, 11, 5, 2, 10, 101, 106, 104],
-            [1, 0, 5, 0, 1, 103, 106, 103],
-        ],
     }
 
-    @pytest.mark.parametrize("balance, replace", sorted(STREAMS))
-    def test_same_batch_stream(self, balance, replace):
+    @pytest.mark.parametrize("balance", sorted(STREAMS))
+    def test_same_batch_stream(self, balance):
         source = [
             LabeledSample(np.array([float(i)]), i % 4, DomainTag.unknown_source(), dataset_id=i % 3)
             for i in range(12)
         ]
         target = [LabeledSample(np.array([float(100 + i)]), None, DomainTag.target()) for i in range(7)]
-        spec = BatchSpec(source_quota=5, target_quota=3, seed=7, replace=replace, balance_datasets=balance)
+        spec = BatchSpec(source_quota=5, target_quota=3, seed=7, balance_datasets=balance)
         sampler = BatchSampler(source, target, spec)
         stream = [sampler.next_batch().features[:, 0].astype(int).tolist() for _ in range(4)]
-        assert stream == self.STREAMS[balance, replace]
+        assert stream == self.STREAMS[balance]
 
     def test_balanced_mode_requires_ids(self):
         source, target = self.make_pools()
