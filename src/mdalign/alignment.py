@@ -85,7 +85,6 @@ class DomainStats:
 
     mean: np.ndarray
     var: np.ndarray
-    total_weight: np.ndarray
     live: np.ndarray
 
 
@@ -95,12 +94,11 @@ def compute_alpha(weights: np.ndarray, threshold: float = 1e-6) -> AlphaWeights:
     if w.ndim != 2:
         raise ValueError(f"assignment matrix must be rank 2, got {w.ndim}")
     # written so that NaN, which fails every comparison, is rejected too
-    if not np.all((w >= 0) & (w < np.inf)):
+    if w.size and not (w.min() >= 0 and w.max() < np.inf):
         raise ValueError("assignment weights must be finite and non-negative")
     total = w.sum(axis=0)
     live = total > threshold
-    alpha = np.zeros_like(w)
-    alpha[:, live] = w[:, live] / total[live]
+    alpha = np.divide(w, total, out=np.zeros_like(w), where=live)
     return AlphaWeights(alpha=alpha, live=live, total_weight=total)
 
 
@@ -142,12 +140,12 @@ def _sample_moments(xr: np.ndarray):
 
 
 def _domain_moments(aw: AlphaWeights, sample_mean: np.ndarray, sample_sq: np.ndarray) -> DomainStats:
-    """weighted_moments from the per-sample moments of its input."""
+    """weighted_moments from the per-sample moments of its input; shares aw's live mask."""
     mean = aw.alpha.T @ sample_mean
     var = np.maximum(aw.alpha.T @ sample_sq - mean**2, 0.0)
-    mean[~aw.live] = 0.0
-    var[~aw.live] = 0.0
-    return DomainStats(mean=mean, var=var, total_weight=aw.total_weight.copy(), live=aw.live.copy())
+    if not aw.live.all():
+        mean[~aw.live] = var[~aw.live] = 0.0
+    return DomainStats(mean=mean, var=var, live=aw.live)
 
 
 class RunningStats:
@@ -165,10 +163,10 @@ class RunningStats:
         return self.count > 0
 
     def update(self, stats: DomainStats, momentum: float) -> None:
-        live = stats.live
-        self.mean[live] = (1.0 - momentum) * self.mean[live] + momentum * stats.mean[live]
-        self.var[live] = (1.0 - momentum) * self.var[live] + momentum * stats.var[live]
-        self.count[live] += 1
+        live = stats.live[:, None]
+        np.copyto(self.mean, (1.0 - momentum) * self.mean + momentum * stats.mean, where=live)
+        np.copyto(self.var, (1.0 - momentum) * self.var + momentum * stats.var, where=live)
+        self.count += stats.live
 
 
 @dataclass
@@ -248,22 +246,22 @@ class AlignmentLayer:
         sample_mean, sample_sq = _sample_moments(xr)
         stats = _domain_moments(aw, sample_mean, sample_sq)
 
-        mean = stats.mean.copy()
-        var = stats.var.copy()
-        fallback = ~aw.live & (w.max(axis=0) > 0.0)
-        if fallback.any():
+        mean, var, used = stats.mean, stats.var, aw.live
+        fallback = None if used.all() else ~used & (w.max(axis=0) > 0.0)
+        if fallback is not None and fallback.any():
             missing = fallback & ~self.running.initialized()
             if missing.any():
                 raise UninitializedStatsError(
                     f"domains {np.flatnonzero(missing).tolist()} carry weight but have "
                     "neither batch mass nor initialized running statistics"
                 )
+            # stats keeps the batch moments for the running update
+            mean, var = mean.copy(), var.copy()
             mean[fallback] = self.running.mean[fallback]
             var[fallback] = self.running.var[fallback]
+            used = used | fallback
 
-        used = aw.live | fallback
-        inv_std = np.zeros_like(mean)
-        inv_std[used] = 1.0 / np.sqrt(var[used] + self.cfg.eps)
+        inv_std = np.divide(1.0, np.sqrt(var + self.cfg.eps), out=np.zeros_like(mean), where=used[:, None])
         mix_scale, y_mix, y = self._mix(xr, w, mean, inv_std)
         if update_running:
             self.running.update(stats, self.cfg.running_momentum)
@@ -307,12 +305,8 @@ class AlignmentLayer:
             grad_beta = None
             gy = gr
 
-        xr = cache.xr
-        w = cache.w
-        alpha = cache.aw.alpha
-        live = cache.aw.live
-        mean = cache.mean
-        inv_std = cache.inv_std
+        xr, w, mean, inv_std = cache.xr, cache.w, cache.mean, cache.inv_std
+        alpha, live = cache.aw.alpha, cache.aw.live
         n_pos = xr.shape[2]
 
         gy_sum = _over_positions(gy, np.sum)
@@ -324,11 +318,16 @@ class AlignmentLayer:
         g2 = (w.T @ gyx_sum - mean * g1) * inv_std
 
         # Input gradient: direct mixing term minus the mean/variance paths of
-        # the live domains, spread over spatial positions.
-        alpha_live = alpha[:, live]
-        c1 = alpha_live @ (g1 * inv_std)[live]
-        c2 = alpha_live @ (g2 * inv_std**2)[live]
-        c3 = alpha_live @ (mean * g2 * inv_std**2)[live]
+        # the live domains, spread over spatial positions.  With every domain
+        # live, a slice takes their rows without copying them.
+        sel = slice(None) if live.all() else live
+        inv_var = inv_std**2
+        h1 = (g1 * inv_std)[sel]
+        g2_var = (g2 * inv_var)[sel]
+        alpha_live = alpha[:, sel]
+        c1 = alpha_live @ h1
+        c2 = alpha_live @ g2_var
+        c3 = alpha_live @ (mean * g2 * inv_var)[sel]
         paths = xr * c2[:, :, None]
         paths += c1[:, :, None]
         paths -= c3[:, :, None]
@@ -344,9 +343,8 @@ class AlignmentLayer:
         if live.any():
             sample_mean = cache.sample_mean
             sample_sq = cache.sample_sq
-            h1 = (g1 * inv_std)[live]
-            h2 = (g2 * inv_std**2 / 2.0)[live]
-            mu = mean[live]
+            h2 = g2_var / 2.0
+            mu = mean[sel]
             # d loss / d alpha[i, d] through the live statistics
             g_alpha = -(
                 sample_mean @ h1.T
@@ -356,7 +354,7 @@ class AlignmentLayer:
             )
             # project through alpha = w / column_total
             colsum = (alpha_live * g_alpha).sum(axis=0)
-            grad_w[:, live] += (g_alpha - colsum[None, :]) / cache.aw.total_weight[live][None, :]
+            grad_w[:, sel] += (g_alpha - colsum[None, :]) / cache.aw.total_weight[sel][None, :]
 
         grad_w[cache.fixed] = 0.0
         return grad_x.reshape(cache.x_shape), grad_w, grad_gamma, grad_beta

@@ -109,8 +109,9 @@ class Assignment:
             raise ValueError("assignment probabilities must be [batch, domains]")
         if fixed.shape != (probs.shape[0],):
             raise ValueError("fixed mask must have one entry per row")
-        if np.any(probs < 0) or np.any(probs > 1):
-            raise ValueError("assignment entries must lie in [0, 1]")
+        # written so that NaN, which fails every comparison, is rejected too
+        if probs.size and not (probs.min() >= 0 and probs.max() <= 1):
+            raise ValueError("assignment entries must be finite and lie in [0, 1]")
         if probs.size and np.max(np.abs(probs.sum(axis=1) - 1.0)) > 1e-9:
             raise ValueError("assignment rows must sum to 1")
         self.probs = probs
@@ -129,8 +130,7 @@ class Assignment:
     def add_grad(self, grad_w: np.ndarray) -> None:
         if grad_w.shape != self.probs.shape:
             raise ValueError(f"gradient shape {grad_w.shape} does not match {self.probs.shape}")
-        free = ~self.fixed
-        self.grad[free] += grad_w[free]
+        np.add(self.grad, grad_w, out=self.grad, where=~self.fixed[:, None])
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0

@@ -99,7 +99,12 @@ class _Dense:
 
 
 class Model:
-    """Instantiated network; owned by a single training thread."""
+    """Instantiated network; owned by a single training thread.
+
+    The value, grad and momentum of every ParamBlock are views into three flat
+    buffers, the parameter arena, which `flat` wraps as one ParamBlock.  Blocks
+    start at even offsets, 16-byte aligned as separate arrays are; padding stays 0.
+    """
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
@@ -114,6 +119,24 @@ class Model:
         self.branch = DomainPredictor(
             cfg.trunk_widths[-1], cfg.k, cfg.branch_hidden, seed=int(rng.integers(2**31))
         )
+        self._pack()
+
+    def _pack(self) -> None:
+        """Copy every block's arrays into a fresh arena and rebind the blocks to views of it."""
+        blocks = self.parameters()
+        starts = np.cumsum([0] + [p.value.size + p.value.size % 2 for p in blocks])
+        arenas = [np.zeros(starts[-1]) for _ in range(3)]
+        for p, start in zip(blocks, starts):
+            for attr, arena in zip(("value", "grad", "momentum"), arenas):
+                view = arena[start : start + p.value.size].reshape(p.value.shape)
+                view[...] = getattr(p, attr)
+                setattr(p, attr, view)
+        self.flat = ParamBlock(*arenas)
+
+    def __setstate__(self, state):
+        # a copied or unpickled model gets blocks that are separate arrays; rejoin them
+        self.__dict__.update(state)
+        self._pack()
 
     def named_params(self) -> list[tuple[str, ParamBlock]]:
         out = []
@@ -139,19 +162,12 @@ class Model:
     def param_groups(self) -> dict[str, list[ParamBlock]]:
         groups = {"trunk": [], "classifier": [], "mda_affine": [], "branch": []}
         for name, p in self.named_params():
-            if name.startswith("trunk."):
-                groups["trunk"].append(p)
-            elif name.startswith("classifier."):
-                groups["classifier"].append(p)
-            elif name.startswith("align."):
-                groups["mda_affine"].append(p)
-            else:
-                groups["branch"].append(p)
+            prefix = name.split(".")[0]
+            groups["mda_affine" if prefix == "align" else prefix].append(p)
         return groups
 
     def zero_grads(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
+        self.flat.zero_grad()
 
 
 @dataclass
@@ -263,6 +279,14 @@ def forward_train(
 
 def compute_loss(record: ForwardRecord, batch: Batch, weights: LossWeights) -> LossBreakdown:
     """Evaluate the four-term objective on a finished forward pass."""
+    return _objective(record, batch, weights)[0]
+
+
+def _objective(record: ForwardRecord, batch: Batch, weights: LossWeights):
+    """compute_loss's breakdown and the probs gradients of its class and domain entropy terms.
+
+    The class-entropy gradient is None when the batch has no target rows.
+    """
     src = batch.source_mask
     tgt = batch.target_mask
     known = batch.known_mask
@@ -272,14 +296,15 @@ def compute_loss(record: ForwardRecord, batch: Batch, weights: LossWeights) -> L
     domain_ce = (
         cross_entropy(record.domain_probs[known], batch.known_domains[known]) if known.any() else 0.0
     )
+    g_class = None
     if tgt.any():
-        h_class, _ = class_entropy(record.class_probs[tgt])
+        h_class, g_class = class_entropy(record.class_probs[tgt])
     elif weights.class_entropy > 0:
         raise ValueError("class-entropy weight is active but the batch has no target samples")
     else:
         h_class = 0.0
-    h_domain, _ = domain_entropy(record.domain_probs[unknown])
-    return total_loss(
+    h_domain, g_domain = domain_entropy(record.domain_probs[unknown])
+    breakdown = total_loss(
         class_ce,
         domain_ce,
         h_class,
@@ -290,6 +315,7 @@ def compute_loss(record: ForwardRecord, batch: Batch, weights: LossWeights) -> L
         n_target=int(tgt.sum()),
         n_unknown=int(unknown.sum()),
     )
+    return breakdown, g_class, g_domain
 
 
 def backward_train(
@@ -302,7 +328,7 @@ def backward_train(
     assignment gradients accumulated from every alignment layer (free rows
     only), all routed through its single softmax.
     """
-    breakdown = compute_loss(record, batch, weights)
+    breakdown, g_class_ent, g_domain_ent = _objective(record, batch, weights)
     model.zero_grads()
     record.assignment.zero_grad()
 
@@ -316,9 +342,8 @@ def backward_train(
         record.class_probs[src], batch.class_labels[src]
     )
     if weights.class_entropy > 0 and tgt.any():
-        _, g_ent = class_entropy(record.class_probs[tgt])
         g_probs = np.zeros((b, n_classes))
-        g_probs[tgt] = weights.class_entropy * g_ent
+        g_probs[tgt] = weights.class_entropy * g_class_ent
         g_logits += softmax_backward(record.class_probs, g_probs)
 
     # classifier stack, collecting assignment gradients on the way down
@@ -355,8 +380,7 @@ def backward_train(
         g_b_probs = np.zeros_like(probs_b)
         unknown_rows = np.flatnonzero(batch.unknown_mask[src_idx])
         if weights.domain_entropy > 0 and unknown_rows.size:
-            _, g_ent = domain_entropy(probs_b[unknown_rows])
-            g_b_probs[unknown_rows] += weights.domain_entropy * g_ent
+            g_b_probs[unknown_rows] += weights.domain_entropy * g_domain_ent
         g_b_probs += record.assignment.grad[src_idx][:, : model.cfg.k]
         g_b_logits += softmax_backward(probs_b, g_b_probs)
         g_trunk[src_idx] += model.branch.backward(record.branch_cache, g_b_logits)

@@ -41,19 +41,19 @@ def as_tensor(x, rank: int | None = None) -> np.ndarray:
 
 
 class ParamBlock:
-    """A trainable tensor bundled with gradient and momentum buffers of the same shape."""
+    """A trainable tensor bundled with gradient and momentum buffers of the same shape.
 
-    def __init__(self, value):
+    All three are updated in place and never rebound: a Model makes them views
+    of its parameter arena, and a rebound array would miss the arena's SGD step.
+    """
+
+    def __init__(self, value, grad=None, momentum=None):
         self.value = as_tensor(value)
-        self.grad = np.zeros_like(self.value)
-        self.momentum = np.zeros_like(self.value)
+        self.grad = np.zeros_like(self.value) if grad is None else grad
+        self.momentum = np.zeros_like(self.value) if momentum is None else momentum
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
-
-    @property
-    def shape(self):
-        return self.value.shape
 
 
 def dense_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -63,6 +63,8 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 1")
         if self.batch.source_quota < 1:
             raise ValueError("batch.source_quota must be >= 1: a training batch needs a source sample")
+        if self.batch.target_quota < 1 and self.weights.class_entropy > 0:
+            raise ValueError("batch.target_quota must be >= 1 while weights.class_entropy > 0")
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,9 @@ def sgd_step(params, lr: float, momentum: float = 0.9, weight_decay: float = 0.0
 
     buffer <- momentum * buffer + grad + weight_decay * value
     value  <- value - lr * buffer
+
+    Updates each block's arrays in place, element-wise: stepping a Model's arena
+    [model.flat] gives the bits of stepping model.parameters() block by block.
     """
     for p in params:
         p.momentum *= momentum
@@ -185,7 +190,7 @@ def train(model: Model, data: Dataset, cfg: TrainConfig) -> tuple[Model, list[Me
         breakdown = backward_train(model, record, batch, cfg.weights)
         if not math.isfinite(breakdown.total):
             raise NumericalAbortError(it, breakdown)
-        sgd_step(model.parameters(), lr, cfg.momentum, cfg.weight_decay)
+        sgd_step([model.flat], lr, cfg.momentum, cfg.weight_decay)
         if (it + 1) % cfg.eval_every == 0 or it == cfg.iterations - 1:
             acc, nmi, purity = evaluate_model(model, data)
             rows.append(

@@ -107,6 +107,13 @@ class TestSharedView:
         with pytest.raises(ValueError):
             Assignment(np.array([[0.5, 0.4]]), np.array([False]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Assignment(np.array([[bad, bad], [0.5, 0.5]]), np.array([False, False]))
+        with pytest.raises(ValueError, match="finite"):
+            merge_assignments(np.array([[bad, 0.5]]), [DomainTag.unknown_source()])
+
 
 class TestDomainPredictor:
     def test_single_domain_is_always_certain(self):

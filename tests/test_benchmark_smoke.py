@@ -5,7 +5,10 @@ reference at each workload's shape, with gradient probes.  digit_files reads
 datasets the way outside code does (row views, whole splits handed to
 make_batch), so it guards that contract end to end; wide_domains trains
 through alignment layers of 512 rows, up to 256 channels and 6 domains, and
-recomputes the run's accuracy and NMI apart from the program.
+recomputes the run's accuracy and NMI apart from the program.  pinned_grid
+runs the baseline grid through the hooks the benchmark times it by (the
+runner's `train` and `training.sgd_step`) and checks each run's evaluation
+and the baselines' ordering.
 """
 
 import json
@@ -31,6 +34,10 @@ def test_digit_files_benchmark_runs_correct():
 
 def test_wide_domains_benchmark_runs_correct():
     run_workload_briefly("wide_domains")
+
+
+def test_pinned_grid_benchmark_runs_correct():
+    run_workload_briefly("pinned_grid")
 
 
 def test_benchmark_hooks_resolve():

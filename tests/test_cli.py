@@ -118,8 +118,10 @@ class TestTrainCommand:
             ("train.batch.replace=true", "train.batch.replace: unknown field"),
             ("train.eval_every=0", "train: eval_every must be >= 1"),
             ("train.batch.source_quota=0", "train: batch.source_quota must be >= 1"),
+            ("train.batch.target_quota=0", "train: batch.target_quota must be >= 1 while weights.class_entropy > 0"),
         ],
-        ids=["conflict_pair", "conflict_strength", "patch_jitter", "replace", "eval_every", "source_quota"],
+        ids=["conflict_pair", "conflict_strength", "patch_jitter", "replace", "eval_every", "source_quota",
+             "target_quota"],
     )
     def test_bad_override_is_a_config_error(self, quick_config, tmp_path, capsys, override, expected):
         code = main(["train", "--config", quick_config, "--out", str(tmp_path / "run"), "--set", override])

@@ -1,5 +1,6 @@
 """Network orchestration: reductions, coupling, end-to-end gradients, checkpoints."""
 
+import copy
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from mdalign.model import (
     Model,
     ModelConfig,
     backward_train,
+    calibrate_predictor,
     compute_loss,
     forward_eval,
     forward_train,
@@ -264,6 +266,14 @@ class TestBackwardTrain:
         assert before.class_ce == pytest.approx(after.class_ce, abs=1e-12)
         assert before.domain_ce != pytest.approx(after.domain_ce, abs=1e-12)
 
+    def test_compute_loss_matches_backward_train(self):
+        rng = np.random.default_rng(15)
+        model = Model(tiny_config())
+        batch = make_mixed_batch(rng)
+        weights = LossWeights(domain_ce=0.5, class_entropy=0.2, domain_entropy=0.2)
+        record = forward_train(model, batch, update_running=False)
+        assert compute_loss(record, batch, weights) == backward_train(model, record, batch, weights)
+
     def test_trunk_gradients_are_produced(self):
         rng = np.random.default_rng(11)
         model = Model(tiny_config())
@@ -271,6 +281,49 @@ class TestBackwardTrain:
         record = forward_train(model, batch)
         backward_train(model, record, batch, LossWeights())
         assert all(p.grad.any() for p in model.param_groups()["trunk"])
+
+
+def assert_blocks_view_the_arena(model):
+    for name, p in model.named_params():
+        for attr in ("value", "grad", "momentum"):
+            assert np.shares_memory(getattr(p, attr), getattr(model.flat, attr)), f"{name}.{attr}"
+
+
+class TestParameterArena:
+    def test_blocks_view_the_arena_after_construction(self):
+        model = Model(tiny_config())
+        assert_blocks_view_the_arena(model)
+        assert model.flat.value.size >= sum(p.value.size for p in model.parameters())
+
+    def test_blocks_view_the_arena_after_load_checkpoint(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(Model(tiny_config(seed=4)), path)
+        assert_blocks_view_the_arena(load_checkpoint(path))
+
+    def test_blocks_view_the_arena_after_calibrate_predictor(self):
+        model = Model(tiny_config())
+        before = model.flat.value.copy()
+        calibrate_predictor(model, make_mixed_batch(np.random.default_rng(16)))
+        assert_blocks_view_the_arena(model)
+        assert not np.array_equal(model.flat.value, before)
+
+    def test_copy_gets_its_own_arena(self):
+        model = Model(tiny_config())
+        model.flat.momentum[...] = 0.5
+        clone = copy.deepcopy(model)
+        assert_blocks_view_the_arena(clone)
+        assert not np.shares_memory(clone.flat.value, model.flat.value)
+        for (_, p), (_, q) in zip(model.named_params(), clone.named_params()):
+            np.testing.assert_array_equal(p.momentum, q.momentum)
+
+    def test_zero_grads_clears_every_block(self):
+        model = Model(tiny_config())
+        rng = np.random.default_rng(17)
+        batch = make_mixed_batch(rng)
+        backward_train(model, forward_train(model, batch), batch, LossWeights())
+        assert any(p.grad.any() for p in model.parameters())
+        model.zero_grads()
+        assert not model.flat.grad.any()
 
 
 class TestForwardEval:

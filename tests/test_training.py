@@ -1,10 +1,12 @@
 """Optimizer recursions, schedules, metrics, and the training loop contract."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
+from mdalign import training
 from mdalign.data import BatchSpec, FeatureShift, SynthConfig, synth_make
 from mdalign.experiments import ExperimentConfig
 from mdalign.losses import LossWeights
@@ -44,6 +46,13 @@ class TestSgdStep:
         p = ParamBlock(np.array([1.0]))
         sgd_step([p], lr=0.1, momentum=0.0, weight_decay=0.1)
         np.testing.assert_allclose(p.value, [0.99], atol=1e-15)
+
+
+class TestTrainConfig:
+    def test_class_entropy_needs_target_rows(self):
+        with pytest.raises(ValueError, match="target_quota"):
+            TrainConfig(batch=BatchSpec(target_quota=0))
+        TrainConfig(batch=BatchSpec(target_quota=0), weights=LossWeights(class_entropy=0.0))
 
 
 class TestLrSchedules:
@@ -232,6 +241,27 @@ class TestTrainLoop:
         data = synth_make(quick_task())
         _, rows = train(quick_model(), data, quick_train_cfg(iterations=65, eval_every=30))
         assert [r.iteration for r in rows] == [30, 60, 65]
+
+    def test_arena_step_matches_per_block_steps(self, monkeypatch):
+        """train's one sgd_step over model.flat gives the bytes of stepping every block on its own."""
+        data = synth_make(quick_task())
+        cfg = quick_train_cfg(iterations=5, eval_every=5)
+        model = quick_model(seed=2)
+        per_block = copy.deepcopy(model)
+        train(model, data, cfg)
+
+        def step_each_block(params, *args):
+            assert params == [per_block.flat]
+            sgd_step(per_block.parameters(), *args)
+
+        monkeypatch.setattr(training, "sgd_step", step_each_block)
+        train(per_block, data, cfg)
+        for (name, p), (_, q) in zip(model.named_params(), per_block.named_params()):
+            for attr in ("value", "grad", "momentum"):
+                assert getattr(p, attr).tobytes() == getattr(q, attr).tobytes(), f"{name}.{attr}"
+        for j, layer in model.align_layers.items():
+            assert layer.running.mean.tobytes() == per_block.align_layers[j].running.mean.tobytes()
+            assert layer.running.var.tobytes() == per_block.align_layers[j].running.var.tobytes()
 
     def test_patch_mode_trains_through_spatial_features(self):
         from dataclasses import replace
