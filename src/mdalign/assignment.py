@@ -82,10 +82,6 @@ class DomainTag:
         """The tag of one columnar row: its kind code and known-domain index."""
         return cls(TAG_KINDS[code], int(known_domain) if code == KNOWN_CODE else None)
 
-    @property
-    def is_source(self) -> bool:
-        return self.kind != TARGET
-
 
 def tag_codes(tags) -> tuple[np.ndarray, np.ndarray]:
     """Kind codes (int8) and known-domain indices (int64, -1 if not known-source) of a tag list."""

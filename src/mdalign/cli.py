@@ -134,7 +134,7 @@ def _check_manifest_domains(path: str, k: int) -> None:
 
 
 def resolve_config(doc: dict):
-    """Turn the raw document into (dataset, model config, train config, meta)."""
+    """Turn the raw document into (dataset, model config, train config, SynthConfig or None for a manifest)."""
     for section in doc:
         if section not in ("data", "model", "train"):
             raise ConfigError(f"{section}: unknown section")
@@ -191,7 +191,12 @@ def resolve_config(doc: dict):
         want, size = getattr(train_cfg.batch, quota), len(getattr(dataset, pool))
         if want > size:
             raise ConfigError(f"train.batch.{quota}: {want} exceeds the {size} rows of {pool}")
-    return dataset, model_cfg, train_cfg, {"synthetic": synth_cfg}
+    if train_cfg.batch.target_quota == 0 and not model_cfg.whole_batch_norm:
+        raise ConfigError(
+            "train.batch.target_quota: 0 leaves the target column without running statistics, "
+            "which evaluation needs unless model.whole_batch_norm is set"
+        )
+    return dataset, model_cfg, train_cfg, synth_cfg
 
 
 def _config_hash(doc: dict) -> str:
@@ -269,10 +274,10 @@ def cmd_gradcheck(args) -> int:
 def _run_grid_command(args, runner, key: str, values: tuple[str, ...]) -> int:
     """Run runner(base, seeds); write manifest.json, runs.csv (key, seed and value columns) and summary.csv."""
     doc = load_config(args.config, args.set or [])
-    _, model_cfg, train_cfg, meta = resolve_config(doc)
-    if meta["synthetic"] is None:
+    _, model_cfg, train_cfg, synth_cfg = resolve_config(doc)
+    if synth_cfg is None:
         raise ConfigError("data: experiment runners need a synthetic dataset")
-    base = ExperimentConfig(data=meta["synthetic"], model=model_cfg, train=train_cfg)
+    base = ExperimentConfig(data=synth_cfg, model=model_cfg, train=train_cfg)
     _prepare_out(args.out, args.force)
     seeds = list(range(args.seeds))
     rows = runner(base, seeds)

@@ -7,11 +7,11 @@ from a seed alone.  Real digit sets enter through the big-endian IDX format
 and can be turned into pseudo-domains with deterministic pixel transforms.
 
 Every split is one columnar Split: a feature array [n, ...] and one array
-per field, built once at ingestion.  Ground-truth latent domain ids (and
-target labels) sit in hidden columns that batches never copy: the sampler
-and the training loop cannot see them, and evaluation code reads them from
-the split's hidden columns or, per row, through the accessors at the bottom
-of this module.
+per field, built once at ingestion by Split.of (or, for the digit files,
+straight into the columns).  Ground-truth latent domain ids (and target
+labels) sit in hidden columns that batches never copy: the sampler and the
+training loop cannot see them, and evaluation code reads them from the
+split's hidden columns.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .assignment import KNOWN_CODE, TARGET_CODE, UNKNOWN_CODE, DomainTag, tag_codes
+from .assignment import KNOWN_CODE, TARGET_CODE, UNKNOWN_CODE, DomainTag
 
 __all__ = [
     "Batch",
@@ -43,7 +43,6 @@ __all__ = [
     "Split",
     "SynthConfig",
     "apply_feature_shift",
-    "evaluation_label",
     "idx_load",
     "idx_write_images",
     "idx_write_labels",
@@ -52,7 +51,6 @@ __all__ = [
     "make_batch",
     "reveal_domain_labels",
     "synth_make",
-    "true_latent_domain",
 ]
 
 IMAGE_MAGIC = 0x00000803
@@ -87,13 +85,13 @@ class NonFiniteFeatureError(ValueError):
 # samples and datasets
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabeledSample:
-    """One sample: features, optional training label, and its domain tag.
+    """Read-only view of one split row: features, optional training label, and its domain tag.
 
-    hidden_label and hidden_latent_domain are evaluation-only ground truth;
-    use the accessors evaluation_label / true_latent_domain to read them.
-    Training code must not touch them, and batches do not carry them.
+    Only Split.__getitem__ builds one, for inspection; splits are built from
+    columns with Split.of.  hidden_label and hidden_latent_domain are
+    evaluation-only ground truth that training code must not touch.
     """
 
     features: np.ndarray
@@ -102,10 +100,6 @@ class LabeledSample:
     dataset_id: int | None = None
     hidden_label: int | None = field(default=None, repr=False)
     hidden_latent_domain: int | None = field(default=None, repr=False)
-
-
-def _ids(values) -> np.ndarray:
-    return np.array([-1 if v is None else v for v in values], dtype=np.int64)
 
 
 def _opt(value) -> int | None:
@@ -117,13 +111,15 @@ class Split:
     """One dataset split as columns, one entry per row in every array.
 
     features is float64 [n, ...]; class_labels is -1 on unlabeled rows;
-    kinds and known_domains encode each row's DomainTag (assignment.tag_codes);
-    dataset_ids is -1 where no file provenance was declared.  hidden_labels
-    and hidden_domains are evaluation-only ground truth, -1 where absent:
-    batches never copy them and training code must not read them.
+    kinds holds each row's int8 kind code (assignment.KNOWN_CODE, UNKNOWN_CODE
+    or TARGET_CODE) and known_domains its declared domain, -1 unless the row
+    is known-source; dataset_ids is -1 where no file provenance was declared.
+    hidden_labels and hidden_domains are evaluation-only ground truth, -1
+    where absent: batches never copy them and training code must not read
+    them.
 
-    split[i] is a LabeledSample whose features are a view of row i; a slice
-    or an index array gives a Split.
+    Build one with Split.of.  split[i] is a LabeledSample whose features are
+    a view of row i; a slice or an index array gives a Split.
     """
 
     features: np.ndarray
@@ -135,19 +131,33 @@ class Split:
     hidden_domains: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_samples(cls, samples, name: str = "samples") -> "Split":
-        """Stack a list of LabeledSample into columns; non-finite features are rejected."""
-        samples = list(samples)
-        features = np.stack([s.features for s in samples]).astype(np.float64) if samples else np.zeros(0)
-        kinds, known = tag_codes([s.tag for s in samples])
+    def of(
+        cls,
+        features,
+        *,
+        kinds,
+        class_labels=None,
+        known_domains=None,
+        dataset_ids=None,
+        hidden_labels=None,
+        hidden_domains=None,
+        name: str = "split",
+    ) -> "Split":
+        """A split of the given columns, each omitted one -1 on every row; non-finite features are rejected."""
+        features = np.asarray(features, dtype=np.float64)
+        n = features.shape[0]
+
+        def ids(column):
+            return np.full(n, -1) if column is None else np.asarray(column, dtype=np.int64)
+
         split = cls(
             features,
-            _ids(s.class_label for s in samples),
-            kinds,
-            known,
-            _ids(s.dataset_id for s in samples),
-            _ids(s.hidden_label for s in samples),
-            _ids(s.hidden_latent_domain for s in samples),
+            ids(class_labels),
+            np.asarray(kinds, dtype=np.int8),
+            ids(known_domains),
+            ids(dataset_ids),
+            ids(hidden_labels),
+            ids(hidden_domains),
         )
         split.check_finite(name)
         return split
@@ -175,10 +185,6 @@ class Split:
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
-
-
-def _concat(splits) -> Split:
-    return Split(*(np.concatenate([getattr(s, f.name) for s in splits]) for f in fields(Split)))
 
 
 @dataclass
@@ -280,34 +286,33 @@ def synth_make(cfg: SynthConfig) -> Dataset:
     prototypes = cfg.class_separation * rng.normal(size=(cfg.n_classes, cfg.feature_dim))
     shifts = cfg.domain_shifts or tuple(FeatureShift() for _ in range(cfg.n_latent_domains))
 
-    def draw(count, shift, *, domain, is_target):
+    def draw(count, shift):
         labels = _balanced_labels(count, cfg.n_classes, rng)
         base = prototypes[labels] + rng.normal(size=(count, cfg.feature_dim))
         x = apply_feature_shift(base, shift, rng)
         if cfg.patch_hw is not None:
             h, w = cfg.patch_hw
             x = x[:, :, None, None] + 0.25 * rng.normal(size=(count, cfg.feature_dim, h, w))
-        return Split(
-            features=x,
-            class_labels=np.full(count, -1) if is_target else labels,
-            kinds=np.full(count, TARGET_CODE if is_target else UNKNOWN_CODE, dtype=np.int8),
-            known_domains=np.full(count, -1),
-            dataset_ids=np.full(count, -1),
-            hidden_labels=labels,
-            hidden_domains=np.full(count, -1 if is_target else domain),
-        )
+        return x, labels
 
-    source_train = []
-    for d, shift in enumerate(shifts):
-        source_train.append(draw(cfg.train_per_domain, shift, domain=d, is_target=False))
-        draw(cfg.test_per_domain, shift, domain=d, is_target=False)  # dropped; later draws depend on it
+    source = []
+    for shift in shifts:
+        source.append(draw(cfg.train_per_domain, shift))
+        draw(cfg.test_per_domain, shift)  # dropped; later draws depend on it
+    x, labels = (np.concatenate(column) for column in zip(*source))
     splits = {
-        "source_train": _concat(source_train),
-        "target_train": draw(cfg.train_per_domain, cfg.target_shift, domain=None, is_target=True),
-        "target_test": draw(cfg.test_per_domain, cfg.target_shift, domain=None, is_target=True),
+        "source_train": Split.of(
+            x,
+            kinds=np.full(len(x), UNKNOWN_CODE),
+            class_labels=labels,
+            hidden_labels=labels,
+            hidden_domains=np.repeat(np.arange(len(shifts)), cfg.train_per_domain),
+            name="source_train",
+        )
     }
-    for name, split in splits.items():
-        split.check_finite(name)
+    for name, count in (("target_train", cfg.train_per_domain), ("target_test", cfg.test_per_domain)):
+        x, labels = draw(count, cfg.target_shift)
+        splits[name] = Split.of(x, kinds=np.full(count, TARGET_CODE), hidden_labels=labels, name=name)
 
     if cfg.standardize:
         # label-free preprocessing: pooled moments of the unlabeled training
@@ -447,8 +452,8 @@ def load_manifest(path) -> Dataset:
     def load_split(entries, domains=None) -> Split:
         """One split of IDX pairs, each file's uint8 pixels scaled straight into its rows.
 
-        domains holds each source file's declared domain, or None; without
-        domains the rows are target rows, whose labels stay hidden.
+        domains holds each source file's declared domain, -1 where it declares
+        none; without domains the rows are target rows, whose labels stay hidden.
         """
         pairs = [
             _idx_pixels(_resolve(e["images"], manifest_dir), _resolve(e["labels"], manifest_dir))
@@ -472,17 +477,15 @@ def load_manifest(path) -> Dataset:
                 features, np.full(n, -1), np.full(n, TARGET_CODE, dtype=np.int8), np.full(n, -1),
                 np.full(n, -1), labels, np.full(n, -1),
             )
-        tags = [DomainTag.unknown_source() if d is None else DomainTag.known_source(d) for d in domains]
-        kinds, known = tag_codes(tags)
         ids = np.arange(len(entries))
         return Split(
             features=features,
             class_labels=labels,
-            kinds=np.repeat(kinds, counts),
-            known_domains=np.repeat(known, counts),
+            kinds=np.repeat(np.where(domains >= 0, KNOWN_CODE, UNKNOWN_CODE).astype(np.int8), counts),
+            known_domains=np.repeat(domains, counts),
             dataset_ids=np.repeat(ids, counts),
             hidden_labels=labels,
-            hidden_domains=np.repeat(np.where(known >= 0, known, ids), counts),
+            hidden_domains=np.repeat(np.where(domains >= 0, domains, ids), counts),
         )
 
     for key in ("sources", "target"):
@@ -494,10 +497,13 @@ def load_manifest(path) -> Dataset:
     for e in [*sources, doc["target"], doc.get("target_test", doc["target"])]:
         if not isinstance(e, dict) or "images" not in e or "labels" not in e:
             raise ValueError(f"{path}: file entry {e!r} needs 'images' and 'labels'")
-    domains = [e.get("domain") for e in sources]
-    for e, d in zip(sources, domains):
+    for e in sources:
+        d = e.get("domain")
         if d is not None and type(d) is not int:
             raise ValueError(f"{path}: {e['images']} declares domain {d!r}, which is not an integer")
+        if d is not None and d < 0:
+            raise ValueError(f"{path}: {e['images']} declares domain {d}, but a domain index >= 0 is needed")
+    domains = np.array([-1 if e.get("domain") is None else e["domain"] for e in sources], dtype=np.int64)
     source_train = load_split(sources, domains)
     target_train = load_split([doc["target"]])
     target_test = load_split([doc["target_test"]]) if "target_test" in doc else target_train
@@ -538,16 +544,11 @@ class Batch:
 _BATCH_COLUMNS = ("features", "class_labels", "kinds", "known_domains")
 
 
-def _as_split(samples, name: str) -> Split:
-    return samples if isinstance(samples, Split) else Split.from_samples(samples, name)
+def make_batch(split: Split) -> Batch:
+    """A batch of a Split's public columns; target labels come through as -1.
 
-
-def make_batch(samples) -> Batch:
-    """A batch of a Split's public columns, or of a list of samples; target labels come through as -1.
-
-    A Split's arrays are used as they are, so a whole split costs no copy.
+    The split's arrays are used as they are, so a whole split costs no copy.
     """
-    split = _as_split(samples, "batch")
     return Batch(*(getattr(split, name) for name in _BATCH_COLUMNS))
 
 
@@ -601,11 +602,9 @@ class BatchSampler:
     sees only public sample fields; hidden ground truth never reaches a batch.
     """
 
-    def __init__(self, source, target, spec: BatchSpec):
+    def __init__(self, source: Split, target: Split, spec: BatchSpec):
         if spec.seed is None:
             raise ValueError("BatchSpec.seed must be set before sampling")
-        source = _as_split(source, "source")
-        target = _as_split(target, "target")
         if spec.source_quota > len(source):
             raise ValueError(f"source quota {spec.source_quota} exceeds pool size {len(source)}")
         if spec.target_quota > len(target):
@@ -641,17 +640,7 @@ class BatchSampler:
 
 
 # ---------------------------------------------------------------------------
-# evaluation-only accessors for hidden ground truth
-
-
-def true_latent_domain(sample: LabeledSample):
-    """Evaluation-side accessor for the hidden latent domain id."""
-    return sample.hidden_latent_domain
-
-
-def evaluation_label(sample: LabeledSample):
-    """Evaluation-side accessor for the hidden class label."""
-    return sample.hidden_label
+# hidden ground truth, revealed for semi-supervised runs
 
 
 def reveal_domain_labels(split: Split, rows=None) -> Split:

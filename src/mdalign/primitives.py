@@ -28,13 +28,11 @@ __all__ = [
 ]
 
 
-def as_tensor(x, rank: int | None = None) -> np.ndarray:
+def as_tensor(x) -> np.ndarray:
     """Validate and convert to a finite float64 array of rank 1 to 4."""
     arr = np.ascontiguousarray(x, dtype=np.float64)
     if not 1 <= arr.ndim <= 4:
         raise ValueError(f"rank {arr.ndim} outside the supported range 1..4")
-    if rank is not None and arr.ndim != rank:
-        raise ValueError(f"expected rank {rank}, got rank {arr.ndim}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor contains NaN or Inf")
     return arr

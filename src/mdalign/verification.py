@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .alignment import AlignConfig, AlignmentLayer
-from .assignment import Assignment, DomainTag
-from .data import LabeledSample, make_batch
+from .assignment import KNOWN_CODE, TARGET_CODE, UNKNOWN_CODE, Assignment
+from .data import Split, make_batch
 from .losses import LossWeights
 from .model import Model, ModelConfig, backward_train, compute_loss, forward_train
 from .primitives import central_difference, max_relative_error
@@ -111,18 +111,21 @@ def audit_alignment_layer(seed: int = 0) -> dict:
 
 
 def _audit_batch(rng, in_dim=4, classes=3, k=2):
-    samples = []
-    for i in range(2):
-        samples.append(
-            LabeledSample(rng.normal(size=in_dim), int(rng.integers(0, classes)), DomainTag.known_source(i % k))
+    """Two known-source rows (domains 0 and 1 mod k), two unknown-source rows and two target rows.
+
+    Each source row draws its features, then its label; the target rows draw features only.
+    """
+    source = [(rng.normal(size=in_dim), rng.integers(0, classes)) for _ in range(4)]
+    target = rng.normal(size=(2, in_dim))
+    return make_batch(
+        Split.of(
+            np.vstack([x for x, _ in source] + [target]),
+            kinds=[KNOWN_CODE, KNOWN_CODE, UNKNOWN_CODE, UNKNOWN_CODE, TARGET_CODE, TARGET_CODE],
+            class_labels=[y for _, y in source] + [-1, -1],
+            known_domains=[0, 1 % k, -1, -1, -1, -1],
+            name="batch",
         )
-    for _ in range(2):
-        samples.append(
-            LabeledSample(rng.normal(size=in_dim), int(rng.integers(0, classes)), DomainTag.unknown_source())
-        )
-    for _ in range(2):
-        samples.append(LabeledSample(rng.normal(size=in_dim), None, DomainTag.target()))
-    return make_batch(samples)
+    )
 
 
 def _relu_margin(model: Model, batch) -> float:

@@ -2,15 +2,11 @@
 
 import numpy as np
 
-from mdalign.data import evaluation_label
 
-
-def nearest_centroid_accuracy(train_samples, test_samples):
-    """Independent solvability oracle: classify by nearest class centroid."""
-    labels = np.array([s.class_label for s in train_samples])
-    feats = np.stack([s.features.reshape(-1) for s in train_samples])
-    centroids = np.stack([feats[labels == y].mean(axis=0) for y in np.unique(labels)])
-    test_feats = np.stack([s.features.reshape(-1) for s in test_samples])
-    test_labels = np.array([evaluation_label(s) for s in test_samples])
+def nearest_centroid_accuracy(train, test):
+    """Independent solvability oracle: classify a split's rows by nearest class centroid of another's."""
+    feats = train.features.reshape(len(train), -1)
+    centroids = np.stack([feats[train.class_labels == y].mean(axis=0) for y in np.unique(train.class_labels)])
+    test_feats = test.features.reshape(len(test), -1)
     pred = np.argmin(((test_feats[:, None, :] - centroids[None]) ** 2).sum(axis=2), axis=1)
-    return float(np.mean(pred == test_labels))
+    return float(np.mean(pred == test.hidden_labels))

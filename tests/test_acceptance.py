@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from mdalign.alignment import AlignConfig, AlignmentLayer, compute_alpha, weighted_moments
-from mdalign.assignment import Assignment, DomainTag
+from mdalign.assignment import KNOWN_CODE, TARGET_CODE, UNKNOWN_CODE, Assignment
 from mdalign.data import (
     IdxCountMismatchError,
     IdxMagicError,
     IdxTruncatedError,
-    LabeledSample,
+    Split,
     idx_load,
     idx_write_labels,
     make_batch,
@@ -112,11 +112,15 @@ def test_criterion_2_reduction_identities():
     # end-to-end: k=1, every row hard-assigned, against a plain-BN network
     from mdalign.primitives import dense_forward, relu_forward, softmax
 
-    samples = [
-        LabeledSample(rng.normal(size=4), int(rng.integers(0, 3)), DomainTag.known_source(0))
-        for _ in range(8)
-    ]
-    batch = make_batch(samples)
+    rows = [(rng.normal(size=4), rng.integers(0, 3)) for _ in range(8)]
+    batch = make_batch(
+        Split.of(
+            np.stack([x for x, _ in rows]),
+            kinds=np.full(8, KNOWN_CODE),
+            class_labels=[y for _, y in rows],
+            known_domains=np.zeros(8),
+        )
+    )
     net = Model(ModelConfig(in_dim=4, n_classes=3, k=1, trunk_widths=(6,), classifier_widths=(5,), seed=1))
     record = forward_train(net, batch)
     h = batch.features
@@ -295,13 +299,15 @@ def test_criterion_9_loss_and_structure_invariants():
 
     # fixed assignment rows never receive gradient
     model = Model(ModelConfig(in_dim=4, n_classes=3, k=2, trunk_widths=(6,), classifier_widths=(5,), seed=2))
-    samples = [
-        LabeledSample(rng.normal(size=4), int(rng.integers(0, 3)), DomainTag.known_source(i % 2))
-        for i in range(3)
-    ]
-    samples += [LabeledSample(rng.normal(size=4), int(rng.integers(0, 3)), DomainTag.unknown_source())]
-    samples += [LabeledSample(rng.normal(size=4), None, DomainTag.target()) for _ in range(2)]
-    batch = make_batch(samples)
+    rows = [(rng.normal(size=4), rng.integers(0, 3)) for _ in range(4)]
+    batch = make_batch(
+        Split.of(
+            np.vstack([x for x, _ in rows] + [rng.normal(size=(2, 4))]),
+            kinds=[KNOWN_CODE] * 3 + [UNKNOWN_CODE] + [TARGET_CODE] * 2,
+            class_labels=[y for _, y in rows] + [-1, -1],
+            known_domains=[0, 1, 0, -1, -1, -1],
+        )
+    )
     record = forward_train(model, batch)
     backward_train(model, record, batch, LossWeights(0.5, 0.2, 0.2))
     fixed_zero = not record.assignment.grad[record.assignment.fixed].any()

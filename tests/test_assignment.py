@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
-from mdalign.assignment import Assignment, DomainPredictor, DomainTag, merge_assignments, tag_codes
-from mdalign.data import LabeledSample, make_batch
+from mdalign.assignment import (
+    KNOWN_CODE,
+    TARGET_CODE,
+    UNKNOWN_CODE,
+    Assignment,
+    DomainPredictor,
+    DomainTag,
+    merge_assignments,
+    tag_codes,
+)
+from mdalign.data import Split, make_batch
 from mdalign.model import Model, ModelConfig, forward_train
 from mdalign.primitives import central_difference, max_relative_error, softmax_backward
 
@@ -18,8 +27,6 @@ class TestDomainTag:
     def test_target_and_unknown_carry_no_index(self):
         with pytest.raises(ValueError):
             DomainTag("target", 0)
-        assert DomainTag.target().is_source is False
-        assert DomainTag.unknown_source().is_source is True
 
 
 class TestMergeAssignments:
@@ -75,8 +82,14 @@ class TestMergeAssignments:
 class TestSharedView:
     def test_layers_see_the_same_rows(self):
         rng = np.random.default_rng(3)
-        tags = [DomainTag.known_source(0), DomainTag.unknown_source(), DomainTag.unknown_source(), DomainTag.target()]
-        batch = make_batch([LabeledSample(rng.normal(size=4), 0, tag) for tag in tags])
+        batch = make_batch(
+            Split.of(
+                rng.normal(size=(4, 4)),
+                kinds=[KNOWN_CODE, UNKNOWN_CODE, UNKNOWN_CODE, TARGET_CODE],
+                class_labels=np.zeros(4),
+                known_domains=[0, -1, -1, -1],
+            )
+        )
         model = Model(ModelConfig(in_dim=4, n_classes=2, trunk_widths=(6,), classifier_widths=(5, 5)))
         record = forward_train(model, batch)
         align_caches = [cache for _, cache, _ in record.cls_caches if cache is not None]

@@ -110,21 +110,26 @@ class TestTrainCommand:
         assert f"data.synthetic.{field}: expected a list" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "override, expected",
+        "overrides, expected",
         [
-            ("data.synthetic.conflict_pair=[0, 1]", "data.synthetic.conflict_pair: unknown field"),
-            ("data.synthetic.conflict_strength=1", "data.synthetic.conflict_strength: unknown field"),
-            ("data.synthetic.patch_jitter=0.5", "data.synthetic.patch_jitter: unknown field"),
-            ("train.batch.replace=true", "train.batch.replace: unknown field"),
-            ("train.eval_every=0", "train: eval_every must be >= 1"),
-            ("train.batch.source_quota=0", "train: batch.source_quota must be >= 1"),
-            ("train.batch.target_quota=0", "train: batch.target_quota must be >= 1 while weights.class_entropy > 0"),
+            (["data.synthetic.conflict_pair=[0, 1]"], "data.synthetic.conflict_pair: unknown field"),
+            (["data.synthetic.conflict_strength=1"], "data.synthetic.conflict_strength: unknown field"),
+            (["data.synthetic.patch_jitter=0.5"], "data.synthetic.patch_jitter: unknown field"),
+            (["train.batch.replace=true"], "train.batch.replace: unknown field"),
+            (["train.eval_every=0"], "train: eval_every must be >= 1"),
+            (["train.batch.source_quota=0"], "train: batch.source_quota must be >= 1"),
+            (["train.batch.target_quota=0"], "train: batch.target_quota must be >= 1 while weights.class_entropy > 0"),
+            (
+                ["train.batch.target_quota=0", "train.weights.class_entropy=0"],
+                "train.batch.target_quota: 0 leaves the target column without running statistics",
+            ),
         ],
         ids=["conflict_pair", "conflict_strength", "patch_jitter", "replace", "eval_every", "source_quota",
-             "target_quota"],
+             "target_quota", "target_quota_without_class_entropy"],
     )
-    def test_bad_override_is_a_config_error(self, quick_config, tmp_path, capsys, override, expected):
-        code = main(["train", "--config", quick_config, "--out", str(tmp_path / "run"), "--set", override])
+    def test_bad_override_is_a_config_error(self, quick_config, tmp_path, capsys, overrides, expected):
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        code = main(["train", "--config", quick_config, "--out", str(tmp_path / "run"), *sets])
         assert code == EXIT_CONFIG
         assert expected in capsys.readouterr().err
         assert not (tmp_path / "run").exists()

@@ -1,5 +1,6 @@
 """Synthetic generation, pixel transforms, IDX ingestion, and batch sampling."""
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -7,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from mdalign.assignment import DomainTag
+from mdalign.assignment import KNOWN_CODE, TARGET_CODE, UNKNOWN_CODE, DomainTag
 from mdalign.data import (
     BatchSampler,
     BatchSpec,
@@ -21,7 +22,6 @@ from mdalign.data import (
     NonFiniteFeatureError,
     SynthConfig,
     apply_feature_shift,
-    evaluation_label,
     idx_load,
     idx_write_images,
     idx_write_labels,
@@ -31,7 +31,6 @@ from mdalign.data import (
     Split,
     reveal_domain_labels,
     synth_make,
-    true_latent_domain,
 )
 from mdalign.experiments import pinned_benchmark
 
@@ -129,15 +128,13 @@ class TestSynthMake:
 
     def test_target_labels_hidden_but_recoverable(self):
         data = synth_make(SynthConfig(seed=3))
-        for s in data.target_test:
-            assert s.class_label is None
-            assert evaluation_label(s) is not None
+        assert (data.target_test.class_labels == -1).all()
+        assert (data.target_test.hidden_labels >= 0).all()
 
     def test_latent_domain_recorded_on_source(self):
         data = synth_make(SynthConfig(n_latent_domains=2, seed=4))
-        domains = {true_latent_domain(s) for s in data.source_train}
-        assert domains == {0, 1}
-        assert all(true_latent_domain(s) is None for s in data.target_train)
+        assert set(data.source_train.hidden_domains.tolist()) == {0, 1}
+        assert (data.target_train.hidden_domains == -1).all()
 
     def test_rotated_domains_fixture_is_solvable(self):
         # two sources rotated +/- 45 degrees, target at 0: the task must be
@@ -178,31 +175,48 @@ class TestSynthMake:
 
 
 class TestSplit:
-    def samples(self):
-        return [
-            LabeledSample(np.full(3, 0.0), 2, DomainTag.known_source(1), dataset_id=0, hidden_latent_domain=1),
-            LabeledSample(np.full(3, 1.0), 0, DomainTag.unknown_source(), hidden_label=0),
-            LabeledSample(np.full(3, 2.0), None, DomainTag.target(), hidden_label=4),
-        ]
+    def split(self):
+        return Split.of(
+            np.repeat([[0.0], [1.0], [2.0]], 3, axis=1),
+            kinds=[KNOWN_CODE, UNKNOWN_CODE, TARGET_CODE],
+            class_labels=[2, 0, -1],
+            known_domains=[1, -1, -1],
+            dataset_ids=[0, -1, -1],
+            hidden_labels=[-1, 0, 4],
+            hidden_domains=[1, -1, -1],
+        )
+
+    def test_of_fills_omitted_columns_with_minus_one(self):
+        split = Split.of(np.zeros((4, 2)), kinds=np.full(4, TARGET_CODE))
+        assert split.kinds.dtype == np.int8
+        for name in ("class_labels", "known_domains", "dataset_ids", "hidden_labels", "hidden_domains"):
+            column = getattr(split, name)
+            assert column.dtype == np.int64 and column.tolist() == [-1] * 4, name
 
     def test_rows_round_trip_and_view_the_features(self):
-        samples = self.samples()
-        split = Split.from_samples(samples)
+        split = self.split()
+        expected = [
+            (2, DomainTag.known_source(1), 0, None, 1),
+            (0, DomainTag.unknown_source(), None, 0, None),
+            (None, DomainTag.target(), None, 4, None),
+        ]
         assert len(split) == 3
-        for i, (row, sample) in enumerate(zip(split, samples)):
+        for i, (row, want) in enumerate(zip(split, expected)):
+            assert isinstance(row, LabeledSample)
             assert np.shares_memory(row.features, split.features)
-            np.testing.assert_array_equal(row.features, sample.features)
-            assert (row.class_label, row.tag, row.dataset_id) == (sample.class_label, sample.tag, sample.dataset_id)
-            assert (row.hidden_label, row.hidden_latent_domain) == (sample.hidden_label, sample.hidden_latent_domain)
+            np.testing.assert_array_equal(row.features, np.full(3, float(i)))
+            assert (row.class_label, row.tag, row.dataset_id, row.hidden_label, row.hidden_latent_domain) == want
         assert split[np.int64(2)].tag == DomainTag.target()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            split[0].class_label = 1
 
     def test_slices_and_index_arrays_give_splits(self):
-        split = Split.from_samples(self.samples())
+        split = self.split()
         tail = split[1:]
         assert isinstance(tail, Split) and len(tail) == 2
         assert np.shares_memory(tail.features, split.features)
         picked = split[np.array([2, 0])]
-        assert [s.class_label for s in picked] == [None, 2]
+        assert picked.class_labels.tolist() == [-1, 2]
 
     def test_whole_split_batch_is_not_copied(self):
         split = synth_make(SynthConfig(seed=2, train_per_domain=10)).source_train
@@ -211,13 +225,11 @@ class TestSplit:
         assert batch.size == len(split)
 
     def test_non_finite_samples_rejected(self):
-        samples = self.samples()
-        samples[1].features = np.array([0.0, np.inf, 0.0])
-        with pytest.raises(NonFiniteFeatureError, match="batch: row 1 "):
-            make_batch(samples)
-        samples[1].features = np.array([0.0, np.nan, 0.0])
-        with pytest.raises(NonFiniteFeatureError, match="batch: row 1 "):
-            make_batch(samples)
+        for bad in (np.inf, np.nan):
+            features = np.zeros((3, 2, 2))
+            features[1, 1, 0] = bad
+            with pytest.raises(NonFiniteFeatureError, match="batch: row 1 "):
+                Split.of(features, kinds=np.full(3, UNKNOWN_CODE), name="batch")
 
 
 class TestImageTransform:
@@ -335,9 +347,9 @@ class TestManifest:
         manifest.write_text(json.dumps(doc))
         data = load_manifest(manifest)
         assert len(data.source_train) == 11
-        assert data.source_train[0].tag == DomainTag.known_source(0)
-        assert data.source_train[5].tag.kind == "unknown-source"
-        assert all(s.class_label is None for s in data.target_train)
+        assert data.source_train.kinds.tolist() == [KNOWN_CODE] * 5 + [UNKNOWN_CODE] * 6
+        assert data.source_train.known_domains.tolist() == [0] * 5 + [-1] * 6
+        assert (data.target_train.class_labels == -1).all()
         assert len(data.target_test) == 7
 
     def test_image_size_mismatch_rejected(self, tmp_path):
@@ -377,14 +389,16 @@ class TestManifest:
 class TestBatchSampler:
     def make_pools(self, n_source=20, n_target=12):
         rng = np.random.default_rng(0)
-        source = [
-            LabeledSample(rng.normal(size=3), i % 3, DomainTag.unknown_source(), hidden_latent_domain=i % 2)
-            for i in range(n_source)
-        ]
-        target = [
-            LabeledSample(rng.normal(size=3), None, DomainTag.target(), hidden_label=i % 3)
-            for i in range(n_target)
-        ]
+        rows = np.arange(n_source)
+        source = Split.of(
+            rng.normal(size=(n_source, 3)),
+            kinds=np.full(n_source, UNKNOWN_CODE),
+            class_labels=rows % 3,
+            hidden_domains=rows % 2,
+        )
+        target = Split.of(
+            rng.normal(size=(n_target, 3)), kinds=np.full(n_target, TARGET_CODE), hidden_labels=np.arange(n_target) % 3
+        )
         return source, target
 
     def test_quota_arithmetic(self):
@@ -426,11 +440,13 @@ class TestBatchSampler:
 
     def test_balanced_dataset_quota(self):
         rng = np.random.default_rng(1)
-        source = [
-            LabeledSample(rng.normal(size=2), 0, DomainTag.unknown_source(), dataset_id=i % 2)
-            for i in range(16)
-        ]
-        target = [LabeledSample(rng.normal(size=2), None, DomainTag.target()) for _ in range(4)]
+        source = Split.of(
+            rng.normal(size=(16, 2)),
+            kinds=np.full(16, UNKNOWN_CODE),
+            class_labels=np.zeros(16),
+            dataset_ids=np.arange(16) % 2,
+        )
+        target = Split.of(rng.normal(size=(4, 2)), kinds=np.full(4, TARGET_CODE))
         sampler = BatchSampler(
             source, target, BatchSpec(source_quota=6, target_quota=2, seed=0, balance_datasets=True)
         )
@@ -457,11 +473,9 @@ class TestBatchSampler:
 
     @pytest.mark.parametrize("balance", sorted(STREAMS))
     def test_same_batch_stream(self, balance):
-        source = [
-            LabeledSample(np.array([float(i)]), i % 4, DomainTag.unknown_source(), dataset_id=i % 3)
-            for i in range(12)
-        ]
-        target = [LabeledSample(np.array([float(100 + i)]), None, DomainTag.target()) for i in range(7)]
+        rows = np.arange(12)
+        source = Split.of(rows[:, None], kinds=np.full(12, UNKNOWN_CODE), class_labels=rows % 4, dataset_ids=rows % 3)
+        target = Split.of(100.0 + np.arange(7)[:, None], kinds=np.full(7, TARGET_CODE))
         spec = BatchSpec(source_quota=5, target_quota=3, seed=7, balance_datasets=balance)
         sampler = BatchSampler(source, target, spec)
         stream = [sampler.next_batch().features[:, 0].astype(int).tolist() for _ in range(4)]
@@ -487,12 +501,12 @@ class TestBatchSampler:
 
 class TestRevealDomainLabel:
     def test_reveal_converts_tag(self):
-        split = Split.from_samples([LabeledSample(np.zeros(2), 1, DomainTag.unknown_source(), hidden_latent_domain=1)])
+        split = Split.of(np.zeros((1, 2)), kinds=[UNKNOWN_CODE], class_labels=[1], hidden_domains=[1])
         revealed = reveal_domain_labels(split)
-        assert revealed[0].tag == DomainTag.known_source(1)
-        assert split[0].tag.kind == "unknown-source"
+        assert (revealed.kinds.tolist(), revealed.known_domains.tolist()) == ([KNOWN_CODE], [1])
+        assert (split.kinds.tolist(), split.known_domains.tolist()) == ([UNKNOWN_CODE], [-1])
 
     def test_reveal_without_ground_truth_fails(self):
-        split = Split.from_samples([LabeledSample(np.zeros(2), 1, DomainTag.unknown_source())])
+        split = Split.of(np.zeros((1, 2)), kinds=[UNKNOWN_CODE], class_labels=[1])
         with pytest.raises(ValueError):
             reveal_domain_labels(split)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from conftest import nearest_centroid_accuracy
 
-from mdalign.data import BatchSpec, synth_make, true_latent_domain
+from mdalign.assignment import KNOWN_CODE, UNKNOWN_CODE
+from mdalign.data import BatchSpec, synth_make
 from mdalign.experiments import (
     ExperimentConfig,
     _reveal_fraction,
@@ -26,10 +27,9 @@ class TestPinnedBenchmark:
         the symmetric shifts, even for the pooled-centroid oracle."""
         data = synth_make(pinned_benchmark())
         assert nearest_centroid_accuracy(data.source_train, data.target_test) > 0.9
-        by_domain = {}
-        for s in data.source_train:
-            by_domain.setdefault(true_latent_domain(s), []).append(s)
-        for group in by_domain.values():
+        source = data.source_train
+        for domain in np.unique(source.hidden_domains):
+            group = source[source.hidden_domains == domain]
             half = len(group) // 2
             acc = nearest_centroid_accuracy(group[:half], group[half:])
             assert acc > 0.85
@@ -38,12 +38,8 @@ class TestPinnedBenchmark:
         """Raw-space neighbors of target samples are systematically
         cross-class: the domain shift entangles the clusters."""
         data = synth_make(pinned_benchmark())
-        train_x = np.stack([s.features for s in data.source_train])
-        train_y = np.array([s.class_label for s in data.source_train])
-        test_x = np.stack([s.features for s in data.target_test])
-        from mdalign.data import evaluation_label
-
-        test_y = np.array([evaluation_label(s) for s in data.target_test])
+        train_x, train_y = data.source_train.features, data.source_train.class_labels
+        test_x, test_y = data.target_test.features, data.target_test.hidden_labels
         d2 = ((test_x[:, None, :] - train_x[None]) ** 2).sum(axis=2)
         nn_acc = float(np.mean(train_y[np.argmin(d2, axis=1)] == test_y))
         assert nn_acc < 0.5
@@ -61,17 +57,17 @@ class TestRevealFraction:
     def test_zero_reveals_none(self):
         samples = self.make_samples()
         out = _reveal_fraction(samples, 0.0, seed=0)
-        assert all(s.tag.kind == "unknown-source" for s in out)
+        assert (out.kinds == UNKNOWN_CODE).all()
 
     def test_one_reveals_all(self):
         out = _reveal_fraction(self.make_samples(), 1.0, seed=0)
-        assert all(s.tag.kind == "known-source" for s in out)
-        assert all(s.tag.index == true_latent_domain(s) for s in out)
+        assert (out.kinds == KNOWN_CODE).all()
+        np.testing.assert_array_equal(out.known_domains, out.hidden_domains)
 
     def test_subsets_are_nested(self):
         samples = self.make_samples()
-        small = {i for i, s in enumerate(_reveal_fraction(samples, 0.1, seed=3)) if s.tag.kind == "known-source"}
-        large = {i for i, s in enumerate(_reveal_fraction(samples, 0.5, seed=3)) if s.tag.kind == "known-source"}
+        small = set(np.flatnonzero(_reveal_fraction(samples, 0.1, seed=3).kinds == KNOWN_CODE))
+        large = set(np.flatnonzero(_reveal_fraction(samples, 0.5, seed=3).kinds == KNOWN_CODE))
         assert small <= large
         assert len(small) == 4 and len(large) == 20
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from mdalign.alignment import AlignConfig
-from mdalign.assignment import Assignment, DomainTag
-from mdalign.data import Batch, LabeledSample, make_batch
+from mdalign.assignment import KNOWN_CODE, TARGET_CODE, UNKNOWN_CODE, Assignment
+from mdalign.data import Batch, Split, make_batch
 from mdalign.losses import LossWeights
 from mdalign.model import (
     CheckpointError,
@@ -34,18 +34,20 @@ E2E_TOL = 1e-4
 
 
 def make_mixed_batch(rng, n_known=2, n_unknown=2, n_target=2, dim=4, classes=3, k=2):
-    samples = []
-    for i in range(n_known):
-        samples.append(
-            LabeledSample(rng.normal(size=dim), int(rng.integers(0, classes)), DomainTag.known_source(i % k))
+    """Known-source rows (domain i % k), then unknown-source rows, then target rows.
+
+    Each source row draws its features, then its label; target rows draw features only.
+    """
+    source = [(rng.normal(size=dim), rng.integers(0, classes)) for _ in range(n_known + n_unknown)]
+    target = rng.normal(size=(n_target, dim))
+    return make_batch(
+        Split.of(
+            np.vstack([x for x, _ in source] + [target]),
+            kinds=[KNOWN_CODE] * n_known + [UNKNOWN_CODE] * n_unknown + [TARGET_CODE] * n_target,
+            class_labels=[y for _, y in source] + [-1] * n_target,
+            known_domains=[i % k for i in range(n_known)] + [-1] * (n_unknown + n_target),
         )
-    for _ in range(n_unknown):
-        samples.append(
-            LabeledSample(rng.normal(size=dim), int(rng.integers(0, classes)), DomainTag.unknown_source())
-        )
-    for _ in range(n_target):
-        samples.append(LabeledSample(rng.normal(size=dim), None, DomainTag.target()))
-    return make_batch(samples)
+    )
 
 
 def first_rows(batch, n):
@@ -119,11 +121,7 @@ class TestForwardTrain:
     def test_all_known_single_domain_equals_plain_batchnorm_network(self):
         """k=1 with every row hard-assigned reduces to a plain-BN network."""
         rng = np.random.default_rng(3)
-        samples = [
-            LabeledSample(rng.normal(size=4), int(rng.integers(0, 3)), DomainTag.known_source(0))
-            for _ in range(8)
-        ]
-        batch = make_batch(samples)
+        batch = make_mixed_batch(rng, n_known=8, n_unknown=0, n_target=0, k=1)
         model = Model(tiny_config(k=1))
         record = forward_train(model, batch)
 
@@ -238,11 +236,7 @@ class TestBackwardTrain:
 
     def test_branch_gradients_vanish_when_all_domains_known(self):
         rng = np.random.default_rng(9)
-        samples = [
-            LabeledSample(rng.normal(size=4), int(rng.integers(0, 3)), DomainTag.known_source(i % 2))
-            for i in range(6)
-        ]
-        batch = make_batch(samples)
+        batch = make_mixed_batch(rng, n_known=6, n_unknown=0, n_target=0)
         model = Model(tiny_config())
         weights = LossWeights(domain_ce=0.0, class_entropy=0.0, domain_entropy=0.0)
         record = forward_train(model, batch)
@@ -252,11 +246,7 @@ class TestBackwardTrain:
 
     def test_class_loss_ignores_branch_when_all_domains_known(self):
         rng = np.random.default_rng(10)
-        samples = [
-            LabeledSample(rng.normal(size=4), int(rng.integers(0, 3)), DomainTag.known_source(i % 2))
-            for i in range(6)
-        ]
-        batch = make_batch(samples)
+        batch = make_mixed_batch(rng, n_known=6, n_unknown=0, n_target=0)
         model = Model(tiny_config())
         weights = LossWeights(domain_ce=0.5, class_entropy=0.0, domain_entropy=0.0)
         before = compute_loss(forward_train(model, batch, update_running=False), batch, weights)
@@ -341,7 +331,7 @@ class TestForwardEval:
         rng = np.random.default_rng(13)
         model = Model(tiny_config())
         forward_train(model, make_mixed_batch(rng))
-        single = make_batch([LabeledSample(rng.normal(size=4), None, DomainTag.target())])
+        single = make_mixed_batch(rng, n_known=0, n_unknown=0, n_target=1)
         record = forward_eval(model, single)
         assert record.class_probs.shape == (1, 3)
         np.testing.assert_allclose(record.class_probs.sum(axis=1), 1.0, atol=1e-12)
