@@ -163,9 +163,19 @@ class RunningStats:
         return self.count > 0
 
     def update(self, stats: DomainStats, momentum: float) -> None:
-        live = stats.live[:, None]
-        np.copyto(self.mean, (1.0 - momentum) * self.mean + momentum * stats.mean, where=live)
-        np.copyto(self.var, (1.0 - momentum) * self.var + momentum * stats.var, where=live)
+        """avg <- (1 - momentum) * avg + momentum * batch for the live domains' mean and var.
+
+        With every domain live the update runs in place, in the same operation
+        order; dead domains keep their averages through a masked copy.
+        """
+        if stats.live.all():
+            for avg, batch in ((self.mean, stats.mean), (self.var, stats.var)):
+                avg *= 1.0 - momentum
+                avg += momentum * batch
+        else:
+            live = stats.live[:, None]
+            np.copyto(self.mean, (1.0 - momentum) * self.mean + momentum * stats.mean, where=live)
+            np.copyto(self.var, (1.0 - momentum) * self.var + momentum * stats.var, where=live)
         self.count += stats.live
 
 
@@ -229,7 +239,7 @@ class AlignmentLayer:
         y += self.beta.value[None, :, None]
         return mix_scale, y_mix, y
 
-    def forward(self, x: np.ndarray, assignment, update_running: bool = True):
+    def forward(self, x: np.ndarray, assignment, update_running: bool = True, aw: AlphaWeights | None = None):
         """Normalize a training batch with per-domain batch statistics.
 
         Returns (y, cache); the cache feeds backward().  Running statistics
@@ -238,11 +248,17 @@ class AlignmentLayer:
         A domain whose column carries weight but has no batch mass falls back
         to its running statistics, treated as constants; if those were never
         initialized the batch is degenerate and an error is raised.
+
+        aw is compute_alpha(assignment.probs, cfg.zero_mass_threshold) when
+        given: the layers of one pass share one assignment matrix, so a model
+        normalizes its columns once and hands the same read-only weights to
+        each layer.  Left out, the layer computes them itself.
         """
         w = assignment.probs
         self._check(x, w)
         xr = _as_bcm(x)
-        aw = compute_alpha(w, self.cfg.zero_mass_threshold)
+        if aw is None:
+            aw = compute_alpha(w, self.cfg.zero_mass_threshold)
         sample_mean, sample_sq = _sample_moments(xr)
         stats = _domain_moments(aw, sample_mean, sample_sq)
 
@@ -272,7 +288,7 @@ class AlignmentLayer:
             sample_mean=sample_mean,
             sample_sq=sample_sq,
             w=w,
-            fixed=np.asarray(assignment.fixed, dtype=bool),
+            fixed=assignment.fixed,
             aw=aw,
             mean=mean,
             inv_std=inv_std,
@@ -288,8 +304,9 @@ class AlignmentLayer:
         domain's mean and variance; grad_w covers the direct mixing path plus
         the path through the column-normalized weights, whose normalizer
         couples all samples in a domain.  Fixed assignment rows always come
-        back with exactly zero gradient.  Fallback domains normalized with
-        running statistics contribute only direct paths, since running
+        back with exactly zero gradient, so when every row is fixed grad_w is
+        returned as zeros without being built.  Fallback domains normalized
+        with running statistics contribute only direct paths, since running
         estimates are treated as constants.  The per-sample moments of the
         input come from the cache, as forward() computed them.
         """
@@ -335,6 +352,8 @@ class AlignmentLayer:
             paths /= n_pos
         grad_x = gy * cache.mix_scale[:, :, None]
         grad_x -= paths
+        if cache.fixed.all():
+            return grad_x.reshape(cache.x_shape), np.zeros_like(w), grad_gamma, grad_beta
 
         # Direct path of the assignment gradient: sum over channels and
         # positions of gy * xhat per domain.
@@ -349,7 +368,7 @@ class AlignmentLayer:
             g_alpha = -(
                 sample_mean @ h1.T
                 + sample_sq @ h2.T
-                - 2.0 * sample_mean @ (mu * h2).T
+                - 2.0 * (sample_mean @ (mu * h2).T)
                 + (mu**2 * h2).sum(axis=1)[None, :]
             )
             # project through alpha = w / column_total

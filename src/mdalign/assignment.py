@@ -178,9 +178,6 @@ class DomainPredictor:
         self.b2 = ParamBlock(np.zeros(k))
         self.k = k
 
-    def params(self) -> list[ParamBlock]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
     def logits(self, features: np.ndarray):
         """Returns (logits, cache): unnormalized scores over the k domains."""
         z1 = dense_forward(features, self.w1.value, self.b1.value)

@@ -221,12 +221,13 @@ def apply_feature_shift(x: np.ndarray, shift: FeatureShift, rng: np.random.Gener
     """Apply a domain transform to [n, dim] feature rows."""
     out = np.array(x, dtype=np.float64)
     if shift.rotation != 0.0:
+        # rotate each coordinate pair (0, 1), (2, 3), ...; an odd last column stays
         c, s = np.cos(shift.rotation), np.sin(shift.rotation)
-        for j in range(0, out.shape[1] - 1, 2):
-            a = out[:, j].copy()
-            b = out[:, j + 1].copy()
-            out[:, j] = c * a - s * b
-            out[:, j + 1] = s * a + c * b
+        p = out.shape[1] // 2 * 2
+        a = out[:, 0:p:2].copy()
+        b = out[:, 1:p:2].copy()
+        out[:, 0:p:2] = c * a - s * b
+        out[:, 1:p:2] = s * a + c * b
     out *= np.asarray(shift.scale, dtype=np.float64)
     out += np.asarray(shift.offset, dtype=np.float64)
     if shift.permutation is not None:

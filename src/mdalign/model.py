@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .alignment import AlignConfig, AlignmentLayer
+from .alignment import AlignConfig, AlignmentLayer, compute_alpha
 from .assignment import Assignment, DomainPredictor, merge_assignments
 from .data import Batch
 from .losses import (
@@ -217,7 +217,9 @@ def _forward(
     Training mode normalizes with batch statistics and keeps every activation
     backward_train needs; evaluation mode normalizes with running statistics
     and keeps none, so that a whole split can be evaluated in one call.  The
-    predictor runs on every non-target sample in both modes.
+    predictor runs on every non-target sample in both modes.  Every alignment
+    layer shares cfg.align and the one assignment matrix, so training mode
+    column-normalizes it once for all of them.
     """
     trunk_caches = [] if train else None
     h = _trunk_forward(model, batch.features, trunk_caches)
@@ -233,6 +235,7 @@ def _forward(
         assignment = Assignment(np.ones((batch.size, 1)), np.ones(batch.size, dtype=bool))
     elif assignment is None:
         assignment = merge_assignments(domain_probs, batch.kinds, batch.known_domains)
+    aw = compute_alpha(assignment.probs, model.cfg.align.zero_mass_threshold) if train else None
 
     cls_caches = []
     last = len(model.classifier) - 1
@@ -241,7 +244,7 @@ def _forward(
         align_cache = None
         if j in model.align_layers:
             if train:
-                z, align_cache = model.align_layers[j].forward(z, assignment, update_running)
+                z, align_cache = model.align_layers[j].forward(z, assignment, update_running, aw)
             else:
                 z = model.align_layers[j].infer(z, assignment)
         if train:
@@ -342,9 +345,7 @@ def backward_train(
         record.class_probs[src], batch.class_labels[src]
     )
     if weights.class_entropy > 0 and tgt.any():
-        g_probs = np.zeros((b, n_classes))
-        g_probs[tgt] = weights.class_entropy * g_class_ent
-        g_logits += softmax_backward(record.class_probs, g_probs)
+        g_logits[tgt] += softmax_backward(record.class_probs[tgt], weights.class_entropy * g_class_ent)
 
     # classifier stack, collecting assignment gradients on the way down
     grad = g_logits

@@ -89,11 +89,16 @@ def sgd_step(params, lr: float, momentum: float = 0.9, weight_decay: float = 0.0
 
     Updates each block's arrays in place, element-wise: stepping a Model's arena
     [model.flat] gives the bits of stepping model.parameters() block by block.
+    One scratch array per block holds weight_decay * value + grad, then
+    lr * buffer; each element is rounded as in the two formulas above.
     """
     for p in params:
+        step = weight_decay * p.value
+        step += p.grad
         p.momentum *= momentum
-        p.momentum += p.grad + weight_decay * p.value
-        p.value -= lr * p.momentum
+        p.momentum += step
+        np.multiply(p.momentum, lr, out=step)
+        p.value -= step
 
 
 def lr_at(cfg: TrainConfig, iteration: int) -> float:
@@ -177,7 +182,16 @@ def train(model: Model, data: Dataset, cfg: TrainConfig) -> tuple[Model, list[Me
     Fully deterministic for a given (model seed, config, data): the batch
     sampler follows cfg.seed when the batch spec leaves its seed unset.  A
     non-finite loss aborts with the iteration and per-term diagnostics.
+    Without target rows in a batch (batch.target_quota 0) the target's running
+    statistics are never estimated, so only a whole_batch_norm model, which
+    has no target domain, can then be evaluated; any other model is refused
+    with ValueError before the first iteration.
     """
+    if cfg.batch.target_quota < 1 and not model.cfg.whole_batch_norm:
+        raise ValueError(
+            "batch.target_quota must be >= 1 unless the model is whole_batch_norm: "
+            "evaluation needs the target domain's running statistics"
+        )
     batch_spec = cfg.batch if cfg.batch.seed is not None else replace(cfg.batch, seed=cfg.seed)
     sampler = BatchSampler(data.source_train, data.target_train, batch_spec)
     rows: list[MetricsRow] = []

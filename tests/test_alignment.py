@@ -12,6 +12,8 @@ import pytest
 from mdalign.alignment import (
     AlignConfig,
     AlignmentLayer,
+    DomainStats,
+    RunningStats,
     UninitializedStatsError,
     compute_alpha,
     weighted_moments,
@@ -283,6 +285,26 @@ class TestForward:
             layer.forward(np.zeros((3, 1)), raw_assignment(np.ones((3, 3)) / 3))
 
 
+class TestRunningStats:
+    @pytest.mark.parametrize("dead", [None, 1])
+    def test_update_matches_masked_formula(self, dead):
+        """In-place updates of live domains give the bytes of the masked copy."""
+        rng = np.random.default_rng(70)
+        running = RunningStats(3, 5)
+        mean, var = running.mean.copy(), running.var.copy()
+        live = np.ones(3, dtype=bool)
+        if dead is not None:
+            live[dead] = False
+        for momentum in (0.1, 0.3, 1.0):
+            stats = DomainStats(mean=rng.normal(size=(3, 5)), var=rng.uniform(0.1, 2.0, size=(3, 5)), live=live)
+            np.copyto(mean, (1.0 - momentum) * mean + momentum * stats.mean, where=live[:, None])
+            np.copyto(var, (1.0 - momentum) * var + momentum * stats.var, where=live[:, None])
+            running.update(stats, momentum)
+            assert running.mean.tobytes() == mean.tobytes()
+            assert running.var.tobytes() == var.tobytes()
+        assert running.count.tolist() == [3 if d else 0 for d in live]
+
+
 def random_assignment(rng, b, k, mixed):
     """Rows over k source domains plus the target column.
 
@@ -346,6 +368,36 @@ class TestBackward:
         _, grad_w, _, _ = layer.backward(cache, rng.normal(size=x.shape))
         assert not grad_w[fixed].any()
         assert grad_w[~fixed].any()
+
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_all_fixed_gradients_match_finite_differences(self, rank):
+        """With every row fixed, grad_x, grad_gamma and grad_beta stay exact and grad_w is zero.
+
+        The oracle grid always has free rows, so it never takes this path.
+        """
+        rng = np.random.default_rng(60 + rank)
+        b, c, tol = 9, 3, 1e-5
+        shape = (b, c) if rank == 2 else (b, c, 2, 2)
+        probs = np.zeros((b, 3))
+        probs[np.arange(5), [0, 1, 2, 0, 2]] = 1.0
+        probs[5:] = rng.dirichlet(np.ones(3), size=b - 5)
+        assignment = raw_assignment(probs, np.ones(b, dtype=bool))
+        layer = AlignmentLayer(c, 3, AlignConfig(affine=True))
+        layer.gamma.value[...] = rng.uniform(0.5, 1.5, size=c)
+        layer.beta.value[...] = rng.normal(size=c) * 0.3
+        x = rng.normal(size=shape)
+        probe = rng.normal(size=shape)
+
+        def loss():
+            y, _ = layer.forward(x, assignment, update_running=False)
+            return float((y * probe).sum())
+
+        _, cache = layer.forward(x, assignment, update_running=False)
+        grad_x, grad_w, grad_gamma, grad_beta = layer.backward(cache, probe)
+        assert not grad_w.any()
+        assert max_relative_error(grad_x, central_difference(loss, x)) <= tol
+        assert max_relative_error(grad_gamma, central_difference(loss, layer.gamma.value)) <= tol
+        assert max_relative_error(grad_beta, central_difference(loss, layer.beta.value)) <= tol
 
     def test_gradient_oracle_grid(self):
         """Analytic gradients vs central finite differences over >= 20 configs."""
@@ -456,10 +508,21 @@ def reference_step(layer, x, assignment, grad_out):
 
 
 class TestReferenceArithmetic:
-    @pytest.mark.parametrize("rank", [2, 4])
-    @pytest.mark.parametrize("affine", [True, False])
-    def test_bit_identical_to_reference(self, rank, affine):
-        """Columns: two live, one dead (no weight), one falling back to running statistics; fixed rows."""
+    @pytest.mark.parametrize(
+        "affine, rank, all_fixed",
+        [
+            pytest.param(affine, rank, all_fixed, id=f"{affine}-{rank}" + ("-all_fixed" if all_fixed else ""))
+            for all_fixed in (False, True)
+            for affine in (True, False)
+            for rank in (2, 4)
+        ],
+    )
+    def test_bit_identical_to_reference(self, affine, rank, all_fixed):
+        """Columns: two live, one dead (no weight), one falling back to running statistics.
+
+        Rows 0-3 are fixed, or every row when all_fixed; then backward
+        returns zeros for grad_w without building it.
+        """
         rng = np.random.default_rng(30 + rank + affine)
         b, c = 24, 7
         shape = (b, c) if rank == 2 else (b, c, 3, 2)
@@ -474,7 +537,7 @@ class TestReferenceArithmetic:
         probs[:4] = [1.0, 0.0, 0.0, 0.0]
         probs[4:7, 3] = 1e-9
         fixed = np.zeros(b, dtype=bool)
-        fixed[:4] = True
+        fixed[: b if all_fixed else 4] = True
         assignment = raw_assignment(probs, fixed)
         x = rng.normal(size=shape) * 3.0 - 0.5
         probe = rng.normal(size=shape)
@@ -483,6 +546,7 @@ class TestReferenceArithmetic:
         y, cache = layer.forward(x, assignment)
         got = (y,) + layer.backward(cache, probe)
         assert not cache.aw.live[2] and not cache.aw.live[3] and cache.inv_std[3].all()
+        assert got[2].any() != all_fixed
         for name, e, g in zip(("y", "grad_x", "grad_w", "grad_gamma", "grad_beta"), expected, got):
             if e is None:
                 assert g is None, name

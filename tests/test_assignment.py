@@ -163,7 +163,7 @@ class TestDomainPredictor:
 
         probs, cache = head.forward(x)
         g_logits = softmax_backward(probs, probe)
-        for p in head.params():
+        for p in (head.w1, head.b1, head.w2, head.b2):
             p.zero_grad()
         g_in = head.backward(cache, g_logits)
 

@@ -41,8 +41,15 @@ def test_pinned_grid_benchmark_runs_correct():
 
 
 def test_benchmark_hooks_resolve():
-    """Every function the traced benchmark wraps still exists where the benchmark looks it up."""
+    """Every function the traced benchmark wraps still exists where the benchmark looks it up.
+
+    The throughput metrics read the training.sgd_step spans, so a 3-iteration
+    train must pass through that wrapper once per iteration.
+    """
     from mdalign import training
+    from mdalign.data import BatchSpec, SynthConfig, synth_make
+    from mdalign.losses import LossWeights
+    from mdalign.model import Model, ModelConfig
 
     sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
     try:
@@ -54,6 +61,12 @@ def test_benchmark_hooks_resolve():
     try:
         spans.instrument(tracer)
         assert training.forward_train.__wrapped__ is original
+        cfg = training.TrainConfig(iterations=3, weights=LossWeights(0.0, 0.0, 0.0),
+                                   batch=BatchSpec(source_quota=8, target_quota=8))
+        data = synth_make(SynthConfig(train_per_domain=20, test_per_domain=20))
+        training.train(Model(ModelConfig(in_dim=6, n_classes=4)), data, cfg)
+        assert [s[0] for s in tracer.spans].count("training.sgd_step") == 3
+        assert tracer.counts["training.iterations"] == 3
     finally:
         tracer.restore()
     assert training.forward_train is original

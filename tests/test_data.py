@@ -51,6 +51,18 @@ class TestFeatureShift:
         back = apply_feature_shift(fwd, FeatureShift(rotation=-0.7), rng)
         np.testing.assert_allclose(back, x, atol=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 4, 5])
+    def test_rotation_turns_each_pair_and_keeps_an_odd_last_column(self, dim):
+        """Bytes of rotating pair by pair in a loop, odd dimensions included."""
+        x = np.random.default_rng(2).normal(size=(6, dim))
+        out = apply_feature_shift(x, FeatureShift(rotation=0.7), np.random.default_rng(0))
+        c, s = np.cos(0.7), np.sin(0.7)
+        expected = x.copy()
+        for j in range(0, dim - 1, 2):
+            expected[:, j] = c * x[:, j] - s * x[:, j + 1]
+            expected[:, j + 1] = s * x[:, j] + c * x[:, j + 1]
+        assert out.tobytes() == expected.tobytes()
+
     def test_offset_and_scale(self):
         x = np.ones((2, 2))
         out = apply_feature_shift(x, FeatureShift(offset=(1.0, -1.0), scale=2.0), np.random.default_rng(0))

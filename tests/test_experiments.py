@@ -112,6 +112,54 @@ class TestRunnerContracts:
         rows = run_baseline_grid(base, [0])
         assert [r["config"] for r in rows] == ["source_only", "unified", "discovery", "multi_source"]
 
+    def test_skipped_assignment_gradient_changes_no_bit(self, monkeypatch):
+        """All four baselines train to the same bytes when backward always builds the full assignment gradient.
+
+        source_only and multi_source fix every assignment row, so their layers
+        skip that gradient; the patched backward builds it, then zeroes the fixed rows.
+        """
+        from dataclasses import replace
+
+        from mdalign import experiments
+        from mdalign.alignment import AlignmentLayer
+
+        base = quick_experiment()
+        base = replace(base, train=replace(base.train, iterations=20, eval_every=20))
+        inner = experiments.train
+
+        def trained_states():
+            states = []
+
+            def keep(model, data, cfg):
+                out = inner(model, data, cfg)
+                states.append([model.flat.value, model.flat.grad, model.flat.momentum] + [
+                    a for layer in model.align_layers.values()
+                    for a in (layer.running.mean, layer.running.var, layer.running.count)
+                ])
+                return out
+
+            monkeypatch.setattr(experiments, "train", keep)
+            run_baseline_grid(base, [0])
+            return states
+
+        skipping = trained_states()
+        backward = AlignmentLayer.backward
+        all_fixed = []
+
+        def full_backward(layer, cache, grad_out):
+            fixed = cache.fixed
+            all_fixed.append(bool(fixed.all()))
+            out = backward(layer, replace(cache, fixed=np.zeros_like(fixed)), grad_out)
+            out[1][fixed] = 0.0
+            return out
+
+        monkeypatch.setattr(AlignmentLayer, "backward", full_backward)
+        building = trained_states()
+        assert any(all_fixed) and not all(all_fixed)
+        assert len(skipping) == len(building) == 4
+        for label, a, b in zip(experiments.BASELINES, skipping, building):
+            assert [x.tobytes() for x in a] == [y.tobytes() for y in b], label
+
     def test_summarize_reports_median_and_mean(self):
         rows = [
             {"k": 2, "acc": 0.5},

@@ -241,7 +241,7 @@ class TestBackwardTrain:
         weights = LossWeights(domain_ce=0.0, class_entropy=0.0, domain_entropy=0.0)
         record = forward_train(model, batch)
         backward_train(model, record, batch, weights)
-        for p in model.branch.params():
+        for p in model.param_groups()["branch"]:
             assert not p.grad.any()
 
     def test_class_loss_ignores_branch_when_all_domains_known(self):

@@ -48,6 +48,21 @@ class TestSgdStep:
         np.testing.assert_allclose(p.value, [0.99], atol=1e-15)
 
 
+    def test_matches_three_temporary_formula(self):
+        """Five steps with weight decay give the bytes of the formula as first written."""
+        rng = np.random.default_rng(5)
+        p = ParamBlock(rng.normal(size=(7, 3)))
+        value, buffer = p.value.copy(), p.momentum.copy()
+        for step in range(5):
+            lr = 0.05 / (step + 1)
+            p.grad[...] = rng.normal(size=(7, 3))
+            sgd_step([p], lr, momentum=0.9, weight_decay=1e-3)
+            buffer = buffer * 0.9 + (p.grad + 1e-3 * value)
+            value = value - lr * buffer
+            assert p.momentum.tobytes() == buffer.tobytes()
+            assert p.value.tobytes() == value.tobytes()
+
+
 class TestTrainConfig:
     def test_class_entropy_needs_target_rows(self):
         with pytest.raises(ValueError, match="target_quota"):
@@ -262,6 +277,24 @@ class TestTrainLoop:
         for j, layer in model.align_layers.items():
             assert layer.running.mean.tobytes() == per_block.align_layers[j].running.mean.tobytes()
             assert layer.running.var.tobytes() == per_block.align_layers[j].running.var.tobytes()
+
+    def test_no_target_rows_needs_whole_batch_norm(self, monkeypatch):
+        """Without target rows only a whole_batch_norm model can be evaluated; others fail before iterating."""
+        data = synth_make(quick_task())
+        cfg = quick_train_cfg(
+            iterations=3, eval_every=3, weights=LossWeights(0.0, 0.0, 0.0),
+            batch=BatchSpec(source_quota=8, target_quota=0),
+        )
+        calls = []
+        forward_train = training.forward_train
+        monkeypatch.setattr(training, "forward_train", lambda *a: calls.append(1) or forward_train(*a))
+        with pytest.raises(ValueError, match=r"batch\.target_quota.*whole_batch_norm"):
+            train(quick_model(), data, cfg)
+        assert calls == []
+        whole = Model(ModelConfig(in_dim=4, n_classes=3, trunk_widths=(16,), classifier_widths=(16,),
+                                  whole_batch_norm=True))
+        _, rows = train(whole, data, cfg)
+        assert len(calls) == 3 and [r.iteration for r in rows] == [3]
 
     def test_patch_mode_trains_through_spatial_features(self):
         from dataclasses import replace
