@@ -165,17 +165,11 @@ class RunningStats:
     def update(self, stats: DomainStats, momentum: float) -> None:
         """avg <- (1 - momentum) * avg + momentum * batch for the live domains' mean and var.
 
-        With every domain live the update runs in place, in the same operation
-        order; dead domains keep their averages through a masked copy.
+        Dead domains' rows are left untouched.
         """
-        if stats.live.all():
-            for avg, batch in ((self.mean, stats.mean), (self.var, stats.var)):
-                avg *= 1.0 - momentum
-                avg += momentum * batch
-        else:
-            live = stats.live[:, None]
-            np.copyto(self.mean, (1.0 - momentum) * self.mean + momentum * stats.mean, where=live)
-            np.copyto(self.var, (1.0 - momentum) * self.var + momentum * stats.var, where=live)
+        live = stats.live[:, None]
+        np.copyto(self.mean, (1.0 - momentum) * self.mean + momentum * stats.mean, where=live)
+        np.copyto(self.var, (1.0 - momentum) * self.var + momentum * stats.var, where=live)
         self.count += stats.live
 
 
@@ -239,6 +233,10 @@ class AlignmentLayer:
         y += self.beta.value[None, :, None]
         return mix_scale, y_mix, y
 
+    def alpha(self, assignment) -> AlphaWeights:
+        """The assignment's column-normalized weights under this layer's zero-mass threshold."""
+        return compute_alpha(assignment.probs, self.cfg.zero_mass_threshold)
+
     def forward(self, x: np.ndarray, assignment, update_running: bool = True, aw: AlphaWeights | None = None):
         """Normalize a training batch with per-domain batch statistics.
 
@@ -249,16 +247,18 @@ class AlignmentLayer:
         to its running statistics, treated as constants; if those were never
         initialized the batch is degenerate and an error is raised.
 
-        aw is compute_alpha(assignment.probs, cfg.zero_mass_threshold) when
-        given: the layers of one pass share one assignment matrix, so a model
-        normalizes its columns once and hands the same read-only weights to
-        each layer.  Left out, the layer computes them itself.
+        aw, when given, must be alpha(assignment) of a layer with this
+        layer's AlignConfig: the layers of one pass share one assignment
+        matrix, so a model normalizes its columns once and hands the same
+        read-only weights to each layer.  Left out, the layer computes them.
         """
         w = assignment.probs
         self._check(x, w)
         xr = _as_bcm(x)
         if aw is None:
-            aw = compute_alpha(w, self.cfg.zero_mass_threshold)
+            aw = self.alpha(assignment)
+        elif aw.alpha.shape != w.shape:
+            raise ValueError(f"alpha weights {aw.alpha.shape} do not match assignment {w.shape}")
         sample_mean, sample_sq = _sample_moments(xr)
         stats = _domain_moments(aw, sample_mean, sample_sq)
 

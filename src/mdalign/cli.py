@@ -31,7 +31,7 @@ from .experiments import (
 )
 from .losses import LossWeights
 from .model import Model, ModelConfig, save_checkpoint
-from .training import NumericalAbortError, TrainConfig, metrics_csv_lines, train
+from .training import NumericalAbortError, TrainConfig, check_target_rows, metrics_csv_lines, train
 from .verification import LAYER_TOLERANCE, MODEL_TOLERANCE, run_gradient_audit
 
 __all__ = ["entry", "main"]
@@ -191,11 +191,10 @@ def resolve_config(doc: dict):
         want, size = getattr(train_cfg.batch, quota), len(getattr(dataset, pool))
         if want > size:
             raise ConfigError(f"train.batch.{quota}: {want} exceeds the {size} rows of {pool}")
-    if train_cfg.batch.target_quota == 0 and not model_cfg.whole_batch_norm:
-        raise ConfigError(
-            "train.batch.target_quota: 0 leaves the target column without running statistics, "
-            "which evaluation needs unless model.whole_batch_norm is set"
-        )
+    try:
+        check_target_rows(model_cfg, train_cfg.batch)
+    except ValueError as err:
+        raise ConfigError(f"train.{err}") from err
     return dataset, model_cfg, train_cfg, synth_cfg
 
 

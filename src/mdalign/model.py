@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .alignment import AlignConfig, AlignmentLayer, compute_alpha
+from .alignment import AlignConfig, AlignmentLayer
 from .assignment import Assignment, DomainPredictor, merge_assignments
 from .data import Batch
 from .losses import (
@@ -235,7 +235,8 @@ def _forward(
         assignment = Assignment(np.ones((batch.size, 1)), np.ones(batch.size, dtype=bool))
     elif assignment is None:
         assignment = merge_assignments(domain_probs, batch.kinds, batch.known_domains)
-    aw = compute_alpha(assignment.probs, model.cfg.align.zero_mass_threshold) if train else None
+    first_align = next(iter(model.align_layers.values()), None)
+    aw = first_align.alpha(assignment) if train and first_align is not None else None
 
     cls_caches = []
     last = len(model.classifier) - 1

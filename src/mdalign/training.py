@@ -9,13 +9,14 @@ import numpy as np
 
 from .data import BatchSampler, BatchSpec, Dataset, make_batch
 from .losses import LossBreakdown, LossWeights
-from .model import Model, backward_train, calibrate_predictor, forward_eval, forward_train
+from .model import Model, ModelConfig, backward_train, calibrate_predictor, forward_eval, forward_train
 
 __all__ = [
     "MetricsRow",
     "NumericalAbortError",
     "TrainConfig",
     "accuracy",
+    "check_target_rows",
     "domain_discovery_metrics",
     "evaluate_model",
     "lr_at",
@@ -176,22 +177,30 @@ def evaluate_model(model: Model, data: Dataset) -> tuple[float, float, float]:
     return acc, nmi, purity
 
 
+def check_target_rows(model_cfg: ModelConfig, batch: BatchSpec) -> None:
+    """Raise ValueError for batches without target rows unless the model is whole_batch_norm.
+
+    Without target rows the target domain's running statistics are never
+    estimated; only a whole_batch_norm model, which has no target domain,
+    can then be evaluated.
+    """
+    if batch.target_quota == 0 and not model_cfg.whole_batch_norm:
+        raise ValueError(
+            "batch.target_quota: 0 leaves the target column without running statistics, "
+            "which evaluation needs unless model.whole_batch_norm is set"
+        )
+
+
 def train(model: Model, data: Dataset, cfg: TrainConfig) -> tuple[Model, list[MetricsRow]]:
     """Run the optimization loop; returns the model and the metrics table.
 
     Fully deterministic for a given (model seed, config, data): the batch
     sampler follows cfg.seed when the batch spec leaves its seed unset.  A
     non-finite loss aborts with the iteration and per-term diagnostics.
-    Without target rows in a batch (batch.target_quota 0) the target's running
-    statistics are never estimated, so only a whole_batch_norm model, which
-    has no target domain, can then be evaluated; any other model is refused
-    with ValueError before the first iteration.
+    check_target_rows refuses a batch spec without target rows before the
+    first iteration.
     """
-    if cfg.batch.target_quota < 1 and not model.cfg.whole_batch_norm:
-        raise ValueError(
-            "batch.target_quota must be >= 1 unless the model is whole_batch_norm: "
-            "evaluation needs the target domain's running statistics"
-        )
+    check_target_rows(model.cfg, cfg.batch)
     batch_spec = cfg.batch if cfg.batch.seed is not None else replace(cfg.batch, seed=cfg.seed)
     sampler = BatchSampler(data.source_train, data.target_train, batch_spec)
     rows: list[MetricsRow] = []

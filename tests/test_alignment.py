@@ -279,6 +279,18 @@ class TestForward:
         with pytest.raises(UninitializedStatsError):
             layer.forward(x, raw_assignment(w))
 
+    def test_shared_alpha_gives_the_layer_own_bytes_and_must_match(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(6, 2))
+        assignment = raw_assignment(rng.uniform(0.1, 1.0, size=(6, 2)))
+        layer = AlignmentLayer(2, 2)
+        y_own, _ = layer.forward(x, assignment, update_running=False)
+        y_shared, _ = layer.forward(x, assignment, update_running=False, aw=layer.alpha(assignment))
+        assert y_shared.tobytes() == y_own.tobytes()
+        other = raw_assignment(rng.uniform(0.1, 1.0, size=(5, 2)))
+        with pytest.raises(ValueError, match="alpha weights"):
+            layer.forward(x, assignment, aw=layer.alpha(other))
+
     def test_wrong_domain_count_rejected(self):
         layer = AlignmentLayer(1, 2)
         with pytest.raises(ValueError):
@@ -288,7 +300,7 @@ class TestForward:
 class TestRunningStats:
     @pytest.mark.parametrize("dead", [None, 1])
     def test_update_matches_masked_formula(self, dead):
-        """In-place updates of live domains give the bytes of the masked copy."""
+        """Live domains get the bytes of the masked formula; dead ones keep theirs."""
         rng = np.random.default_rng(70)
         running = RunningStats(3, 5)
         mean, var = running.mean.copy(), running.var.copy()
