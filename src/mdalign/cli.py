@@ -81,15 +81,10 @@ def _tupled(value, path):
     return tuple(value)
 
 
-def _optional_tupled(value, path):
-    return None if value is None else _tupled(value, path)
-
-
 def _build_synth(doc: dict, path: str) -> SynthConfig:
     converters = {
         "domain_shifts": lambda v, p: tuple(_as_shift(item, f"{p}[{i}]") for i, item in enumerate(v)),
         "target_shift": _as_shift,
-        "patch_hw": _optional_tupled,
     }
     return _build(SynthConfig, doc, path, converters)
 
@@ -173,7 +168,6 @@ def resolve_config(doc: dict):
             "align": lambda v, p: _build(AlignConfig, v, p),
             "trunk_widths": _tupled,
             "classifier_widths": _tupled,
-            "align_after": _optional_tupled,
         },
     )
     if synth_cfg is None:
@@ -252,8 +246,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.config:
-        load_config(args.config, args.set or [])  # validated, seeds the audit only
     report, ok = run_gradient_audit(seed=args.seed)
     print(f"alignment layer ({report['layer']['configs']} configurations, tolerance {LAYER_TOLERANCE:g}):")
     for key in ("grad_x", "grad_w", "grad_gamma", "grad_beta"):
@@ -333,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference audit of every gradient path")
-    p_grad.add_argument("--config", help="optional config (validated; the audit grid is fixed)")
-    p_grad.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config field (repeatable)")
     p_grad.add_argument("--seed", type=int, default=0, help="seed for the audit draws")
     p_grad.set_defaults(func=cmd_gradcheck)
 

@@ -245,9 +245,7 @@ class SynthConfig:
 
     Class prototypes are shared across domains; each latent domain applies
     its own transform, and the target domain a held-out one.  The seed fully
-    determines the dataset.  patch_hw switches to rank-3 per-sample features
-    [dim, h, w] that exercise the spatial broadcast path: every position holds
-    the sample's feature vector plus its own N(0, 0.25^2) jitter.
+    determines the dataset.
 
     Each source domain also draws test_per_domain held-out rows, which no
     split keeps: the draw stays because the rows drawn after it depend on it.
@@ -262,7 +260,6 @@ class SynthConfig:
     target_shift: FeatureShift = FeatureShift()
     class_separation: float = 3.0
     standardize: bool = False
-    patch_hw: tuple[int, int] | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -290,11 +287,7 @@ def synth_make(cfg: SynthConfig) -> Dataset:
     def draw(count, shift):
         labels = _balanced_labels(count, cfg.n_classes, rng)
         base = prototypes[labels] + rng.normal(size=(count, cfg.feature_dim))
-        x = apply_feature_shift(base, shift, rng)
-        if cfg.patch_hw is not None:
-            h, w = cfg.patch_hw
-            x = x[:, :, None, None] + 0.25 * rng.normal(size=(count, cfg.feature_dim, h, w))
-        return x, labels
+        return apply_feature_shift(base, shift, rng), labels
 
     source = []
     for shift in shifts:
@@ -319,13 +312,11 @@ def synth_make(cfg: SynthConfig) -> Dataset:
         # label-free preprocessing: pooled moments of the unlabeled training
         # material, applied to every split
         pool = np.concatenate([splits["source_train"].features, splits["target_train"].features])
-        axes = tuple(i for i in range(pool.ndim) if i != 1)
-        mu = pool.mean(axis=axes)
-        sd = pool.std(axis=axes)
+        mu = pool.mean(axis=0)
+        sd = pool.std(axis=0)
         sd[sd == 0] = 1.0
-        shape = (-1,) + (1,) * (pool.ndim - 2)
         for split in splits.values():
-            split.features = (split.features - mu.reshape(shape)) / sd.reshape(shape)
+            split.features = (split.features - mu) / sd
     return Dataset(**splits)
 
 
@@ -559,7 +550,6 @@ class BatchSpec:
 
     source_quota: int = 64
     target_quota: int = 64
-    seed: int | None = None
     balance_datasets: bool = False
 
     def __post_init__(self):
@@ -601,11 +591,10 @@ class BatchSampler:
     not latent domains), each id walking its own epochs.  The plain mode is
     the balanced one with a single group holding every row.  The sampler
     sees only public sample fields; hidden ground truth never reaches a batch.
+    The same pools, spec and seed give the same stream of batches.
     """
 
-    def __init__(self, source: Split, target: Split, spec: BatchSpec):
-        if spec.seed is None:
-            raise ValueError("BatchSpec.seed must be set before sampling")
+    def __init__(self, source: Split, target: Split, spec: BatchSpec, seed: int):
         if spec.source_quota > len(source):
             raise ValueError(f"source quota {spec.source_quota} exceeds pool size {len(source)}")
         if spec.target_quota > len(target):
@@ -613,7 +602,7 @@ class BatchSampler:
         self.source = source
         self.target = target
         self.spec = spec
-        self._rng = np.random.default_rng(spec.seed)
+        self._rng = np.random.default_rng(seed)
         if spec.balance_datasets:
             ids = source.dataset_ids
             if np.any(ids < 0):

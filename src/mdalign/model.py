@@ -37,7 +37,6 @@ from .primitives import (
     softmax,
     softmax_backward,
     softmax_cross_entropy_backward,
-    spatial_mean,
 )
 
 __all__ = [
@@ -65,7 +64,6 @@ class ModelConfig:
     classifier_widths: tuple[int, ...] = (64,)
     branch_hidden: int = 64
     align: AlignConfig = field(default_factory=AlignConfig)
-    align_after: tuple[int, ...] | None = None
     whole_batch_norm: bool = False
     seed: int = 0
 
@@ -74,18 +72,6 @@ class ModelConfig:
             raise ValueError("in_dim >= 1, n_classes >= 2 and k >= 1 required")
         if not self.trunk_widths:
             raise ValueError("trunk needs at least one block")
-        n_affine = len(self.classifier_widths) + 1
-        placement = self.align_after if self.align_after is not None else tuple(range(n_affine))
-        if not placement:
-            raise ValueError("at least one alignment layer is required")
-        if any(i < 0 or i >= n_affine for i in placement):
-            raise ValueError(f"alignment placement {placement} outside 0..{n_affine - 1}")
-
-    @property
-    def placement(self) -> tuple[int, ...]:
-        if self.align_after is not None:
-            return tuple(sorted(set(self.align_after)))
-        return tuple(range(len(self.classifier_widths) + 1))
 
     @property
     def n_domains(self) -> int:
@@ -114,7 +100,7 @@ class Model:
         cls_dims = (cfg.trunk_widths[-1],) + cfg.classifier_widths + (cfg.n_classes,)
         self.classifier = [_Dense(rng, a, b) for a, b in zip(cls_dims[:-1], cls_dims[1:])]
         self.align_layers = {
-            j: AlignmentLayer(cls_dims[j + 1], cfg.n_domains, cfg.align) for j in cfg.placement
+            j: AlignmentLayer(width, cfg.n_domains, cfg.align) for j, width in enumerate(cls_dims[1:])
         }
         self.branch = DomainPredictor(
             cfg.trunk_widths[-1], cfg.k, cfg.branch_hidden, seed=int(rng.integers(2**31))
@@ -144,8 +130,7 @@ class Model:
             out += [(f"trunk.{i}.weight", layer.weight), (f"trunk.{i}.bias", layer.bias)]
         for i, layer in enumerate(self.classifier):
             out += [(f"classifier.{i}.weight", layer.weight), (f"classifier.{i}.bias", layer.bias)]
-        for j in sorted(self.align_layers):
-            layer = self.align_layers[j]
+        for j, layer in self.align_layers.items():
             if layer.cfg.affine:
                 out += [(f"align.{j}.gamma", layer.gamma), (f"align.{j}.beta", layer.beta)]
         out += [
@@ -190,13 +175,11 @@ class EvalRecord:
 
 
 def _trunk_forward(model: Model, features: np.ndarray, caches: list | None = None) -> np.ndarray:
-    """Trunk output of a batch's features; appends (input, pre-activation) per block to caches if given.
+    """Trunk output of a batch's [b, in_dim] features; appends (input, pre-activation) per block to caches if given.
 
-    Rank-4 features enter as their spatial means.
+    Features of any other rank fail in dense_forward with a ValueError.
     """
-    if features.ndim not in (2, 4):
-        raise ValueError(f"expected rank 2 or 4 features, got rank {features.ndim}")
-    h = spatial_mean(features) if features.ndim == 4 else features
+    h = features
     for layer in model.trunk:
         z = dense_forward(h, layer.weight.value, layer.bias.value)
         if caches is not None:
@@ -235,21 +218,17 @@ def _forward(
         assignment = Assignment(np.ones((batch.size, 1)), np.ones(batch.size, dtype=bool))
     elif assignment is None:
         assignment = merge_assignments(domain_probs, batch.kinds, batch.known_domains)
-    first_align = next(iter(model.align_layers.values()), None)
-    aw = first_align.alpha(assignment) if train and first_align is not None else None
+    aw = model.align_layers[0].alpha(assignment) if train else None
 
     cls_caches = []
     last = len(model.classifier) - 1
     for j, layer in enumerate(model.classifier):
         z = dense_forward(h, layer.weight.value, layer.bias.value)
-        align_cache = None
-        if j in model.align_layers:
-            if train:
-                z, align_cache = model.align_layers[j].forward(z, assignment, update_running, aw)
-            else:
-                z = model.align_layers[j].infer(z, assignment)
         if train:
+            z, align_cache = model.align_layers[j].forward(z, assignment, update_running, aw)
             cls_caches.append((h, align_cache, z))
+        else:
+            z = model.align_layers[j].infer(z, assignment)
         h = relu_forward(z) if j < last else z
 
     return ForwardRecord(
@@ -355,13 +334,12 @@ def backward_train(
         dense_input, align_cache, pre_act = record.cls_caches[j]
         if j < last:
             grad = relu_backward(pre_act, grad)
-        if align_cache is not None:
-            layer = model.align_layers[j]
-            grad, grad_w, g_gamma, g_beta = layer.backward(align_cache, grad)
-            if layer.cfg.affine:
-                layer.gamma.grad += g_gamma
-                layer.beta.grad += g_beta
-            record.assignment.add_grad(grad_w)
+        layer = model.align_layers[j]
+        grad, grad_w, g_gamma, g_beta = layer.backward(align_cache, grad)
+        if layer.cfg.affine:
+            layer.gamma.grad += g_gamma
+            layer.beta.grad += g_beta
+        record.assignment.add_grad(grad_w)
         dlayer = model.classifier[j]
         grad, g_w, g_b = dense_backward(dense_input, dlayer.weight.value, grad)
         dlayer.weight.grad += g_w
@@ -432,24 +410,16 @@ def forward_eval(model: Model, batch: Batch) -> EvalRecord:
 # checkpoints
 
 
-def _config_to_dict(cfg: ModelConfig) -> dict:
-    doc = asdict(cfg)
-    doc["align"] = asdict(cfg.align)
-    return doc
-
-
 def _config_from_dict(doc: dict) -> ModelConfig:
     doc = dict(doc)
     doc["align"] = AlignConfig(**doc.get("align", {}))
     for key in ("trunk_widths", "classifier_widths"):
         if key in doc and doc[key] is not None:
             doc[key] = tuple(doc[key])
-    if doc.get("align_after") is not None:
-        doc["align_after"] = tuple(doc["align_after"])
     return ModelConfig(**doc)
 
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 class CheckpointError(ValueError):
@@ -460,7 +430,7 @@ def save_checkpoint(model: Model, path) -> None:
     """Write config, every parameter value, and running statistics as JSON."""
     doc = {
         "format": CHECKPOINT_FORMAT,
-        "config": _config_to_dict(model.cfg),
+        "config": asdict(model.cfg),
         "params": {name: p.value.tolist() for name, p in model.named_params()},
         "running": {
             str(j): {

@@ -24,7 +24,6 @@ __all__ = [
     "softmax",
     "softmax_backward",
     "softmax_cross_entropy_backward",
-    "spatial_mean",
 ]
 
 
@@ -130,13 +129,6 @@ def softmax_cross_entropy_backward(probs: np.ndarray, labels) -> np.ndarray:
     grad = probs.copy()
     grad[np.arange(labels.size), labels] -= 1.0
     return grad / labels.size
-
-
-def spatial_mean(x: np.ndarray) -> np.ndarray:
-    """Average over spatial positions: [b, c, h, w] -> [b, c]."""
-    if x.ndim != 4:
-        raise ValueError(f"spatial_mean expects rank 4, got {x.ndim}")
-    return x.mean(axis=(2, 3))
 
 
 def he_normal(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -194,15 +194,13 @@ def check_target_rows(model_cfg: ModelConfig, batch: BatchSpec) -> None:
 def train(model: Model, data: Dataset, cfg: TrainConfig) -> tuple[Model, list[MetricsRow]]:
     """Run the optimization loop; returns the model and the metrics table.
 
-    Fully deterministic for a given (model seed, config, data): the batch
-    sampler follows cfg.seed when the batch spec leaves its seed unset.  A
-    non-finite loss aborts with the iteration and per-term diagnostics.
-    check_target_rows refuses a batch spec without target rows before the
-    first iteration.
+    Fully deterministic for a given (model seed, config, data): cfg.seed
+    seeds the batch sampler.  A non-finite loss aborts with the iteration
+    and per-term diagnostics.  check_target_rows refuses a batch spec
+    without target rows before the first iteration.
     """
     check_target_rows(model.cfg, cfg.batch)
-    batch_spec = cfg.batch if cfg.batch.seed is not None else replace(cfg.batch, seed=cfg.seed)
-    sampler = BatchSampler(data.source_train, data.target_train, batch_spec)
+    sampler = BatchSampler(data.source_train, data.target_train, cfg.batch, cfg.seed)
     rows: list[MetricsRow] = []
     for it in range(cfg.iterations):
         lr = lr_at(cfg, it)

@@ -1,12 +1,18 @@
 """Command-line interface: exit codes, overrides, artifacts, determinism."""
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from mdalign.alignment import AlignConfig
 from mdalign.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
+from mdalign.data import BatchSpec, FeatureShift, SynthConfig
+from mdalign.losses import LossWeights
+from mdalign.model import ModelConfig
+from mdalign.training import TrainConfig
 
 
 @pytest.fixture
@@ -102,13 +108,6 @@ class TestTrainCommand:
         assert code == EXIT_NUMERICAL
         assert "iteration" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["patch_hw"])
-    def test_optional_pair_accepts_null_and_rejects_a_scalar(self, quick_config, tmp_path, capsys, field):
-        run = ["train", "--config", quick_config, "--set", "train.iterations=5"]
-        assert main(run + ["--out", str(tmp_path / "a"), "--set", f"data.synthetic.{field}=null"]) == EXIT_OK
-        assert main(run + ["--out", str(tmp_path / "b"), "--set", f"data.synthetic.{field}=3"]) == EXIT_CONFIG
-        assert f"data.synthetic.{field}: expected a list" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "overrides, expected",
         [
@@ -116,6 +115,9 @@ class TestTrainCommand:
             (["data.synthetic.conflict_strength=1"], "data.synthetic.conflict_strength: unknown field"),
             (["data.synthetic.patch_jitter=0.5"], "data.synthetic.patch_jitter: unknown field"),
             (["train.batch.replace=true"], "train.batch.replace: unknown field"),
+            (["model.align_after=[0]"], "model.align_after: unknown field"),
+            (["data.synthetic.patch_hw=[2, 2]"], "data.synthetic.patch_hw: unknown field"),
+            (["train.batch.seed=3"], "train.batch.seed: unknown field"),
             (["train.eval_every=0"], "train: eval_every must be >= 1"),
             (["train.batch.source_quota=0"], "train: batch.source_quota must be >= 1"),
             (["train.batch.target_quota=0"], "train: batch.target_quota must be >= 1 while weights.class_entropy > 0"),
@@ -124,8 +126,8 @@ class TestTrainCommand:
                 "train.batch.target_quota: 0 leaves the target column without running statistics",
             ),
         ],
-        ids=["conflict_pair", "conflict_strength", "patch_jitter", "replace", "eval_every", "source_quota",
-             "target_quota", "target_quota_without_class_entropy"],
+        ids=["conflict_pair", "conflict_strength", "patch_jitter", "replace", "align_after", "patch_hw",
+             "batch_seed", "eval_every", "source_quota", "target_quota", "target_quota_without_class_entropy"],
     )
     def test_bad_override_is_a_config_error(self, quick_config, tmp_path, capsys, overrides, expected):
         sets = [arg for override in overrides for arg in ("--set", override)]
@@ -331,15 +333,46 @@ class TestHelp:
     def test_help_enumerates_every_flag(self):
         parser = build_parser()
         help_text = parser.format_help()
-        for sub in ("train", "gradcheck", "ablate-k", "sweep-labels", "baselines"):
+        subparsers = parser._subparsers._group_actions[0].choices
+        run = {"--config", "--out", "--force", "--set"}
+        expected = {
+            "train": run,
+            "gradcheck": {"--seed"},
+            "ablate-k": run | {"--k", "--seeds"},
+            "sweep-labels": run | {"--fractions", "--seeds"},
+            "baselines": run | {"--seeds"},
+        }
+        assert set(subparsers) == set(expected)
+        for sub, flags in expected.items():
             assert sub in help_text
-        for sub, flags in {
-            "train": ["--config", "--out", "--set", "--force"],
-            "gradcheck": ["--config", "--seed"],
-            "ablate-k": ["--k", "--seeds"],
-            "sweep-labels": ["--fractions", "--seeds"],
-            "baselines": ["--seeds"],
-        }.items():
-            sub_help = parser._subparsers._group_actions[0].choices[sub].format_help()
+            sub_parser = subparsers[sub]
+            found = {flag for action in sub_parser._actions for flag in action.option_strings} - {"-h", "--help"}
+            assert found == flags, sub
+            sub_help = sub_parser.format_help()
             for flag in flags:
                 assert flag in sub_help, f"{flag} missing from {sub} help"
+
+
+class TestConfigFields:
+    # Every field here is a setting a config file may name; adding or dropping one shows in this list.
+    FIELDS = {
+        SynthConfig: (
+            "n_latent_domains", "n_classes", "feature_dim", "train_per_domain", "test_per_domain",
+            "domain_shifts", "target_shift", "class_separation", "standardize", "seed",
+        ),
+        FeatureShift: ("rotation", "offset", "scale", "noise_sigma", "permutation"),
+        ModelConfig: (
+            "in_dim", "n_classes", "k", "trunk_widths", "classifier_widths", "branch_hidden", "align",
+            "whole_batch_norm", "seed",
+        ),
+        AlignConfig: ("eps", "affine", "running_momentum", "zero_mass_threshold"),
+        TrainConfig: (
+            "iterations", "base_lr", "momentum", "weight_decay", "schedule", "weights", "batch", "seed", "eval_every",
+        ),
+        LossWeights: ("domain_ce", "class_entropy", "domain_entropy"),
+        BatchSpec: ("source_quota", "target_quota", "balance_datasets"),
+    }
+
+    @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+    def test_config_fields_are_pinned(self, cls):
+        assert tuple(f.name for f in dataclasses.fields(cls)) == self.FIELDS[cls]

@@ -91,12 +91,9 @@ def split_digest(data) -> str:
 # that draw changes every later row, and so these recorded digests.
 RECORDED_SPLITS = {
     "pinned": (pinned_benchmark(), "25581df7ccb12d754ccc827e42f7a9f83b738367d263b1af858e3c623e1f8ad6"),
-    "patch": (
-        SynthConfig(
-            n_latent_domains=3, n_classes=3, feature_dim=4, train_per_domain=20, test_per_domain=15,
-            patch_hw=(2, 2), seed=3,
-        ),
-        "5a87d14f80160a93c6d63d7e5145698d4ccd7cc011fb5e0f5d81995c4920ccbb",
+    "three_domains": (
+        SynthConfig(n_latent_domains=3, n_classes=3, feature_dim=4, train_per_domain=20, test_per_domain=15, seed=3),
+        "96dd500686c891df940b9e7ce519c79fb9528b334f6976124e34ad75dbe9d8bd",
     ),
     "noisy_rotated": (
         SynthConfig(
@@ -162,12 +159,6 @@ class TestSynthMake:
         )
         data = synth_make(cfg)
         assert nearest_centroid_accuracy(data.source_train, data.target_test) > 0.8
-
-    def test_patch_mode_emits_rank_4_batches(self):
-        cfg = SynthConfig(patch_hw=(2, 3), seed=6, train_per_domain=8, test_per_domain=8)
-        data = synth_make(cfg)
-        batch = make_batch(data.source_train[:4])
-        assert batch.features.shape == (4, cfg.feature_dim, 2, 3)
 
     def test_non_finite_features_rejected(self):
         cfg = SynthConfig(
@@ -415,7 +406,7 @@ class TestBatchSampler:
 
     def test_quota_arithmetic(self):
         source, target = self.make_pools()
-        sampler = BatchSampler(source, target, BatchSpec(source_quota=4, target_quota=4, seed=0))
+        sampler = BatchSampler(source, target, BatchSpec(source_quota=4, target_quota=4), seed=0)
         batch = sampler.next_batch()
         assert batch.size == 8
         assert batch.source_mask.sum() == 4
@@ -424,21 +415,21 @@ class TestBatchSampler:
 
     def test_deterministic_under_seed(self):
         source, target = self.make_pools()
-        a = BatchSampler(source, target, BatchSpec(source_quota=5, target_quota=3, seed=9))
-        b = BatchSampler(source, target, BatchSpec(source_quota=5, target_quota=3, seed=9))
+        a = BatchSampler(source, target, BatchSpec(source_quota=5, target_quota=3), seed=9)
+        b = BatchSampler(source, target, BatchSpec(source_quota=5, target_quota=3), seed=9)
         for _ in range(7):
             np.testing.assert_array_equal(a.next_batch().features, b.next_batch().features)
 
     def test_mix_ratio_is_exact(self):
         source, target = self.make_pools()
-        sampler = BatchSampler(source, target, BatchSpec(source_quota=6, target_quota=2, seed=1))
+        sampler = BatchSampler(source, target, BatchSpec(source_quota=6, target_quota=2), seed=1)
         for _ in range(50):
             batch = sampler.next_batch()
             assert batch.source_mask.sum() == 6 and batch.target_mask.sum() == 2
 
     def test_epoch_covers_pool_without_replacement(self):
         source, target = self.make_pools(n_source=10, n_target=10)
-        sampler = BatchSampler(source, target, BatchSpec(source_quota=5, target_quota=1, seed=2))
+        sampler = BatchSampler(source, target, BatchSpec(source_quota=5, target_quota=1), seed=2)
         seen = []
         for _ in range(2):
             batch = sampler.next_batch()
@@ -448,7 +439,7 @@ class TestBatchSampler:
     def test_quota_exceeding_pool_rejected(self):
         source, target = self.make_pools(n_source=3)
         with pytest.raises(ValueError):
-            BatchSampler(source, target, BatchSpec(source_quota=4, target_quota=1, seed=0))
+            BatchSampler(source, target, BatchSpec(source_quota=4, target_quota=1), seed=0)
 
     def test_balanced_dataset_quota(self):
         rng = np.random.default_rng(1)
@@ -460,7 +451,7 @@ class TestBatchSampler:
         )
         target = Split.of(rng.normal(size=(4, 2)), kinds=np.full(4, TARGET_CODE))
         sampler = BatchSampler(
-            source, target, BatchSpec(source_quota=6, target_quota=2, seed=0, balance_datasets=True)
+            source, target, BatchSpec(source_quota=6, target_quota=2, balance_datasets=True), seed=0
         )
         batch = sampler.next_batch()
         assert batch.source_mask.sum() == 6
@@ -488,27 +479,22 @@ class TestBatchSampler:
         rows = np.arange(12)
         source = Split.of(rows[:, None], kinds=np.full(12, UNKNOWN_CODE), class_labels=rows % 4, dataset_ids=rows % 3)
         target = Split.of(100.0 + np.arange(7)[:, None], kinds=np.full(7, TARGET_CODE))
-        spec = BatchSpec(source_quota=5, target_quota=3, seed=7, balance_datasets=balance)
-        sampler = BatchSampler(source, target, spec)
+        spec = BatchSpec(source_quota=5, target_quota=3, balance_datasets=balance)
+        sampler = BatchSampler(source, target, spec, seed=7)
         stream = [sampler.next_batch().features[:, 0].astype(int).tolist() for _ in range(4)]
         assert stream == self.STREAMS[balance]
 
     def test_balanced_mode_requires_ids(self):
         source, target = self.make_pools()
         with pytest.raises(ValueError):
-            BatchSampler(source, target, BatchSpec(source_quota=4, target_quota=2, seed=0, balance_datasets=True))
+            BatchSampler(source, target, BatchSpec(source_quota=4, target_quota=2, balance_datasets=True), seed=0)
 
     def test_batches_carry_no_hidden_ground_truth(self):
         source, target = self.make_pools()
-        sampler = BatchSampler(source, target, BatchSpec(source_quota=4, target_quota=4, seed=0))
+        sampler = BatchSampler(source, target, BatchSpec(source_quota=4, target_quota=4), seed=0)
         batch = sampler.next_batch()
         assert not hasattr(batch, "hidden_label")
         assert not hasattr(batch, "hidden_latent_domain")
-
-    def test_unset_seed_rejected(self):
-        source, target = self.make_pools()
-        with pytest.raises(ValueError):
-            BatchSampler(source, target, BatchSpec(source_quota=2, target_quota=2))
 
 
 class TestRevealDomainLabel:

@@ -16,7 +16,6 @@ from mdalign.primitives import (
     softmax,
     softmax_backward,
     softmax_cross_entropy_backward,
-    spatial_mean,
 )
 
 FD_TOL = 1e-6
@@ -196,17 +195,3 @@ class TestCrossEntropy:
         analytic = softmax_backward(softmax(logits), probe)
         fd = central_difference(lambda: float((softmax(logits) * probe).sum()), logits)
         assert max_relative_error(analytic, fd) <= FD_TOL
-
-
-class TestSpatialMean:
-    def test_unit_spatial_is_identity(self):
-        x = np.arange(6.0).reshape(2, 3, 1, 1)
-        np.testing.assert_array_equal(spatial_mean(x), x[:, :, 0, 0])
-
-    def test_hand_mean(self):
-        x = np.array([[[[1.0, 3.0], [5.0, 7.0]]]])
-        np.testing.assert_array_equal(spatial_mean(x), [[4.0]])
-
-    def test_rank_2_rejected(self):
-        with pytest.raises(ValueError):
-            spatial_mean(np.zeros((2, 3)))

@@ -295,12 +295,3 @@ class TestTrainLoop:
                                   whole_batch_norm=True))
         _, rows = train(whole, data, cfg)
         assert len(calls) == 3 and [r.iteration for r in rows] == [3]
-
-    def test_patch_mode_trains_through_spatial_features(self):
-        from dataclasses import replace
-
-        data = synth_make(replace(quick_task(), patch_hw=(2, 2)))
-        assert data.source_train[0].features.shape == (4, 2, 2)
-        _, rows = train(quick_model(), data, quick_train_cfg(iterations=40, eval_every=40))
-        assert math.isfinite(rows[-1].total)
-        assert rows[-1].acc > 0.4
