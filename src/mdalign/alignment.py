@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 
+# weight of each training batch's statistics in the running averages
+RUNNING_MOMENTUM = 0.1
+
+
 class UninitializedStatsError(RuntimeError):
     """A domain needs statistics that were never estimated."""
 
@@ -41,22 +45,19 @@ class UninitializedStatsError(RuntimeError):
 class AlignConfig:
     """Knobs of an alignment layer.
 
-    eps guards the variance inside the square root; running_momentum drives
-    the exponential averages used at inference; zero_mass_threshold is the
-    total column weight below which a domain is treated as absent from the
-    batch.
+    eps guards the variance inside the square root; zero_mass_threshold is
+    the total column weight below which a domain is treated as absent from
+    the batch.  The running statistics used at inference average the batch
+    statistics with momentum RUNNING_MOMENTUM.
     """
 
     eps: float = 1e-5
     affine: bool = True
-    running_momentum: float = 0.1
     zero_mass_threshold: float = 1e-6
 
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be > 0")
-        if not 0.0 < self.running_momentum <= 1.0:
-            raise ValueError("running_momentum must be in (0, 1]")
         if self.zero_mass_threshold < 0:
             raise ValueError("zero_mass_threshold must be >= 0")
 
@@ -280,7 +281,7 @@ class AlignmentLayer:
         inv_std = np.divide(1.0, np.sqrt(var + self.cfg.eps), out=np.zeros_like(mean), where=used[:, None])
         mix_scale, y_mix, y = self._mix(xr, w, mean, inv_std)
         if update_running:
-            self.running.update(stats, self.cfg.running_momentum)
+            self.running.update(stats, RUNNING_MOMENTUM)
 
         cache = _Cache(
             x_shape=x.shape,

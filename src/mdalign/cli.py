@@ -21,7 +21,7 @@ import sys
 import time
 
 from .alignment import AlignConfig
-from .data import BatchSpec, FeatureShift, SynthConfig, load_manifest, synth_make
+from .data import BatchSampler, BatchSpec, FeatureShift, SynthConfig, load_manifest, synth_make
 from .experiments import (
     ExperimentConfig,
     run_baseline_grid,
@@ -70,8 +70,6 @@ def _as_shift(doc, path) -> FeatureShift:
     for key in ("offset", "scale"):
         if isinstance(out[key], list):
             out[key] = tuple(out[key])
-    if out["permutation"] is not None:
-        out["permutation"] = tuple(out["permutation"])
     return FeatureShift(**out)
 
 
@@ -181,10 +179,10 @@ def resolve_config(doc: dict):
             "batch": lambda v, p: _build(BatchSpec, v, p),
         },
     )
-    for quota, pool in (("source_quota", "source_train"), ("target_quota", "target_train")):
-        want, size = getattr(train_cfg.batch, quota), len(getattr(dataset, pool))
-        if want > size:
-            raise ConfigError(f"train.batch.{quota}: {want} exceeds the {size} rows of {pool}")
+    try:
+        BatchSampler(dataset.source_train, dataset.target_train, train_cfg.batch, train_cfg.seed)
+    except ValueError as err:
+        raise ConfigError(f"train.batch.{err}") from err
     try:
         check_target_rows(model_cfg, train_cfg.batch)
     except ValueError as err:

@@ -205,16 +205,15 @@ class FeatureShift:
     """Deterministic feature-space transform defining one domain.
 
     rotation acts on consecutive coordinate pairs (0,1), (2,3), ...; offset
-    and scale may be scalars or per-dimension tuples; permutation reorders
-    the feature dimensions.  All parts are invertible except the additive
-    noise, which is only the identity at sigma 0.
+    and scale may be scalars or per-dimension tuples.  All parts are
+    invertible except the additive noise, which is only the identity at
+    sigma 0.
     """
 
     rotation: float = 0.0
     offset: float | tuple = 0.0
     scale: float | tuple = 1.0
     noise_sigma: float = 0.0
-    permutation: tuple[int, ...] | None = None
 
 
 def apply_feature_shift(x: np.ndarray, shift: FeatureShift, rng: np.random.Generator) -> np.ndarray:
@@ -230,10 +229,6 @@ def apply_feature_shift(x: np.ndarray, shift: FeatureShift, rng: np.random.Gener
         out[:, 1:p:2] = s * a + c * b
     out *= np.asarray(shift.scale, dtype=np.float64)
     out += np.asarray(shift.offset, dtype=np.float64)
-    if shift.permutation is not None:
-        if sorted(shift.permutation) != list(range(out.shape[1])):
-            raise ValueError("permutation must reorder all feature dimensions")
-        out = out[:, list(shift.permutation)]
     if shift.noise_sigma > 0.0:
         out += rng.normal(0.0, shift.noise_sigma, size=out.shape)
     return out
@@ -393,23 +388,37 @@ def idx_load(images_path, labels_path):
     return images / 255.0, labels
 
 
+def _as_bytes(arr: np.ndarray, what: str) -> np.ndarray:
+    """arr as uint8; a uint8 array as it is, any other must hold only integers in 0..255 (nothing wraps)."""
+    if arr.dtype == np.uint8:
+        return arr
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be integers in 0..255, found {arr.dtype} values")
+    bad = (arr < 0) | (arr > 255) | (arr != np.floor(arr))
+    if bad.any():
+        raise ValueError(f"{what} must be integers in 0..255, found {arr[bad][0]}")
+    return arr.astype(np.uint8)
+
+
 def idx_write_images(path, images: np.ndarray) -> None:
-    """Write uint8 images [n, h, w] or [n, 1, h, w] in IDX format."""
+    """Write images [n, h, w] or [n, 1, h, w] of integers in 0..255 in IDX format."""
     arr = np.asarray(images)
     if arr.ndim == 4:
         arr = arr[:, 0]
     if arr.ndim != 3:
         raise ValueError("expected [n, h, w] images")
-    arr = arr.astype(np.uint8)
+    arr = _as_bytes(arr, "pixels")
     with open(path, "wb") as f:
         f.write(struct.pack(">IIII", IMAGE_MAGIC, *arr.shape))
         f.write(arr.tobytes())
 
 
 def idx_write_labels(path, labels) -> None:
-    arr = np.asarray(labels).astype(np.uint8)
+    """Write a flat vector of integer labels in 0..255 in IDX format."""
+    arr = np.asarray(labels)
     if arr.ndim != 1:
         raise ValueError("expected a flat label vector")
+    arr = _as_bytes(arr, "labels")
     with open(path, "wb") as f:
         f.write(struct.pack(">II", LABEL_MAGIC, arr.shape[0]))
         f.write(arr.tobytes())
@@ -588,17 +597,20 @@ class BatchSampler:
     may not exceed its pool.  Source rows are drawn in one of two modes:
     uniformly over the pooled source set, or, with balance_datasets on, with
     the quota split evenly over the declared dataset ids (file provenance,
-    not latent domains), each id walking its own epochs.  The plain mode is
-    the balanced one with a single group holding every row.  The sampler
-    sees only public sample fields; hidden ground truth never reaches a batch.
-    The same pools, spec and seed give the same stream of batches.
+    not latent domains), each id walking its own epochs, so no id's share
+    may exceed its rows either.  The plain mode is the balanced one with a
+    single group holding every row.  The sampler sees only public sample
+    fields; hidden ground truth never reaches a batch.  The same pools, spec
+    and seed give the same stream of batches.
+
+    Every ValueError about the spec starts with the BatchSpec field at fault.
     """
 
     def __init__(self, source: Split, target: Split, spec: BatchSpec, seed: int):
         if spec.source_quota > len(source):
-            raise ValueError(f"source quota {spec.source_quota} exceeds pool size {len(source)}")
+            raise ValueError(f"source_quota: {spec.source_quota} exceeds the {len(source)} rows of the source pool")
         if spec.target_quota > len(target):
-            raise ValueError(f"target quota {spec.target_quota} exceeds pool size {len(target)}")
+            raise ValueError(f"target_quota: {spec.target_quota} exceeds the {len(target)} rows of the target pool")
         self.source = source
         self.target = target
         self.spec = spec
@@ -606,18 +618,24 @@ class BatchSampler:
         if spec.balance_datasets:
             ids = source.dataset_ids
             if np.any(ids < 0):
-                raise ValueError("balance_datasets requires dataset ids on all source samples")
-            groups = [np.flatnonzero(ids == g) for g in np.unique(ids)]
+                raise ValueError("balance_datasets: needs a dataset id on every source row")
+            groups = {int(g): np.flatnonzero(ids == g) for g in np.unique(ids)}
         else:
-            groups = [np.arange(len(source))] if source else []
-        self._group_epochs = [_Epoch(g, self._rng) for g in groups]
+            groups = {None: np.arange(len(source))} if source else {}
+        per, extra = divmod(spec.source_quota, max(len(groups), 1))
+        self._shares = [per + (gi < extra) for gi in range(len(groups))]
+        # the plain mode's one share is the whole quota, checked against the pool above
+        for (g, rows), share in zip(groups.items(), self._shares):
+            if share > len(rows):
+                raise ValueError(
+                    f"balance_datasets: dataset id {g} has {len(rows)} rows, "
+                    f"fewer than its share {share} of source_quota {spec.source_quota}"
+                )
+        self._group_epochs = [_Epoch(rows, self._rng) for rows in groups.values()]
         self._target_epoch = _Epoch(np.arange(len(target)), self._rng) if target else None
 
     def _source_indices(self) -> np.ndarray:
-        per, extra = divmod(self.spec.source_quota, len(self._group_epochs))
-        return np.concatenate(
-            [epoch.take(per + (1 if gi < extra else 0)) for gi, epoch in enumerate(self._group_epochs)]
-        )
+        return np.concatenate([epoch.take(n) for epoch, n in zip(self._group_epochs, self._shares)])
 
     def next_batch(self) -> Batch:
         """Gather the quota rows of both pools' public columns: source rows first, then target."""

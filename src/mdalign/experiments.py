@@ -26,7 +26,6 @@ from .training import MetricsRow, TrainConfig, train
 __all__ = [
     "BASELINES",
     "ExperimentConfig",
-    "RunResult",
     "default_experiment",
     "no_shift_benchmark",
     "pinned_benchmark",
@@ -116,8 +115,6 @@ class ExperimentConfig:
         return TrainConfig(
             iterations=600,
             base_lr=0.02,
-            weight_decay=1e-6,
-            schedule="step",
             weights=LossWeights(domain_ce=0.0, class_entropy=0.2, domain_entropy=0.2),
             batch=BatchSpec(source_quota=48, target_quota=48),
             eval_every=150,
@@ -128,22 +125,11 @@ def default_experiment() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-@dataclass(frozen=True)
-class RunResult:
-    seed: int
-    acc: float
-    nmi: float
-    purity: float
-    rows: tuple[MetricsRow, ...]
-
-
-def run_single(data: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig, seed: int) -> RunResult:
-    """Train one model with everything derived from the given seed."""
+def run_single(data: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig, seed: int) -> MetricsRow:
+    """Train one model with everything derived from the given seed; returns its final metrics row."""
     model = Model(replace(model_cfg, seed=seed))
-    cfg = replace(train_cfg, seed=seed)
-    _, rows = train(model, data, cfg)
-    final = rows[-1]
-    return RunResult(seed=seed, acc=final.acc, nmi=final.nmi, purity=final.purity, rows=tuple(rows))
+    _, rows = train(model, data, replace(train_cfg, seed=seed))
+    return rows[-1]
 
 
 def _reveal_fraction(samples: Split, fraction: float, seed: int) -> Split:

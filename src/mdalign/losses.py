@@ -43,17 +43,13 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """The four loss terms, their weighted total, and the populations used."""
+    """The four loss terms and their weighted total."""
 
     class_ce: float
     domain_ce: float
     class_entropy: float
     domain_entropy: float
     total: float
-    n_source: int
-    n_known: int
-    n_target: int
-    n_unknown: int
 
 
 def _entropy(probs: np.ndarray):
@@ -87,11 +83,6 @@ def total_loss(
     class_ent: float,
     domain_ent: float,
     weights: LossWeights,
-    *,
-    n_source: int,
-    n_known: int,
-    n_target: int,
-    n_unknown: int,
 ) -> LossBreakdown:
     """Combine the four terms into the weighted training objective."""
     total = (
@@ -106,8 +97,4 @@ def total_loss(
         class_entropy=class_ent,
         domain_entropy=domain_ent,
         total=total,
-        n_source=n_source,
-        n_known=n_known,
-        n_target=n_target,
-        n_unknown=n_unknown,
     )

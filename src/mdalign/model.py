@@ -12,7 +12,7 @@ assignment gradients.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -287,17 +287,7 @@ def _objective(record: ForwardRecord, batch: Batch, weights: LossWeights):
     else:
         h_class = 0.0
     h_domain, g_domain = domain_entropy(record.domain_probs[unknown])
-    breakdown = total_loss(
-        class_ce,
-        domain_ce,
-        h_class,
-        h_domain,
-        weights,
-        n_source=int(src.sum()),
-        n_known=int(known.sum()),
-        n_target=int(tgt.sum()),
-        n_unknown=int(unknown.sum()),
-    )
+    breakdown = total_loss(class_ce, domain_ce, h_class, h_domain, weights)
     return breakdown, g_class, g_domain
 
 
@@ -410,16 +400,7 @@ def forward_eval(model: Model, batch: Batch) -> EvalRecord:
 # checkpoints
 
 
-def _config_from_dict(doc: dict) -> ModelConfig:
-    doc = dict(doc)
-    doc["align"] = AlignConfig(**doc.get("align", {}))
-    for key in ("trunk_widths", "classifier_widths"):
-        if key in doc and doc[key] is not None:
-            doc[key] = tuple(doc[key])
-    return ModelConfig(**doc)
-
-
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 
 class CheckpointError(ValueError):
@@ -459,6 +440,8 @@ def _restore(where: str, target: np.ndarray, values) -> None:
 
 
 def _same_names(where: str, found, expected) -> None:
+    if not isinstance(found, dict):
+        raise CheckpointError(f"{where}: expected an object, found {type(found).__name__}")
     missing, extra = sorted(set(expected) - set(found)), sorted(set(found) - set(expected))
     if missing or extra:
         raise CheckpointError(f"{where}: missing {missing}, unexpected {extra}")
@@ -467,9 +450,9 @@ def _same_names(where: str, found, expected) -> None:
 def load_checkpoint(path) -> Model:
     """Rebuild a model from save_checkpoint's JSON.
 
-    The format version, the set of parameter and running-statistics names,
-    and every shape must match the model the stored config builds exactly;
-    any difference raises CheckpointError.
+    The format version, the sets of config, parameter and running-statistics
+    names, and every shape must match the model the stored config builds
+    exactly; any difference raises CheckpointError.
     """
     with open(path) as f:
         doc = json.load(f)
@@ -477,8 +460,12 @@ def load_checkpoint(path) -> Model:
         found = doc.get("format") if isinstance(doc, dict) else None
         raise CheckpointError(f"{path}: checkpoint format {found!r}, expected {CHECKPOINT_FORMAT}")
     _same_names(str(path), doc, ("format", "config", "params", "running"))
+    config = doc["config"]
+    _same_names(f"{path}: config", config, [f.name for f in fields(ModelConfig)])
+    _same_names(f"{path}: config.align", config["align"], [f.name for f in fields(AlignConfig)])
     try:
-        model = Model(_config_from_dict(doc["config"]))
+        widths = {key: tuple(config[key]) for key in ("trunk_widths", "classifier_widths")}
+        model = Model(ModelConfig(**{**config, **widths, "align": AlignConfig(**config["align"])}))
     except (TypeError, ValueError) as err:
         raise CheckpointError(f"{path}: config: {err}") from err
     params = dict(model.named_params())

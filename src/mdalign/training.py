@@ -1,4 +1,4 @@
-"""Optimization loop, learning-rate schedules, and evaluation metrics."""
+"""Optimization loop, the step learning-rate rule, and evaluation metrics."""
 
 from __future__ import annotations
 
@@ -27,6 +27,10 @@ __all__ = [
 
 METRICS_HEADER = "iteration,total,class_ce,domain_ce,h_C,h_D,acc,nmi,purity,lr"
 
+# SGD settings of every training run
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-6
+
 
 class NumericalAbortError(RuntimeError):
     """Training hit a non-finite loss; carries the iteration and term values."""
@@ -45,9 +49,6 @@ class NumericalAbortError(RuntimeError):
 class TrainConfig:
     iterations: int = 400
     base_lr: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 1e-6
-    schedule: str = "step"
     weights: LossWeights = field(default_factory=LossWeights)
     batch: BatchSpec = field(default_factory=BatchSpec)
     seed: int = 0
@@ -58,8 +59,6 @@ class TrainConfig:
             raise ValueError("iterations must be >= 1")
         if self.base_lr <= 0:
             raise ValueError("base_lr must be > 0")
-        if self.schedule not in ("step", "inverse"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
         if self.batch.source_quota < 1:
@@ -103,11 +102,8 @@ def sgd_step(params, lr: float, momentum: float = 0.9, weight_decay: float = 0.0
 
 
 def lr_at(cfg: TrainConfig, iteration: int) -> float:
-    """Learning rate at an iteration: step drop at 75%, or inverse decay."""
-    if cfg.schedule == "step":
-        return cfg.base_lr * (0.1 if iteration >= 0.75 * cfg.iterations else 1.0)
-    p = iteration / cfg.iterations
-    return cfg.base_lr * (1.0 + 10.0 * p) ** -0.75
+    """Learning rate at an iteration: base_lr, dropped tenfold from 75% of the iterations on."""
+    return cfg.base_lr * (0.1 if iteration >= 0.75 * cfg.iterations else 1.0)
 
 
 def accuracy(probs: np.ndarray, labels) -> float:
@@ -211,7 +207,7 @@ def train(model: Model, data: Dataset, cfg: TrainConfig) -> tuple[Model, list[Me
         breakdown = backward_train(model, record, batch, cfg.weights)
         if not math.isfinite(breakdown.total):
             raise NumericalAbortError(it, breakdown)
-        sgd_step([model.flat], lr, cfg.momentum, cfg.weight_decay)
+        sgd_step([model.flat], lr, MOMENTUM, WEIGHT_DECAY)
         if (it + 1) % cfg.eval_every == 0 or it == cfg.iterations - 1:
             acc, nmi, purity = evaluate_model(model, data)
             rows.append(

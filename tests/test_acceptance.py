@@ -280,8 +280,7 @@ def test_criterion_9_loss_and_structure_invariants():
         h_d, _ = domain_entropy(rng.dirichlet(np.ones(k), size=5)) if k > 1 else (0.0, None)
         weights = LossWeights(*rng.uniform(0, 1, size=3))
         out = total_loss(
-            float(rng.uniform(0, 3)), float(rng.uniform(0, 3)), h_c, h_d, weights,
-            n_source=6, n_known=2, n_target=6, n_unknown=4,
+            float(rng.uniform(0, 3)), float(rng.uniform(0, 3)), h_c, h_d, weights
         )
         recomposed = (
             out.class_ce
@@ -294,7 +293,7 @@ def test_criterion_9_loss_and_structure_invariants():
         bounds_ok = bounds_ok and 0.0 <= h_d <= (math.log(k) if k > 1 else 0.0) + 1e-12
 
     # all weights zero: plain cross-entropy
-    zeroed = total_loss(1.7, 9.9, 9.9, 9.9, LossWeights(0, 0, 0), n_source=4, n_known=1, n_target=2, n_unknown=3)
+    zeroed = total_loss(1.7, 9.9, 9.9, 9.9, LossWeights(0, 0, 0))
     reduction_ok = zeroed.total == 1.7
 
     # fixed assignment rows never receive gradient

@@ -245,7 +245,7 @@ class TestForward:
     def test_running_stats_update(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(8, 2)) + 5.0
-        layer = AlignmentLayer(2, 1, AlignConfig(running_momentum=0.1))
+        layer = AlignmentLayer(2, 1)
         aw = compute_alpha(np.ones((8, 1)))
         stats = weighted_moments(x, aw)
         layer.forward(x, raw_assignment(np.ones((8, 1))))

@@ -118,6 +118,18 @@ class TestTrainCommand:
             (["model.align_after=[0]"], "model.align_after: unknown field"),
             (["data.synthetic.patch_hw=[2, 2]"], "data.synthetic.patch_hw: unknown field"),
             (["train.batch.seed=3"], "train.batch.seed: unknown field"),
+            (["train.schedule=\"inverse\""], "train.schedule: unknown field"),
+            (["train.momentum=0.5"], "train.momentum: unknown field"),
+            (["train.weight_decay=0"], "train.weight_decay: unknown field"),
+            (["model.align.running_momentum=1.0"], "model.align.running_momentum: unknown field"),
+            (
+                ["data.synthetic.target_shift.permutation=[3, 2, 1, 0]"],
+                "data.synthetic.target_shift.permutation: unknown field",
+            ),
+            (
+                ["train.batch.balance_datasets=true"],
+                "train.batch.balance_datasets: needs a dataset id on every source row",
+            ),
             (["train.eval_every=0"], "train: eval_every must be >= 1"),
             (["train.batch.source_quota=0"], "train: batch.source_quota must be >= 1"),
             (["train.batch.target_quota=0"], "train: batch.target_quota must be >= 1 while weights.class_entropy > 0"),
@@ -127,7 +139,8 @@ class TestTrainCommand:
             ),
         ],
         ids=["conflict_pair", "conflict_strength", "patch_jitter", "replace", "align_after", "patch_hw",
-             "batch_seed", "eval_every", "source_quota", "target_quota", "target_quota_without_class_entropy"],
+             "batch_seed", "schedule", "momentum", "weight_decay", "running_momentum", "permutation",
+             "balance_without_ids", "eval_every", "source_quota", "target_quota", "target_quota_without_class_entropy"],
     )
     def test_bad_override_is_a_config_error(self, quick_config, tmp_path, capsys, overrides, expected):
         sets = [arg for override in overrides for arg in ("--set", override)]
@@ -198,11 +211,10 @@ class TestRunnerCommands:
         assert [line.split(",")[0] for line in summary[1:]] == ["0.0", "0.05", "0.25", "0.5", "1.0"]
 
 
-def write_digit_set(store, rng, stem, shift):
-    """Write a tiny 3x3 "digit" IDX pair (class = which corner is bright); returns its manifest entry."""
+def write_digit_set(store, rng, stem, shift, n=24):
+    """Write a tiny 3x3 "digit" IDX pair of n images (class = which corner is bright); returns its manifest entry."""
     from mdalign.data import idx_write_images, idx_write_labels
 
-    n = 24
     labels = np.arange(n) % 2
     images = np.zeros((n, 3, 3))
     images[labels == 0, 0, 0] = 0.9
@@ -307,10 +319,10 @@ class TestManifestTraining:
     @pytest.mark.parametrize(
         "batch, expected",
         [
-            ({}, "train.batch.source_quota: 64 exceeds the 24 rows of source_train"),
+            ({}, "train.batch.source_quota: 64 exceeds the 24 rows of the source pool"),
             (
                 {"source_quota": 24, "target_quota": 25},
-                "train.batch.target_quota: 25 exceeds the 24 rows of target_train",
+                "train.batch.target_quota: 25 exceeds the 24 rows of the target pool",
             ),
         ],
         ids=["source", "target"],
@@ -326,6 +338,25 @@ class TestManifestTraining:
         code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")])
         assert code == EXIT_CONFIG
         assert expected in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_balanced_share_beyond_a_file_is_a_config_error(self, tmp_path, capsys):
+        # 16 source rows per batch, 8 per file: the 4-row file would repeat rows within a batch
+        rng = np.random.default_rng(4)
+        doc = {
+            "sources": [write_digit_set(tmp_path, rng, "s0", 0.0), write_digit_set(tmp_path, rng, "s1", 0.0, n=4)],
+            "target": write_digit_set(tmp_path, rng, "t", 0.0),
+        }
+        manifest_path = tmp_path / "digits.json"
+        manifest_path.write_text(json.dumps(doc))
+        config_path = tmp_path / "config.json"
+        train = {"iterations": 2, "batch": {"source_quota": 16, "target_quota": 16, "balance_datasets": True}}
+        config_path.write_text(json.dumps({"data": {"manifest": str(manifest_path)}, "train": train}))
+        code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")])
+        assert code == EXIT_CONFIG
+        assert "train.batch.balance_datasets: dataset id 1 has 4 rows, fewer than its share 8 of source_quota 16" in (
+            capsys.readouterr().err
+        )
         assert not (tmp_path / "run").exists()
 
 
@@ -360,15 +391,13 @@ class TestConfigFields:
             "n_latent_domains", "n_classes", "feature_dim", "train_per_domain", "test_per_domain",
             "domain_shifts", "target_shift", "class_separation", "standardize", "seed",
         ),
-        FeatureShift: ("rotation", "offset", "scale", "noise_sigma", "permutation"),
+        FeatureShift: ("rotation", "offset", "scale", "noise_sigma"),
         ModelConfig: (
             "in_dim", "n_classes", "k", "trunk_widths", "classifier_widths", "branch_hidden", "align",
             "whole_batch_norm", "seed",
         ),
-        AlignConfig: ("eps", "affine", "running_momentum", "zero_mass_threshold"),
-        TrainConfig: (
-            "iterations", "base_lr", "momentum", "weight_decay", "schedule", "weights", "batch", "seed", "eval_every",
-        ),
+        AlignConfig: ("eps", "affine", "zero_mass_threshold"),
+        TrainConfig: ("iterations", "base_lr", "weights", "batch", "seed", "eval_every"),
         LossWeights: ("domain_ce", "class_entropy", "domain_entropy"),
         BatchSpec: ("source_quota", "target_quota", "balance_datasets"),
     }

@@ -68,10 +68,6 @@ class TestFeatureShift:
         out = apply_feature_shift(x, FeatureShift(offset=(1.0, -1.0), scale=2.0), np.random.default_rng(0))
         np.testing.assert_array_equal(out, [[3.0, 1.0], [3.0, 1.0]])
 
-    def test_permutation_validated(self):
-        with pytest.raises(ValueError):
-            apply_feature_shift(np.ones((1, 3)), FeatureShift(permutation=(0, 0, 1)), np.random.default_rng(0))
-
 
 def split_digest(data) -> str:
     """sha256 over dtype, shape and bytes of all seven columns of the three splits."""
@@ -330,6 +326,25 @@ class TestIdx:
         assert img.read_bytes() == img2.read_bytes()
         assert lbl.read_bytes() == lbl2.read_bytes()
 
+    @pytest.mark.parametrize("bad", [256, -1, 0.5, float("nan")])
+    def test_writers_refuse_values_a_byte_cannot_hold(self, tmp_path, bad):
+        # these used to wrap or truncate: labels [256, -1] read back as [0, 255]
+        labels = np.array([1, bad])
+        with pytest.raises(ValueError, match=f"labels must be integers in 0..255, found {bad}"):
+            idx_write_labels(tmp_path / "l.idx", labels)
+        pixels = np.full((1, 2, 2), bad)
+        with pytest.raises(ValueError, match=f"pixels must be integers in 0..255, found {bad}"):
+            idx_write_images(tmp_path / "i.idx", pixels)
+        assert not (tmp_path / "l.idx").exists() and not (tmp_path / "i.idx").exists()
+
+    def test_writers_take_integral_values_of_any_number_type(self, tmp_path):
+        img, lbl = tmp_path / "i.idx", tmp_path / "l.idx"
+        idx_write_images(img, np.array([[[0.0]], [[255.0]]]))
+        idx_write_labels(lbl, [0, 255])
+        images, labels = idx_load(img, lbl)
+        assert images.reshape(-1).tolist() == [0.0, 1.0]
+        assert labels.tolist() == [0, 255]
+
 
 class TestManifest:
     def make_pair(self, directory, stem, count, seed):
@@ -483,6 +498,18 @@ class TestBatchSampler:
         sampler = BatchSampler(source, target, spec, seed=7)
         stream = [sampler.next_batch().features[:, 0].astype(int).tolist() for _ in range(4)]
         assert stream == self.STREAMS[balance]
+
+    def test_balanced_share_beyond_a_file_rejected(self):
+        # files of 10 and 2 rows at source quota 8: file 1 would give rows 10, 11, 10, 11 in one batch
+        rows = np.arange(12)
+        source = Split.of(rows[:, None], kinds=np.full(12, UNKNOWN_CODE), class_labels=rows % 2, dataset_ids=rows // 10)
+        target = Split.of(np.zeros((4, 1)), kinds=np.full(4, TARGET_CODE))
+        with pytest.raises(ValueError, match="dataset id 1 has 2 rows, fewer than its share 4 of source_quota 8"):
+            BatchSampler(source, target, BatchSpec(source_quota=8, target_quota=2, balance_datasets=True), seed=0)
+        sampler = BatchSampler(source, target, BatchSpec(source_quota=4, target_quota=2, balance_datasets=True), seed=0)
+        for _ in range(5):
+            drawn = sampler.next_batch().features[:4, 0]
+            assert len(set(drawn.tolist())) == 4
 
     def test_balanced_mode_requires_ids(self):
         source, target = self.make_pools()

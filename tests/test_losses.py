@@ -73,7 +73,7 @@ class TestDomainEntropy:
 class TestTotalLoss:
     def test_zero_weights_reduce_to_class_ce(self):
         weights = LossWeights(domain_ce=0.0, class_entropy=0.0, domain_entropy=0.0)
-        out = total_loss(1.25, 9.0, 9.0, 9.0, weights, n_source=4, n_known=0, n_target=2, n_unknown=4)
+        out = total_loss(1.25, 9.0, 9.0, 9.0, weights)
         assert out.total == 1.25
 
     def test_recomposition_is_exact(self):
@@ -81,7 +81,7 @@ class TestTotalLoss:
         for _ in range(30):
             parts = rng.uniform(0.0, 3.0, size=4)
             w = LossWeights(*rng.uniform(0.0, 1.0, size=3))
-            out = total_loss(*parts, w, n_source=8, n_known=2, n_target=4, n_unknown=6)
+            out = total_loss(*parts, w)
             recomposed = (
                 out.class_ce
                 + w.domain_ce * out.domain_ce

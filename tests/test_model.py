@@ -1,12 +1,13 @@
 """Network orchestration: reductions, coupling, end-to-end gradients, checkpoints."""
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mdalign.alignment import AlignConfig
+from mdalign.alignment import AlignConfig, weighted_moments
 from mdalign.assignment import KNOWN_CODE, TARGET_CODE, UNKNOWN_CODE, Assignment
 from mdalign.data import Batch, Split, make_batch
 from mdalign.losses import LossWeights
@@ -335,12 +336,18 @@ class TestForwardEval:
         np.testing.assert_allclose(record.class_probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_substitution_identity(self):
-        # with running momentum 1 the running stats become the batch stats,
-        # so eval on the same batch must reproduce the training outputs
+        # with the batch stats copied into the running stats, eval on the
+        # same batch must reproduce the training outputs
         rng = np.random.default_rng(14)
-        model = Model(tiny_config(align=AlignConfig(running_momentum=1.0)))
+        model = Model(tiny_config())
         batch = make_mixed_batch(rng)
-        record = forward_train(model, batch, update_running=True)
+        record = forward_train(model, batch, update_running=False)
+        for layer, (_, cache, _) in zip(model.align_layers.values(), record.cls_caches):
+            stats = weighted_moments(cache.xr[:, :, 0], cache.aw)
+            assert stats.live.all()
+            layer.running.mean[...] = stats.mean
+            layer.running.var[...] = stats.var
+            layer.running.count[...] = 1
         eval_record = forward_eval(model, batch)
         np.testing.assert_allclose(eval_record.class_probs, record.class_probs, atol=1e-9)
 
@@ -410,14 +417,47 @@ class TestCheckpoint:
 
     def test_missing_format_version_rejected(self, tmp_path):
         path = self.tampered(tmp_path, lambda doc: doc.pop("format"))
-        with pytest.raises(CheckpointError, match="checkpoint format None, expected 2"):
+        with pytest.raises(CheckpointError, match="checkpoint format None, expected 3"):
             load_checkpoint(path)
 
-        # a format 1 config still names align_after; the version refuses it before the config is read
+        # older configs name removed fields; the version refuses them before the config is read
         def format_1(doc):
             doc["format"] = 1
             doc["config"]["align_after"] = None
+            doc["config"]["align"]["running_momentum"] = 0.1
 
-        path = self.tampered(tmp_path, format_1)
-        with pytest.raises(CheckpointError, match="checkpoint format 1, expected 2"):
+        def format_2(doc):
+            doc["format"] = 2
+            doc["config"]["align"]["running_momentum"] = 0.1
+
+        for version, edit in ((1, format_1), (2, format_2)):
+            path = self.tampered(tmp_path, edit)
+            with pytest.raises(CheckpointError, match=f"checkpoint format {version}, expected 3"):
+                load_checkpoint(path)
+
+    # a missing field used to load with its default value
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ModelConfig)])
+    def test_missing_config_field_rejected(self, tmp_path, name):
+        path = self.tampered(tmp_path, lambda doc: doc["config"].pop(name))
+        with pytest.raises(CheckpointError, match=rf"config: missing \['{name}'\], unexpected \[\]"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(AlignConfig)])
+    def test_missing_align_field_rejected(self, tmp_path, name):
+        path = self.tampered(tmp_path, lambda doc: doc["config"]["align"].pop(name))
+        with pytest.raises(CheckpointError, match=rf"config\.align: missing \['{name}'\], unexpected \[\]"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("section", ["config", "align"])
+    def test_extra_config_field_rejected(self, tmp_path, section):
+        def add(doc):
+            (doc["config"] if section == "config" else doc["config"]["align"])["running_momentum"] = 0.1
+
+        path = self.tampered(tmp_path, add)
+        with pytest.raises(CheckpointError, match=r"missing \[\], unexpected \['running_momentum'\]"):
+            load_checkpoint(path)
+
+    def test_config_that_is_not_an_object_rejected(self, tmp_path):
+        path = self.tampered(tmp_path, lambda doc: doc["config"].__setitem__("align", 0.1))
+        with pytest.raises(CheckpointError, match="config.align: expected an object, found float"):
             load_checkpoint(path)

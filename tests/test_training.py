@@ -1,4 +1,4 @@
-"""Optimizer recursions, schedules, metrics, and the training loop contract."""
+"""Optimizer recursions, the learning-rate rule, metrics, and the training loop contract."""
 
 import copy
 import math
@@ -72,21 +72,9 @@ class TestTrainConfig:
 
 class TestLrSchedules:
     def test_step_drop_at_three_quarters(self):
-        cfg = TrainConfig(iterations=1200, base_lr=1.0, schedule="step")
+        cfg = TrainConfig(iterations=1200, base_lr=1.0)
         assert lr_at(cfg, 899) == 1.0
         assert lr_at(cfg, 900) == pytest.approx(0.1)
-
-    def test_inverse_at_start(self):
-        cfg = TrainConfig(iterations=100, base_lr=0.25, schedule="inverse")
-        assert lr_at(cfg, 0) == 0.25
-
-    def test_inverse_at_end(self):
-        cfg = TrainConfig(iterations=100, base_lr=1.0, schedule="inverse")
-        assert lr_at(cfg, 100) == pytest.approx(11.0**-0.75, abs=1e-12)
-
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            TrainConfig(schedule="cosine")
 
 
 class TestAccuracy:
@@ -206,8 +194,6 @@ def quick_train_cfg(**overrides):
     base = dict(
         iterations=60,
         base_lr=0.05,
-        weight_decay=1e-6,
-        schedule="step",
         weights=LossWeights(0.0, 0.2, 0.2),
         batch=BatchSpec(source_quota=24, target_quota=24),
         seed=0,
