@@ -13,15 +13,13 @@ Exit codes: 0 success, 1 gradient-check failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
 import sys
 import time
 
-from .alignment import AlignConfig
-from .data import BatchSampler, BatchSpec, FeatureShift, SynthConfig, load_manifest, synth_make
+from .data import BatchSampler, SynthConfig, load_manifest, synth_make
 from .experiments import (
     ExperimentConfig,
     run_baseline_grid,
@@ -29,8 +27,7 @@ from .experiments import (
     run_supervision_sweep,
     summarize,
 )
-from .losses import LossWeights
-from .model import Model, ModelConfig, save_checkpoint
+from .model import Model, ModelConfig, config_from_json, save_checkpoint
 from .training import NumericalAbortError, TrainConfig, check_target_rows, metrics_csv_lines, train
 from .verification import LAYER_TOLERANCE, MODEL_TOLERANCE, run_gradient_audit
 
@@ -46,45 +43,12 @@ class ConfigError(Exception):
     """Invalid configuration; carries the offending field path."""
 
 
-def _build(cls, doc: dict, path: str, converters: dict | None = None):
-    """Instantiate a dataclass from a dict, naming unknown or bad fields."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected an object")
-    field_names = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in doc.items():
-        if key not in field_names:
-            raise ConfigError(f"{path}.{key}: unknown field")
-        if converters and key in converters:
-            value = converters[key](value, f"{path}.{key}")
-        kwargs[key] = value
+def _read(cls, doc, path: str):
+    """config_from_json, with its ValueError as a ConfigError."""
     try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{path}: {err}") from err
-
-
-def _as_shift(doc, path) -> FeatureShift:
-    shift = _build(FeatureShift, doc, path)
-    out = dataclasses.asdict(shift)
-    for key in ("offset", "scale"):
-        if isinstance(out[key], list):
-            out[key] = tuple(out[key])
-    return FeatureShift(**out)
-
-
-def _tupled(value, path):
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{path}: expected a list")
-    return tuple(value)
-
-
-def _build_synth(doc: dict, path: str) -> SynthConfig:
-    converters = {
-        "domain_shifts": lambda v, p: tuple(_as_shift(item, f"{p}[{i}]") for i, item in enumerate(v)),
-        "target_shift": _as_shift,
-    }
-    return _build(SynthConfig, doc, path, converters)
+        return config_from_json(cls, doc, path)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 def load_config(path: str, overrides: list[str]) -> dict:
@@ -128,10 +92,12 @@ def _check_manifest_domains(path: str, k: int) -> None:
 
 def resolve_config(doc: dict):
     """Turn the raw document into (dataset, model config, train config, SynthConfig or None for a manifest)."""
-    for section in doc:
+    for section, value in doc.items():
         if section not in ("data", "model", "train"):
             raise ConfigError(f"{section}: unknown section")
-    data_doc = dict(doc.get("data", {}))
+        if not isinstance(value, dict):
+            raise ConfigError(f"{section}: expected an object, found {type(value).__name__}")
+    data_doc = doc.get("data", {})
     for key in data_doc:
         if key not in ("synthetic", "manifest"):
             raise ConfigError(f"data.{key}: unknown field (use synthetic or manifest)")
@@ -148,7 +114,7 @@ def resolve_config(doc: dict):
         n_classes = 1 + int(dataset.source_train.class_labels.max())
         synth_cfg = None
     else:
-        synth_cfg = _build_synth(data_doc.get("synthetic", {}), "data.synthetic")
+        synth_cfg = _read(SynthConfig, data_doc.get("synthetic", {}), "data.synthetic")
         dataset = synth_make(synth_cfg)
         in_dim = synth_cfg.feature_dim
         n_classes = synth_cfg.n_classes
@@ -158,27 +124,10 @@ def resolve_config(doc: dict):
     model_doc.setdefault("n_classes", n_classes)
     if synth_cfg is not None:
         model_doc.setdefault("k", synth_cfg.n_latent_domains)
-    model_cfg = _build(
-        ModelConfig,
-        model_doc,
-        "model",
-        {
-            "align": lambda v, p: _build(AlignConfig, v, p),
-            "trunk_widths": _tupled,
-            "classifier_widths": _tupled,
-        },
-    )
+    model_cfg = _read(ModelConfig, model_doc, "model")
     if synth_cfg is None:
         _check_manifest_domains(data_doc["manifest"], model_cfg.k)
-    train_cfg = _build(
-        TrainConfig,
-        dict(doc.get("train", {})),
-        "train",
-        {
-            "weights": lambda v, p: _build(LossWeights, v, p),
-            "batch": lambda v, p: _build(BatchSpec, v, p),
-        },
-    )
+    train_cfg = _read(TrainConfig, doc.get("train", {}), "train")
     try:
         BatchSampler(dataset.source_train, dataset.target_train, train_cfg.batch, train_cfg.seed)
     except ValueError as err:
@@ -362,3 +311,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

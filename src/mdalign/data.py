@@ -211,8 +211,8 @@ class FeatureShift:
     """
 
     rotation: float = 0.0
-    offset: float | tuple = 0.0
-    scale: float | tuple = 1.0
+    offset: float | tuple[float, ...] = 0.0
+    scale: float | tuple[float, ...] = 1.0
     noise_sigma: float = 0.0
 
 

@@ -12,7 +12,10 @@ assignment gradients.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+import math
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -48,6 +51,7 @@ __all__ = [
     "backward_train",
     "calibrate_predictor",
     "compute_loss",
+    "config_from_json",
     "forward_eval",
     "forward_train",
     "load_checkpoint",
@@ -426,8 +430,46 @@ def save_checkpoint(model: Model, path) -> None:
         json.dump(doc, f)
 
 
-def _restore(where: str, target: np.ndarray, values) -> None:
-    """Copy checkpoint values into an array of exactly the same shape; nothing broadcasts."""
+def config_from_json(kind, value, path: str):
+    """Read a JSON value as the annotation kind, a config dataclass at the top, or raise ValueError naming its path.
+
+    A config takes an object, field by field: each name must be a field, and one left out keeps its default.
+    tuple[X, ...] takes a list, float | tuple[float, ...] a number or a list, bool only true or false, int
+    only integers (not booleans) and float any finite number.  Paths look like model.trunk_widths[0].
+    """
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ValueError(f"{path}: expected an object, found {type(value).__name__}")
+        hints = typing.get_type_hints(kind)
+        kwargs = {}
+        for key, item in value.items():
+            if key not in hints:
+                raise ValueError(f"{path}.{key}: unknown field")
+            kwargs[key] = config_from_json(hints[key], item, f"{path}.{key}")
+        try:
+            return kind(**kwargs)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err
+    if isinstance(kind, types.UnionType):  # float | tuple[float, ...]
+        scalar, sequence = typing.get_args(kind)
+        kind = sequence if isinstance(value, list) else scalar
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{path}: expected a list, found {value!r}")
+        return tuple(config_from_json(typing.get_args(kind)[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    fits = {
+        bool: isinstance(value, bool),
+        int: number and isinstance(value, int),
+        float: number and (isinstance(value, int) or math.isfinite(value)),
+    }[kind]
+    if not fits:
+        raise ValueError(f"{path}: expected {'finite float' if kind is float else kind.__name__}, found {value!r}")
+    return value
+
+
+def _restore(where: str, target: np.ndarray, values, nonnegative: bool = False) -> None:
+    """Copy finite checkpoint values into an array of exactly the same shape; nothing broadcasts."""
     try:
         arr = np.asarray(values)
     except ValueError as err:
@@ -436,6 +478,8 @@ def _restore(where: str, target: np.ndarray, values) -> None:
         raise CheckpointError(f"{where}: shape {arr.shape}, expected {target.shape}")
     if not np.can_cast(arr.dtype, target.dtype, "same_kind"):
         raise CheckpointError(f"{where}: {arr.dtype} values, expected {target.dtype}")
+    if not np.isfinite(arr).all() or nonnegative and (arr < 0).any():
+        raise CheckpointError(f"{where}: values must be finite{' and >= 0' if nonnegative else ''}")
     target[...] = arr
 
 
@@ -452,7 +496,8 @@ def load_checkpoint(path) -> Model:
 
     The format version, the sets of config, parameter and running-statistics
     names, and every shape must match the model the stored config builds
-    exactly; any difference raises CheckpointError.
+    exactly, every config value must fit config_from_json, every array be
+    finite, and running variances and counts >= 0; else CheckpointError.
     """
     with open(path) as f:
         doc = json.load(f)
@@ -464,10 +509,9 @@ def load_checkpoint(path) -> Model:
     _same_names(f"{path}: config", config, [f.name for f in fields(ModelConfig)])
     _same_names(f"{path}: config.align", config["align"], [f.name for f in fields(AlignConfig)])
     try:
-        widths = {key: tuple(config[key]) for key in ("trunk_widths", "classifier_widths")}
-        model = Model(ModelConfig(**{**config, **widths, "align": AlignConfig(**config["align"])}))
-    except (TypeError, ValueError) as err:
-        raise CheckpointError(f"{path}: config: {err}") from err
+        model = Model(config_from_json(ModelConfig, config, "config"))
+    except ValueError as err:
+        raise CheckpointError(f"{path}: {err}") from err
     params = dict(model.named_params())
     _same_names(f"{path}: params", doc["params"], params)
     for name, p in params.items():
@@ -477,6 +521,7 @@ def load_checkpoint(path) -> Model:
     for key, layer in layers.items():
         stats = doc["running"][key]
         _same_names(f"{path}: running.{key}", stats, ("mean", "var", "count"))
-        for field_name in ("mean", "var", "count"):
-            _restore(f"{path}: running.{key}.{field_name}", getattr(layer.running, field_name), stats[field_name])
+        for field_name, nonnegative in (("mean", False), ("var", True), ("count", True)):
+            where = f"{path}: running.{key}.{field_name}"
+            _restore(where, getattr(layer.running, field_name), stats[field_name], nonnegative)
     return model

@@ -81,21 +81,21 @@ class MetricsRow:
     lr: float
 
 
-def sgd_step(params, lr: float, momentum: float = 0.9, weight_decay: float = 0.0) -> None:
-    """One SGD step with momentum and decoupled-into-gradient weight decay.
+def sgd_step(params, lr: float) -> None:
+    """One SGD step with momentum MOMENTUM and decoupled-into-gradient weight decay WEIGHT_DECAY.
 
-    buffer <- momentum * buffer + grad + weight_decay * value
+    buffer <- MOMENTUM * buffer + grad + WEIGHT_DECAY * value
     value  <- value - lr * buffer
 
     Updates each block's arrays in place, element-wise: stepping a Model's arena
     [model.flat] gives the bits of stepping model.parameters() block by block.
-    One scratch array per block holds weight_decay * value + grad, then
+    One scratch array per block holds WEIGHT_DECAY * value + grad, then
     lr * buffer; each element is rounded as in the two formulas above.
     """
     for p in params:
-        step = weight_decay * p.value
+        step = WEIGHT_DECAY * p.value
         step += p.grad
-        p.momentum *= momentum
+        p.momentum *= MOMENTUM
         p.momentum += step
         np.multiply(p.momentum, lr, out=step)
         p.value -= step
@@ -207,7 +207,7 @@ def train(model: Model, data: Dataset, cfg: TrainConfig) -> tuple[Model, list[Me
         breakdown = backward_train(model, record, batch, cfg.weights)
         if not math.isfinite(breakdown.total):
             raise NumericalAbortError(it, breakdown)
-        sgd_step([model.flat], lr, MOMENTUM, WEIGHT_DECAY)
+        sgd_step([model.flat], lr)
         if (it + 1) % cfg.eval_every == 0 or it == cfg.iterations - 1:
             acc, nmi, purity = evaluate_model(model, data)
             rows.append(

@@ -3,16 +3,19 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mdalign
 from mdalign.alignment import AlignConfig
 from mdalign.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
-from mdalign.data import BatchSpec, FeatureShift, SynthConfig
+from mdalign.data import BatchSpec, FeatureShift, SynthConfig, synth_make
 from mdalign.losses import LossWeights
-from mdalign.model import ModelConfig
-from mdalign.training import TrainConfig
+from mdalign.model import Model, ModelConfig, config_from_json
+from mdalign.training import TrainConfig, metrics_csv_lines, train
 
 
 @pytest.fixture
@@ -137,10 +140,28 @@ class TestTrainCommand:
                 ["train.batch.target_quota=0", "train.weights.class_entropy=0"],
                 "train.batch.target_quota: 0 leaves the target column without running statistics",
             ),
+            (["train.batch.source_quota=2.5"], "train.batch.source_quota: expected int, found 2.5"),
+            (["train.iterations=2.5"], "train.iterations: expected int, found 2.5"),
+            (["model.k=1.5"], "model.k: expected int, found 1.5"),
+            (['model.align.affine="no"'], "model.align.affine: expected bool, found 'no'"),
+            (["data.synthetic.standardize=1"], "data.synthetic.standardize: expected bool, found 1"),
+            (["model.trunk_widths=[12.5]"], "model.trunk_widths[0]: expected int, found 12.5"),
+            (["train.seed=true"], "train.seed: expected int, found True"),
+            (["train.base_lr=NaN"], "train.base_lr: expected finite float, found nan"),
+            (
+                ['data.synthetic.target_shift.offset="x"'],
+                "data.synthetic.target_shift.offset: expected finite float, found 'x'",
+            ),
+            (["train=[]"], "train: expected an object, found list"),
+            (["model=5"], "model: expected an object, found int"),
+            (["data=3"], "data: expected an object, found int"),
         ],
         ids=["conflict_pair", "conflict_strength", "patch_jitter", "replace", "align_after", "patch_hw",
              "batch_seed", "schedule", "momentum", "weight_decay", "running_momentum", "permutation",
-             "balance_without_ids", "eval_every", "source_quota", "target_quota", "target_quota_without_class_entropy"],
+             "balance_without_ids", "eval_every", "source_quota", "target_quota", "target_quota_without_class_entropy",
+             "fractional_quota", "fractional_iterations", "fractional_k", "string_affine", "int_standardize",
+             "fractional_width", "bool_seed", "nan_base_lr", "string_offset", "train_list", "model_number",
+             "data_number"],
     )
     def test_bad_override_is_a_config_error(self, quick_config, tmp_path, capsys, overrides, expected):
         sets = [arg for override in overrides for arg in ("--set", override)]
@@ -148,6 +169,32 @@ class TestTrainCommand:
         assert code == EXIT_CONFIG
         assert expected in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_list_shifts_train_as_tuples(self, quick_config, tmp_path):
+        """JSON lists for a shift's offset and scale give the metrics of the SynthConfig built with tuples."""
+        out = tmp_path / "run"
+        shift = 'data.synthetic.target_shift={"offset": [0.5, 0, -0.5, 1], "scale": [1, 2, 1, 0.5]}'
+        assert main(["train", "--config", quick_config, "--out", str(out), "--set", shift]) == EXIT_OK
+        data = SynthConfig(
+            n_classes=3, feature_dim=4, train_per_domain=40, test_per_domain=40,
+            domain_shifts=(FeatureShift(offset=1.5), FeatureShift(offset=-1.5)),
+            target_shift=FeatureShift(offset=(0.5, 0.0, -0.5, 1.0), scale=(1.0, 2.0, 1.0, 0.5)),
+            standardize=True, seed=5,
+        )
+        model = Model(ModelConfig(in_dim=4, n_classes=3, trunk_widths=(12,), classifier_widths=(12,), branch_hidden=8))
+        train_cfg = TrainConfig(iterations=40, eval_every=20, batch=BatchSpec(source_quota=16, target_quota=16))
+        _, rows = train(model, synth_make(data), train_cfg)
+        assert (out / "metrics.csv").read_text() == "\n".join(metrics_csv_lines(rows)) + "\n"
+
+    def test_module_runs_the_command(self, tmp_path):
+        """python -m mdalign.cli runs main, so a missing config exits 2."""
+        src = os.path.dirname(os.path.dirname(mdalign.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        cmd = [sys.executable, "-m", "mdalign.cli", "train", "--config", "missing.json", "--out", "x"]
+        proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "config file not found: missing.json" in proc.stderr
+        assert not (tmp_path / "x").exists()
 
     def test_bad_set_syntax(self, quick_config, tmp_path):
         code = main(["train", "--config", quick_config, "--out", str(tmp_path / "o"), "--set", "oops"])
@@ -405,3 +452,33 @@ class TestConfigFields:
     @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
     def test_config_fields_are_pinned(self, cls):
         assert tuple(f.name for f in dataclasses.fields(cls)) == self.FIELDS[cls]
+
+    # No field at its default, and every annotation shape: int, float, bool, tuple[int, ...],
+    # tuple[FeatureShift, ...], float | tuple[float, ...] as a number and as a list, and nested configs.
+    SAMPLES = {
+        SynthConfig: SynthConfig(
+            n_latent_domains=3, n_classes=3, feature_dim=2, train_per_domain=7, test_per_domain=5,
+            domain_shifts=(FeatureShift(offset=(1.0, -1.0)), FeatureShift(rotation=0.5, scale=2.0), FeatureShift()),
+            target_shift=FeatureShift(noise_sigma=0.1), class_separation=2.5, standardize=True, seed=3,
+        ),
+        FeatureShift: FeatureShift(rotation=0.25, offset=(1.0, 2.5), scale=0.5, noise_sigma=0.1),
+        ModelConfig: ModelConfig(
+            in_dim=5, n_classes=3, k=4, trunk_widths=(8, 6), classifier_widths=(7,), branch_hidden=9,
+            align=AlignConfig(eps=1e-3, affine=False, zero_mass_threshold=0.0),
+            whole_batch_norm=True,
+            seed=2,
+        ),
+        AlignConfig: AlignConfig(eps=1e-4, affine=False, zero_mass_threshold=1e-3),
+        TrainConfig: TrainConfig(
+            iterations=9, base_lr=0.5, weights=LossWeights(0.1, 0.0, 0.3),
+            batch=BatchSpec(source_quota=5, target_quota=6, balance_datasets=True), seed=4, eval_every=3,
+        ),
+        LossWeights: LossWeights(domain_ce=0.0, class_entropy=0.4, domain_entropy=1.5),
+        BatchSpec: BatchSpec(source_quota=3, target_quota=0, balance_datasets=True),
+    }
+
+    @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+    def test_json_round_trip(self, cls):
+        sample = self.SAMPLES[cls]
+        doc = json.loads(json.dumps(dataclasses.asdict(sample)))
+        assert config_from_json(cls, doc, "config") == sample

@@ -457,6 +457,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=r"missing \[\], unexpected \['running_momentum'\]"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (lambda doc: doc["config"]["align"].update(affine=1), r"config\.align\.affine: expected bool, found 1"),
+            (lambda doc: doc["config"].update(seed=True), r"config\.seed: expected int, found True"),
+            (lambda doc: doc["config"].update(trunk_widths="6"), r"config\.trunk_widths: expected a list, found '6'"),
+            (lambda doc: doc["params"]["trunk.0.bias"].__setitem__(0, np.nan), r"params\.trunk\.0\.bias: .*finite"),
+            (lambda doc: doc["running"]["0"]["var"][0].__setitem__(0, -5.0), r"running\.0\.var: .*>= 0"),
+            (lambda doc: doc["running"]["0"]["count"].__setitem__(0, -3), r"running\.0\.count: .*>= 0"),
+        ],
+        ids=["int_affine", "bool_seed", "string_widths", "nan_param", "negative_var", "negative_count"],
+    )
+    def test_bad_value_rejected(self, tmp_path, edit, expected):
+        # each of these used to load into a model without complaint
+        with pytest.raises(CheckpointError, match=expected):
+            load_checkpoint(self.tampered(tmp_path, edit))
+
     def test_config_that_is_not_an_object_rejected(self, tmp_path):
         path = self.tampered(tmp_path, lambda doc: doc["config"].__setitem__("align", 0.1))
         with pytest.raises(CheckpointError, match="config.align: expected an object, found float"):

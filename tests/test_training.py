@@ -14,6 +14,8 @@ from mdalign.model import Model, ModelConfig
 from mdalign.primitives import ParamBlock
 from mdalign.training import (
     METRICS_HEADER,
+    MOMENTUM,
+    WEIGHT_DECAY,
     NumericalAbortError,
     TrainConfig,
     accuracy,
@@ -26,38 +28,40 @@ from mdalign.training import (
 
 
 class TestSgdStep:
+    # sgd_step always applies training.MOMENTUM and WEIGHT_DECAY; a first step from a zero buffer
+    # does not depend on the momentum.
     def test_vanilla_step(self):
         p = ParamBlock(np.array([1.0]))
         p.grad[...] = 0.5
-        sgd_step([p], lr=0.1, momentum=0.0, weight_decay=0.0)
-        np.testing.assert_allclose(p.value, [0.95], atol=1e-15)
+        sgd_step([p], lr=0.1)
+        np.testing.assert_allclose(p.value, [1.0 - 0.1 * (0.5 + WEIGHT_DECAY)], rtol=0, atol=1e-15)
 
     def test_momentum_recursion(self):
-        # constant gradient 1: buffer goes 1 then 1.9, value -0.1 then -0.29
+        # constant gradient 1 from value 0: buffer 1, value -0.1, then buffer 1.9 less the decay of -0.1
         p = ParamBlock(np.array([0.0]))
         p.grad[...] = 1.0
-        sgd_step([p], lr=0.1, momentum=0.9, weight_decay=0.0)
-        np.testing.assert_allclose(p.value, [-0.1], atol=1e-15)
+        sgd_step([p], lr=0.1)
+        np.testing.assert_allclose(p.value, [-0.1], rtol=0, atol=1e-15)
         p.grad[...] = 1.0
-        sgd_step([p], lr=0.1, momentum=0.9, weight_decay=0.0)
-        np.testing.assert_allclose(p.value, [-0.29], atol=1e-15)
+        sgd_step([p], lr=0.1)
+        buffer = MOMENTUM * 1.0 + 1.0 + WEIGHT_DECAY * -0.1
+        np.testing.assert_allclose(p.value, [-0.1 - 0.1 * buffer], rtol=0, atol=1e-15)
 
     def test_decay_only_step(self):
         p = ParamBlock(np.array([1.0]))
-        sgd_step([p], lr=0.1, momentum=0.0, weight_decay=0.1)
-        np.testing.assert_allclose(p.value, [0.99], atol=1e-15)
-
+        sgd_step([p], lr=0.1)
+        np.testing.assert_allclose(p.value, [1.0 - 0.1 * WEIGHT_DECAY], rtol=0, atol=1e-15)
 
     def test_matches_three_temporary_formula(self):
-        """Five steps with weight decay give the bytes of the formula as first written."""
+        """Five steps give the bytes of the formula as first written."""
         rng = np.random.default_rng(5)
         p = ParamBlock(rng.normal(size=(7, 3)))
         value, buffer = p.value.copy(), p.momentum.copy()
         for step in range(5):
             lr = 0.05 / (step + 1)
             p.grad[...] = rng.normal(size=(7, 3))
-            sgd_step([p], lr, momentum=0.9, weight_decay=1e-3)
-            buffer = buffer * 0.9 + (p.grad + 1e-3 * value)
+            sgd_step([p], lr)
+            buffer = buffer * MOMENTUM + (p.grad + WEIGHT_DECAY * value)
             value = value - lr * buffer
             assert p.momentum.tobytes() == buffer.tobytes()
             assert p.value.tobytes() == value.tobytes()
