@@ -18,8 +18,9 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
-from .data import BatchSampler, SynthConfig, load_manifest, synth_make
+from .data import SynthConfig, load_manifest, reveal_domain_labels, synth_make
 from .experiments import (
     ExperimentConfig,
     run_baseline_grid,
@@ -28,7 +29,7 @@ from .experiments import (
     summarize,
 )
 from .model import Model, ModelConfig, config_from_json, save_checkpoint
-from .training import NumericalAbortError, TrainConfig, check_target_rows, metrics_csv_lines, train
+from .training import NumericalAbortError, TrainConfig, metrics_csv_lines, run_sampler, train
 from .verification import LAYER_TOLERANCE, MODEL_TOLERANCE, run_gradient_audit
 
 __all__ = ["entry", "main"]
@@ -80,16 +81,6 @@ def load_config(path: str, overrides: list[str]) -> dict:
     return doc
 
 
-def _check_manifest_domains(path: str, k: int) -> None:
-    """Every domain a manifest's source file declares must be one of model.k latent domains."""
-    with open(path) as f:
-        for entry in json.load(f)["sources"]:
-            if entry.get("domain") is not None and entry["domain"] >= k:
-                raise ConfigError(
-                    f"data.manifest: source {entry['images']} declares domain {entry['domain']}, but model.k is {k}"
-                )
-
-
 def resolve_config(doc: dict):
     """Turn the raw document into (dataset, model config, train config, SynthConfig or None for a manifest)."""
     for section, value in doc.items():
@@ -105,6 +96,8 @@ def resolve_config(doc: dict):
         raise ConfigError("data: synthetic and manifest are mutually exclusive")
 
     if "manifest" in data_doc:
+        if not isinstance(data_doc["manifest"], str):
+            raise ConfigError(f"data.manifest: expected a path string, found {type(data_doc['manifest']).__name__}")
         try:
             dataset = load_manifest(data_doc["manifest"])
         except (OSError, ValueError) as err:
@@ -125,17 +118,11 @@ def resolve_config(doc: dict):
     if synth_cfg is not None:
         model_doc.setdefault("k", synth_cfg.n_latent_domains)
     model_cfg = _read(ModelConfig, model_doc, "model")
-    if synth_cfg is None:
-        _check_manifest_domains(data_doc["manifest"], model_cfg.k)
     train_cfg = _read(TrainConfig, doc.get("train", {}), "train")
     try:
-        BatchSampler(dataset.source_train, dataset.target_train, train_cfg.batch, train_cfg.seed)
+        run_sampler(model_cfg, dataset, train_cfg)
     except ValueError as err:
-        raise ConfigError(f"train.batch.{err}") from err
-    try:
-        check_target_rows(model_cfg, train_cfg.batch)
-    except ValueError as err:
-        raise ConfigError(f"train.{err}") from err
+        raise ConfigError(str(err)) from err
     return dataset, model_cfg, train_cfg, synth_cfg
 
 
@@ -209,12 +196,22 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def _run_grid_command(args, runner, key: str, values: tuple[str, ...]) -> int:
-    """Run runner(base, seeds); write manifest.json, runs.csv (key, seed and value columns) and summary.csv."""
+def _run_grid_command(args, runner, key: str, values: tuple[str, ...], reveals: bool = False) -> int:
+    """Run runner(base, seeds); write manifest.json, runs.csv (key, seed and value columns) and summary.csv.
+
+    reveals: the runner also trains on the source rows with their latent
+    domains revealed, so run_sampler checks that dataset too.
+    """
     doc = load_config(args.config, args.set or [])
-    _, model_cfg, train_cfg, synth_cfg = resolve_config(doc)
+    dataset, model_cfg, train_cfg, synth_cfg = resolve_config(doc)
     if synth_cfg is None:
         raise ConfigError("data: experiment runners need a synthetic dataset")
+    if reveals:
+        revealed = replace(dataset, source_train=reveal_domain_labels(dataset.source_train))
+        try:
+            run_sampler(model_cfg, revealed, train_cfg)
+        except ValueError as err:
+            raise ConfigError(f"{err} ({args.command} reveals the latent domain of every source row)") from err
     base = ExperimentConfig(data=synth_cfg, model=model_cfg, train=train_cfg)
     _prepare_out(args.out, args.force)
     seeds = list(range(args.seeds))
@@ -236,21 +233,38 @@ def _run_grid_command(args, runner, key: str, values: tuple[str, ...]) -> int:
 
 
 def cmd_ablate_k(args) -> int:
-    k_values = [int(v) for v in args.k.split(",")]
     return _run_grid_command(
-        args, lambda base, seeds: run_k_ablation(base, k_values, seeds), "k", ("acc", "nmi", "purity")
+        args, lambda base, seeds: run_k_ablation(base, args.k, seeds), "k", ("acc", "nmi", "purity")
     )
 
 
 def cmd_sweep_labels(args) -> int:
-    fractions = [float(v) for v in args.fractions.split(",")]
     return _run_grid_command(
-        args, lambda base, seeds: run_supervision_sweep(base, fractions, seeds), "fraction", ("acc",)
+        args,
+        lambda base, seeds: run_supervision_sweep(base, args.fractions, seeds),
+        "fraction",
+        ("acc",),
+        reveals=any(f > 0 for f in args.fractions),
     )
 
 
 def cmd_baselines(args) -> int:
-    return _run_grid_command(args, run_baseline_grid, "config", ("acc", "nmi", "purity"))
+    return _run_grid_command(args, run_baseline_grid, "config", ("acc", "nmi", "purity"), reveals=True)
+
+
+def _comma_list(convert, accept, expected: str):
+    """An argparse type: a comma-separated list whose every item converts and is accepted."""
+
+    def parse(text: str) -> list:
+        try:
+            items = [convert(v) for v in text.split(",")]
+            if all(accept(v) for v in items):
+                return items
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected comma-separated {expected}, found {text!r}")
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,14 +291,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_k = sub.add_parser("ablate-k", help="median accuracy per number of latent domains")
     common(p_k)
-    p_k.add_argument("--k", default="2,3,4,5", help="comma-separated k values")
+    p_k.add_argument(
+        "--k", default="2,3,4,5", type=_comma_list(int, lambda k: k >= 1, "integers >= 1"),
+        help="comma-separated k values",
+    )
     p_k.add_argument("--seeds", type=int, default=5, help="number of seeds per configuration")
     p_k.set_defaults(func=cmd_ablate_k)
 
     p_sweep = sub.add_parser("sweep-labels", help="accuracy at varying fractions of domain labels")
     common(p_sweep)
     p_sweep.add_argument(
-        "--fractions", default="0,0.05,0.25,0.5,1.0", help="comma-separated label fractions in [0, 1]"
+        "--fractions",
+        default="0,0.05,0.25,0.5,1.0",
+        type=_comma_list(float, lambda f: 0 <= f <= 1, "numbers in [0, 1]"),
+        help="comma-separated label fractions in [0, 1]",
     )
     p_sweep.add_argument("--seeds", type=int, default=5, help="number of seeds per fraction")
     p_sweep.set_defaults(func=cmd_sweep_labels)

@@ -266,6 +266,12 @@ class SynthConfig:
             raise ValueError("dimensions and sample counts must be >= 1")
         if self.domain_shifts and len(self.domain_shifts) != self.n_latent_domains:
             raise ValueError("one domain shift per latent domain (or none for identities)")
+        named = [(f"domain_shifts[{d}]", s) for d, s in enumerate(self.domain_shifts)]
+        for name, shift in [*named, ("target_shift", self.target_shift)]:
+            for part in ("offset", "scale"):
+                value = getattr(shift, part)
+                if isinstance(value, tuple) and len(value) != self.feature_dim:
+                    raise ValueError(f"{name}.{part}: {len(value)} entries, but feature_dim is {self.feature_dim}")
 
 
 def _balanced_labels(count: int, n_classes: int, rng: np.random.Generator) -> np.ndarray:

@@ -16,11 +16,11 @@ __all__ = [
     "NumericalAbortError",
     "TrainConfig",
     "accuracy",
-    "check_target_rows",
     "domain_discovery_metrics",
     "evaluate_model",
     "lr_at",
     "metrics_csv_lines",
+    "run_sampler",
     "sgd_step",
     "train",
 ]
@@ -173,18 +173,31 @@ def evaluate_model(model: Model, data: Dataset) -> tuple[float, float, float]:
     return acc, nmi, purity
 
 
-def check_target_rows(model_cfg: ModelConfig, batch: BatchSpec) -> None:
-    """Raise ValueError for batches without target rows unless the model is whole_batch_norm.
+def run_sampler(model_cfg: ModelConfig, data: Dataset, cfg: TrainConfig) -> BatchSampler:
+    """Check the rules that tie model config, dataset and train config together; return the run's sampler.
 
-    Without target rows the target domain's running statistics are never
-    estimated; only a whole_batch_norm model, which has no target domain,
-    can then be evaluated.
+    Without target rows the target column's running statistics are never
+    estimated, so only a whole_batch_norm model, which has no target column,
+    may train on batches without them.  A declared source domain pins its
+    rows to one of model.k latent-domain columns, so it must be below k.
+    The sampler then checks its quotas against the pools.  Each ValueError
+    starts with the config path at fault: train.batch..., or model.k.
     """
-    if batch.target_quota == 0 and not model_cfg.whole_batch_norm:
+    if cfg.batch.target_quota == 0 and not model_cfg.whole_batch_norm:
         raise ValueError(
-            "batch.target_quota: 0 leaves the target column without running statistics, "
+            "train.batch.target_quota: 0 leaves the target column without running statistics, "
             "which evaluation needs unless model.whole_batch_norm is set"
         )
+    source = data.source_train
+    beyond = np.flatnonzero(source.known_domains >= model_cfg.k)
+    if beyond.size:
+        row = beyond[0]
+        who = f"dataset id {source.dataset_ids[row]}" if source.dataset_ids[row] >= 0 else f"source row {row}"
+        raise ValueError(f"model.k: {who} declares domain {source.known_domains[row]}, but model.k is {model_cfg.k}")
+    try:
+        return BatchSampler(source, data.target_train, cfg.batch, cfg.seed)
+    except ValueError as err:
+        raise ValueError(f"train.batch.{err}") from err
 
 
 def train(model: Model, data: Dataset, cfg: TrainConfig) -> tuple[Model, list[MetricsRow]]:
@@ -192,11 +205,10 @@ def train(model: Model, data: Dataset, cfg: TrainConfig) -> tuple[Model, list[Me
 
     Fully deterministic for a given (model seed, config, data): cfg.seed
     seeds the batch sampler.  A non-finite loss aborts with the iteration
-    and per-term diagnostics.  check_target_rows refuses a batch spec
-    without target rows before the first iteration.
+    and per-term diagnostics.  run_sampler refuses a model, dataset and
+    config that do not fit together before the first iteration.
     """
-    check_target_rows(model.cfg, cfg.batch)
-    sampler = BatchSampler(data.source_train, data.target_train, cfg.batch, cfg.seed)
+    sampler = run_sampler(model.cfg, data, cfg)
     rows: list[MetricsRow] = []
     for it in range(cfg.iterations):
         lr = lr_at(cfg, it)

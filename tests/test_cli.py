@@ -152,6 +152,17 @@ class TestTrainCommand:
                 ['data.synthetic.target_shift.offset="x"'],
                 "data.synthetic.target_shift.offset: expected finite float, found 'x'",
             ),
+            (
+                ['data.synthetic.target_shift={"offset": [1, 2]}'],
+                "data.synthetic: target_shift.offset: 2 entries, but feature_dim is 4",
+            ),
+            (['data.synthetic.target_shift={"scale": [2]}'], "data.synthetic: target_shift.scale: 1 entries"),
+            (
+                ['data.synthetic.domain_shifts=[{"offset": 1.5}, {"scale": [1, 2, 3, 4, 5]}]'],
+                "data.synthetic: domain_shifts[1].scale: 5 entries, but feature_dim is 4",
+            ),
+            (['data={"manifest": 12345}'], "data.manifest: expected a path string, found int"),
+            (['data={"manifest": ["a.json"]}'], "data.manifest: expected a path string, found list"),
             (["train=[]"], "train: expected an object, found list"),
             (["model=5"], "model: expected an object, found int"),
             (["data=3"], "data: expected an object, found int"),
@@ -160,8 +171,8 @@ class TestTrainCommand:
              "batch_seed", "schedule", "momentum", "weight_decay", "running_momentum", "permutation",
              "balance_without_ids", "eval_every", "source_quota", "target_quota", "target_quota_without_class_entropy",
              "fractional_quota", "fractional_iterations", "fractional_k", "string_affine", "int_standardize",
-             "fractional_width", "bool_seed", "nan_base_lr", "string_offset", "train_list", "model_number",
-             "data_number"],
+             "fractional_width", "bool_seed", "nan_base_lr", "string_offset", "short_offset", "one_entry_scale",
+             "long_domain_scale", "int_manifest", "list_manifest", "train_list", "model_number", "data_number"],
     )
     def test_bad_override_is_a_config_error(self, quick_config, tmp_path, capsys, overrides, expected):
         sets = [arg for override in overrides for arg in ("--set", override)]
@@ -257,6 +268,47 @@ class TestRunnerCommands:
         summary = (out / "summary.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in summary[1:]] == ["0.0", "0.05", "0.25", "0.5", "1.0"]
 
+    @pytest.mark.parametrize(
+        "command, code, expected",
+        [
+            (["baselines"], EXIT_CONFIG, "model.k: source row 40 declares domain 1, but model.k is 1 (baselines"),
+            (["sweep-labels", "--fractions", "0,1"], EXIT_CONFIG, "model.k: source row 40 declares domain 1"),
+            (["sweep-labels", "--fractions", "0"], EXIT_OK, ""),
+        ],
+        ids=["baselines", "sweep_revealing", "sweep_revealing_none"],
+    )
+    def test_revealed_domain_beyond_k(self, quick_config, tmp_path, capsys, command, code, expected):
+        """Runners that reveal latent domains need each of them below model.k, checked before the run directory."""
+        out = tmp_path / "grid"
+        args = ["--config", quick_config, "--out", str(out), "--seeds", "1", "--set", "model.k=1"]
+        assert main([*command, *args, "--set", "train.iterations=5"]) == code
+        assert expected in capsys.readouterr().err
+        assert out.exists() == (code == EXIT_OK)
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            (["ablate-k", "--k", "0"], "argument --k: expected comma-separated integers >= 1, found '0'"),
+            (["ablate-k", "--k", "x"], "argument --k: expected comma-separated integers >= 1, found 'x'"),
+            (
+                ["sweep-labels", "--fractions", "1.5"],
+                "argument --fractions: expected comma-separated numbers in [0, 1], found '1.5'",
+            ),
+            (
+                ["sweep-labels", "--fractions", "0,-0.5"],
+                "argument --fractions: expected comma-separated numbers in [0, 1], found '0,-0.5'",
+            ),
+        ],
+        ids=["k_zero", "k_word", "fraction_above_one", "negative_fraction"],
+    )
+    def test_bad_grid_values_are_usage_errors(self, quick_config, tmp_path, capsys, command, expected):
+        out = tmp_path / "grid"
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--config", quick_config, "--out", str(out), "--seeds", "1"])
+        assert exit_info.value.code == 2
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
 
 def write_digit_set(store, rng, stem, shift, n=24):
     """Write a tiny 3x3 "digit" IDX pair of n images (class = which corner is bright); returns its manifest entry."""
@@ -315,7 +367,7 @@ class TestManifestTraining:
         code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "s2-images.idx" in err and "domain 2" in err and "model.k is 2" in err
+        assert "model.k: dataset id 2 declares domain 2" in err and "model.k is 2" in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(

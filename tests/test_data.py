@@ -171,6 +171,8 @@ class TestSynthMake:
             SynthConfig(n_latent_domains=0)
         with pytest.raises(ValueError):
             SynthConfig(n_latent_domains=2, domain_shifts=(FeatureShift(),))
+        with pytest.raises(ValueError, match=r"target_shift\.offset: 1 entries, but feature_dim is 6"):
+            SynthConfig(feature_dim=6, target_shift=FeatureShift(offset=(1.0,)))
 
 
 class TestSplit:

@@ -1,13 +1,14 @@
 """Optimizer recursions, the learning-rate rule, metrics, and the training loop contract."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mdalign import training
-from mdalign.data import BatchSpec, FeatureShift, SynthConfig, synth_make
+from mdalign.data import BatchSpec, FeatureShift, SynthConfig, reveal_domain_labels, synth_make
 from mdalign.experiments import ExperimentConfig
 from mdalign.losses import LossWeights
 from mdalign.model import Model, ModelConfig
@@ -285,3 +286,15 @@ class TestTrainLoop:
                                   whole_batch_norm=True))
         _, rows = train(whole, data, cfg)
         assert len(calls) == 3 and [r.iteration for r in rows] == [3]
+
+    def test_declared_domain_beyond_k_fails_before_iterating(self, monkeypatch):
+        """A source row declaring domain k has no latent-domain column; train refuses it before the first step."""
+        data = synth_make(quick_task())
+        source = reveal_domain_labels(data.source_train, [0])
+        source.known_domains[0] = 2
+        calls = []
+        forward_train = training.forward_train
+        monkeypatch.setattr(training, "forward_train", lambda *a: calls.append(1) or forward_train(*a))
+        with pytest.raises(ValueError, match=r"^model\.k: source row 0 declares domain 2, but model\.k is 2$"):
+            train(quick_model(k=2), dataclasses.replace(data, source_train=source), quick_train_cfg(iterations=5))
+        assert calls == []
