@@ -396,5 +396,10 @@ class AlignmentLayer:
             )
         inv_std = np.zeros_like(self.running.mean)
         inv_std[needed] = 1.0 / np.sqrt(self.running.var[needed] + self.cfg.eps)
-        _, _, y = self._mix(_as_bcm(x), w, self.running.mean, inv_std)
+        # _mix's per-element operations in its order, in one output buffer
+        y = _as_bcm(x) * (w @ inv_std)[:, :, None]
+        y -= (w @ (self.running.mean * inv_std))[:, :, None]
+        if self.cfg.affine:
+            y *= self.gamma.value[None, :, None]
+            y += self.beta.value[None, :, None]
         return y.reshape(x.shape)

@@ -267,6 +267,21 @@ def _comma_list(convert, accept, expected: str):
     return parse
 
 
+def _int_at_least(low: int):
+    """An argparse type: one integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, found {text!r}")
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mdalign",
@@ -286,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference audit of every gradient path")
-    p_grad.add_argument("--seed", type=int, default=0, help="seed for the audit draws")
+    p_grad.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for the audit draws")
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_k = sub.add_parser("ablate-k", help="median accuracy per number of latent domains")
@@ -295,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--k", default="2,3,4,5", type=_comma_list(int, lambda k: k >= 1, "integers >= 1"),
         help="comma-separated k values",
     )
-    p_k.add_argument("--seeds", type=int, default=5, help="number of seeds per configuration")
+    p_k.add_argument("--seeds", type=_int_at_least(1), default=5, help="number of seeds per configuration")
     p_k.set_defaults(func=cmd_ablate_k)
 
     p_sweep = sub.add_parser("sweep-labels", help="accuracy at varying fractions of domain labels")
@@ -306,12 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=_comma_list(float, lambda f: 0 <= f <= 1, "numbers in [0, 1]"),
         help="comma-separated label fractions in [0, 1]",
     )
-    p_sweep.add_argument("--seeds", type=int, default=5, help="number of seeds per fraction")
+    p_sweep.add_argument("--seeds", type=_int_at_least(1), default=5, help="number of seeds per fraction")
     p_sweep.set_defaults(func=cmd_sweep_labels)
 
     p_base = sub.add_parser("baselines", help="source-only / unified / discovery / known-domain grid")
     common(p_base)
-    p_base.add_argument("--seeds", type=int, default=5, help="number of seeds per configuration")
+    p_base.add_argument("--seeds", type=_int_at_least(1), default=5, help="number of seeds per configuration")
     p_base.set_defaults(func=cmd_baselines)
     return parser
 

@@ -264,6 +264,8 @@ class SynthConfig:
             raise ValueError("need at least two classes")
         if self.feature_dim < 1 or self.train_per_domain < 1 or self.test_per_domain < 1:
             raise ValueError("dimensions and sample counts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.domain_shifts and len(self.domain_shifts) != self.n_latent_domains:
             raise ValueError("one domain shift per latent domain (or none for identities)")
         named = [(f"domain_shifts[{d}]", s) for d, s in enumerate(self.domain_shifts)]

@@ -76,6 +76,8 @@ class ModelConfig:
             raise ValueError("in_dim >= 1, n_classes >= 2 and k >= 1 required")
         if not self.trunk_widths:
             raise ValueError("trunk needs at least one block")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def n_domains(self) -> int:
@@ -203,10 +205,11 @@ def _forward(
 
     Training mode normalizes with batch statistics and keeps every activation
     backward_train needs; evaluation mode normalizes with running statistics
-    and keeps none, so that a whole split can be evaluated in one call.  The
-    predictor runs on every non-target sample in both modes.  Every alignment
-    layer shares cfg.align and the one assignment matrix, so training mode
-    column-normalizes it once for all of them.
+    and drops each activation once the next one is made, so that a whole split
+    can be evaluated in one call.  The predictor runs on every non-target
+    sample in both modes.  Every alignment layer shares cfg.align and the one
+    assignment matrix, so training mode column-normalizes it once for all of
+    them.
     """
     trunk_caches = [] if train else None
     h = _trunk_forward(model, batch.features, trunk_caches)
@@ -232,8 +235,11 @@ def _forward(
             z, align_cache = model.align_layers[j].forward(z, assignment, update_running, aw)
             cls_caches.append((h, align_cache, z))
         else:
+            # an activation goes as soon as the next one exists
+            h = None
             z = model.align_layers[j].infer(z, assignment)
         h = relu_forward(z) if j < last else z
+        z = None
 
     return ForwardRecord(
         class_probs=softmax(h),

@@ -61,6 +61,8 @@ class TrainConfig:
             raise ValueError("base_lr must be > 0")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.batch.source_quota < 1:
             raise ValueError("batch.source_quota must be >= 1: a training batch needs a source sample")
         if self.batch.target_quota < 1 and self.weights.class_entropy > 0:
@@ -221,6 +223,10 @@ def train(model: Model, data: Dataset, cfg: TrainConfig) -> tuple[Model, list[Me
             raise NumericalAbortError(it, breakdown)
         sgd_step([model.flat], lr)
         if (it + 1) % cfg.eval_every == 0 or it == cfg.iterations - 1:
+            # the step's activations must not live into a whole-split evaluation; between
+            # steps they stay, since freeing them there lets the allocator hand their pages
+            # back to the kernel and fault them in again at every next forward
+            record = None
             acc, nmi, purity = evaluate_model(model, data)
             rows.append(
                 MetricsRow(

@@ -519,6 +519,19 @@ def reference_step(layer, x, assignment, grad_out):
     return y.reshape(x.shape), grad_x.reshape(x.shape), grad_w, grad_gamma, grad_beta
 
 
+def reference_infer(layer, x, w):
+    """infer() in its first arithmetic: forward's mix over the running statistics, every temporary apart."""
+    xr = x.reshape(x.shape[0], x.shape[1], -1)
+    needed = w.max(axis=0) > 0.0
+    inv_std = np.zeros_like(layer.running.mean)
+    inv_std[needed] = 1.0 / np.sqrt(layer.running.var[needed] + layer.cfg.eps)
+    mix_scale = w @ inv_std
+    y_mix = mix_scale[:, :, None] * xr - (w @ (layer.running.mean * inv_std))[:, :, None]
+    if layer.cfg.affine:
+        return (layer.gamma.value[None, :, None] * y_mix + layer.beta.value[None, :, None]).reshape(x.shape)
+    return y_mix.reshape(x.shape)
+
+
 class TestReferenceArithmetic:
     @pytest.mark.parametrize(
         "affine, rank, all_fixed",
@@ -564,6 +577,30 @@ class TestReferenceArithmetic:
                 assert g is None, name
             else:
                 assert np.array_equal(e, g), name
+
+    @pytest.mark.parametrize("affine", [True, False], ids=["affine", "plain"])
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_infer_bit_identical_to_reference(self, affine, rank):
+        """Columns: three used with running statistics, one that no row uses and that was never estimated."""
+        rng = np.random.default_rng(40 + rank + affine)
+        b, c = 24, 7
+        shape = (b, c) if rank == 2 else (b, c, 3, 2)
+        layer = AlignmentLayer(c, 4, AlignConfig(affine=affine))
+        if affine:
+            layer.gamma.value[...] = rng.uniform(0.5, 1.5, size=c)
+            layer.beta.value[...] = rng.normal(size=c)
+        layer.running.mean[...] = rng.normal(size=(4, c))
+        layer.running.var[...] = rng.uniform(0.2, 3.0, size=(4, c))
+        layer.running.count[:3] = 1
+        probs = np.zeros((b, 4))
+        probs[:, :3] = rng.dirichlet(np.ones(3), size=b)
+        probs[:4, :3] = np.eye(3)[[0, 1, 2, 0]]
+        x = rng.normal(size=shape) * 3.0 - 0.5
+
+        expected = reference_infer(layer, x, probs)
+        got = layer.infer(x, raw_assignment(probs))
+        assert got.shape == x.shape
+        assert np.array_equal(expected, got)
 
 
 class TestInfer:

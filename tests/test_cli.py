@@ -163,6 +163,9 @@ class TestTrainCommand:
             ),
             (['data={"manifest": 12345}'], "data.manifest: expected a path string, found int"),
             (['data={"manifest": ["a.json"]}'], "data.manifest: expected a path string, found list"),
+            (["model.seed=-1"], "model: seed must be >= 0"),
+            (["train.seed=-1"], "train: seed must be >= 0"),
+            (["data.synthetic.seed=-1"], "data.synthetic: seed must be >= 0"),
             (["train=[]"], "train: expected an object, found list"),
             (["model=5"], "model: expected an object, found int"),
             (["data=3"], "data: expected an object, found int"),
@@ -172,7 +175,8 @@ class TestTrainCommand:
              "balance_without_ids", "eval_every", "source_quota", "target_quota", "target_quota_without_class_entropy",
              "fractional_quota", "fractional_iterations", "fractional_k", "string_affine", "int_standardize",
              "fractional_width", "bool_seed", "nan_base_lr", "string_offset", "short_offset", "one_entry_scale",
-             "long_domain_scale", "int_manifest", "list_manifest", "train_list", "model_number", "data_number"],
+             "long_domain_scale", "int_manifest", "list_manifest", "negative_model_seed", "negative_train_seed",
+             "negative_synthetic_seed", "train_list", "model_number", "data_number"],
     )
     def test_bad_override_is_a_config_error(self, quick_config, tmp_path, capsys, overrides, expected):
         sets = [arg for override in overrides for arg in ("--set", override)]
@@ -231,6 +235,13 @@ class TestGradcheckCommand:
         monkeypatch.setattr(AlignmentLayer, "backward", corrupted)
         assert main(["gradcheck"]) == EXIT_CHECK_FAILED
         assert "FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+    def test_bad_seed_is_a_usage_error(self, capsys, seed):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gradcheck", "--seed", seed])
+        assert exit_info.value.code == 2
+        assert f"argument --seed: expected an integer >= 0, found '{seed}'" in capsys.readouterr().err
 
 
 class TestRunnerCommands:
@@ -298,10 +309,16 @@ class TestRunnerCommands:
                 ["sweep-labels", "--fractions", "0,-0.5"],
                 "argument --fractions: expected comma-separated numbers in [0, 1], found '0,-0.5'",
             ),
+            (["baselines", "--seeds", "0"], "argument --seeds: expected an integer >= 1, found '0'"),
+            (["baselines", "--seeds", "-2"], "argument --seeds: expected an integer >= 1, found '-2'"),
+            (["ablate-k", "--seeds", "0"], "argument --seeds: expected an integer >= 1, found '0'"),
+            (["sweep-labels", "--seeds", "two"], "argument --seeds: expected an integer >= 1, found 'two'"),
         ],
-        ids=["k_zero", "k_word", "fraction_above_one", "negative_fraction"],
+        ids=["k_zero", "k_word", "fraction_above_one", "negative_fraction", "baselines_no_seeds",
+             "baselines_negative_seeds", "ablate_no_seeds", "sweep_word_seeds"],
     )
     def test_bad_grid_values_are_usage_errors(self, quick_config, tmp_path, capsys, command, expected):
+        """argparse converts every occurrence of a flag, so a bad --seeds fails before the trailing --seeds 1."""
         out = tmp_path / "grid"
         with pytest.raises(SystemExit) as exit_info:
             main([*command, "--config", quick_config, "--out", str(out), "--seeds", "1"])

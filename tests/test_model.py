@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,6 +351,37 @@ class TestForwardEval:
             layer.running.count[...] = 1
         eval_record = forward_eval(model, batch)
         np.testing.assert_allclose(eval_record.class_probs, record.class_probs, atol=1e-9)
+
+    @pytest.mark.parametrize("rows, widths", [(2000, (128, 128)), (1000, (64,)), (3000, (256, 256))])
+    def test_whole_split_peak_memory(self, rows, widths):
+        """A whole-split evaluation holds few activations at once: at most 3.5 arrays of the widest classifier layer.
+
+        Its peak is the dense output, the alignment output and one [rows, width]
+        mixing temporary; keeping the layer input and every partial result of
+        the mix alive with them reads above 5.
+        """
+        rng = np.random.default_rng(18)
+        cfg = ModelConfig(
+            in_dim=8, n_classes=4, k=3, trunk_widths=(widths[0],), classifier_widths=widths, branch_hidden=16
+        )
+        model = Model(cfg)
+        for layer in model.align_layers.values():
+            layer.running.count[...] = 1  # mean 0, var 1 as initialized
+        half = rows // 2
+        batch = make_batch(
+            Split.of(
+                rng.normal(size=(rows, cfg.in_dim)),
+                kinds=[UNKNOWN_CODE] * half + [TARGET_CODE] * (rows - half),
+                class_labels=rng.integers(0, cfg.n_classes, rows),
+            )
+        )
+        tracemalloc.start()
+        try:
+            forward_eval(model, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * rows * max(widths) * 8, peak / (rows * max(widths) * 8)
 
     def test_eval_without_stats_raises(self):
         rng = np.random.default_rng(15)

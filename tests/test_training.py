@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -268,6 +269,29 @@ class TestTrainLoop:
         for j, layer in model.align_layers.items():
             assert layer.running.mean.tobytes() == per_block.align_layers[j].running.mean.tobytes()
             assert layer.running.var.tobytes() == per_block.align_layers[j].running.var.tobytes()
+
+    def test_last_step_released_before_evaluation(self, monkeypatch):
+        """No training step's activations are alive while train evaluates the whole splits."""
+        records = []
+        forward_train = training.forward_train
+
+        def keep_weakref(*args):
+            record = forward_train(*args)
+            records.append(weakref.ref(record))
+            return record
+
+        evaluations = []
+        evaluate_model = training.evaluate_model
+
+        def check_released(*args):
+            assert records and all(ref() is None for ref in records)
+            evaluations.append(len(records))
+            return evaluate_model(*args)
+
+        monkeypatch.setattr(training, "forward_train", keep_weakref)
+        monkeypatch.setattr(training, "evaluate_model", check_released)
+        train(quick_model(), synth_make(quick_task()), quick_train_cfg(iterations=7, eval_every=3))
+        assert evaluations == [3, 6, 7]
 
     def test_no_target_rows_needs_whole_batch_norm(self, monkeypatch):
         """Without target rows only a whole_batch_norm model can be evaluated; others fail before iterating."""
