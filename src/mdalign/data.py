@@ -8,10 +8,11 @@ and can be turned into pseudo-domains with deterministic pixel transforms.
 
 Every split is one columnar Split: a feature array [n, ...] and one array
 per field, built once at ingestion by Split.of (or, for the digit files,
-straight into the columns).  Ground-truth latent domain ids (and target
-labels) sit in hidden columns that batches never copy: the sampler and the
-training loop cannot see them, and evaluation code reads them from the
-split's hidden columns.
+straight into the columns, their pixels kept as uint8 codes until a batch
+reads them).  Ground-truth latent domain ids (and target labels) sit in
+hidden columns that batches never copy: the sampler and the training loop
+cannot see them, and evaluation code reads them from the split's hidden
+columns.
 """
 
 from __future__ import annotations
@@ -110,7 +111,13 @@ def _opt(value) -> int | None:
 class Split:
     """One dataset split as columns, one entry per row in every array.
 
-    features is float64 [n, ...]; class_labels is -1 on unlabeled rows;
+    features holds the stored values: float64 [n, ...] with divisor None, or,
+    for a split of digit files, their uint8 pixel codes [n, h * w] with
+    divisor 255.0.  Only the private reader turns stored values into the
+    float64 features a batch carries, dividing codes by the divisor as the
+    rows are read, so a pixel split keeps 1 byte per pixel at rest and the
+    rows it gives carry the bits a float64 split of pixels / 255.0 would.
+    class_labels is -1 on unlabeled rows;
     kinds holds each row's int8 kind code (assignment.KNOWN_CODE, UNKNOWN_CODE
     or TARGET_CODE) and known_domains its declared domain, -1 unless the row
     is known-source; dataset_ids is -1 where no file provenance was declared.
@@ -119,7 +126,9 @@ class Split:
     them.
 
     Build one with Split.of.  split[i] is a LabeledSample whose features are
-    a view of row i; a slice or an index array gives a Split.
+    row i as float64: a view of a float64 split's row, a scaled copy of a
+    pixel split's.  A slice or an index array gives a Split with the same
+    divisor.
     """
 
     features: np.ndarray
@@ -129,6 +138,7 @@ class Split:
     dataset_ids: np.ndarray
     hidden_labels: np.ndarray = field(repr=False)
     hidden_domains: np.ndarray = field(repr=False)
+    divisor: float | None = None
 
     @classmethod
     def of(
@@ -168,20 +178,28 @@ class Split:
             bad = ~np.isfinite(self.features.reshape(len(self), -1)).all(axis=1)
             raise NonFiniteFeatureError(f"{name}: row {np.flatnonzero(bad)[0]} has non-finite features")
 
+    def _scale(self, stored: np.ndarray) -> np.ndarray:
+        """Stored values of this split as float64 features: float64 values as they are, codes over the divisor."""
+        return stored if self.divisor is None else np.divide(stored, self.divisor)
+
+    def _read(self, idx=slice(None)) -> np.ndarray:
+        """Feature rows idx; a float64 split gives its own array indexed, so a whole split is not copied."""
+        return self._scale(self.features[idx])
+
     def __len__(self) -> int:
         return self.features.shape[0]
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             return LabeledSample(
-                features=self.features[key],
+                features=self._read(key),
                 class_label=_opt(self.class_labels[key]),
                 tag=DomainTag.from_code(self.kinds[key], self.known_domains[key]),
                 dataset_id=_opt(self.dataset_ids[key]),
                 hidden_label=_opt(self.hidden_labels[key]),
                 hidden_latent_domain=_opt(self.hidden_domains[key]),
             )
-        return Split(*(getattr(self, f.name)[key] for f in fields(self)))
+        return replace(self, **{f.name: getattr(self, f.name)[key] for f in fields(self) if f.name != "divisor"})
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -449,52 +467,56 @@ def load_manifest(path) -> Dataset:
     unknown-source.  Relative paths resolve against the MDA_DATA_DIR
     environment variable, then the manifest's directory.
     Target labels are loaded but hidden from training.  Images become flat
-    pixel vectors [h * w], the input of the dense networks; without a
-    "target_test" entry the target rows are also the held-out rows.  A file
-    that cannot be read raises OSError; a malformed manifest or IDX file
-    raises ValueError.
+    pixel vectors [h * w], the input of the dense networks; every file must
+    hold images of the first source file's size, else IdxShapeMismatchError.
+    Without a "target_test" entry the target rows are also the held-out
+    rows.  Each split keeps its files' uint8 pixels as they are, 1 byte per
+    pixel, with divisor 255.0: a batch or an evaluation reads its rows as
+    code / 255.0, the float64 value idx_load gives.  A file that cannot be
+    read raises OSError; a malformed manifest or IDX file raises ValueError.
     """
     with open(path) as f:
         doc = json.load(f)
     manifest_dir = os.path.dirname(os.path.abspath(path))
 
+    image_shape = None  # the first source file's, which every file must match
+
     def load_split(entries, domains=None) -> Split:
-        """One split of IDX pairs, each file's uint8 pixels scaled straight into its rows.
+        """One split of IDX pairs, their uint8 pixels joined into one [n, h * w] array of codes.
 
         domains holds each source file's declared domain, -1 where it declares
         none; without domains the rows are target rows, whose labels stay hidden.
         """
+        nonlocal image_shape
         pairs = [
             _idx_pixels(_resolve(e["images"], manifest_dir), _resolve(e["labels"], manifest_dir))
             for e in entries
         ]
-        image_shape = pairs[0][0].shape[1:]
+        image_shape = image_shape or pairs[0][0].shape[1:]
         for e, (px, _) in zip(entries, pairs):
             if px.shape[1:] != image_shape:
-                raise IdxShapeMismatchError(f"{e['images']}: images {px.shape[1:]}, expected {image_shape}")
-        counts = [len(labels) for _, labels in pairs]
-        row_size = math.prod(image_shape)
-        features = np.empty((sum(counts), row_size))
-        start = 0
-        for (px, _), n in zip(pairs, counts):
-            np.divide(px.reshape(n, row_size), 255.0, out=features[start : start + n])
-            start += n
+                raise IdxShapeMismatchError(
+                    f"{e['images']}: images {px.shape[1:]}, expected {image_shape}, the sources' image size"
+                )
+        codes = np.concatenate([px.reshape(len(px), -1) for px, _ in pairs])
         labels = np.concatenate([labels for _, labels in pairs])
         n = len(labels)
         if domains is None:
             return Split(
-                features, np.full(n, -1), np.full(n, TARGET_CODE, dtype=np.int8), np.full(n, -1),
-                np.full(n, -1), labels, np.full(n, -1),
+                codes, np.full(n, -1), np.full(n, TARGET_CODE, dtype=np.int8), np.full(n, -1),
+                np.full(n, -1), labels, np.full(n, -1), divisor=255.0,
             )
+        counts = [len(labels) for _, labels in pairs]
         ids = np.arange(len(entries))
         return Split(
-            features=features,
+            features=codes,
             class_labels=labels,
             kinds=np.repeat(np.where(domains >= 0, KNOWN_CODE, UNKNOWN_CODE).astype(np.int8), counts),
             known_domains=np.repeat(domains, counts),
             dataset_ids=np.repeat(ids, counts),
             hidden_labels=labels,
             hidden_domains=np.repeat(np.where(domains >= 0, domains, ids), counts),
+            divisor=255.0,
         )
 
     for key in ("sources", "target"):
@@ -550,15 +572,17 @@ class Batch:
         return self.features.shape[0]
 
 
-_BATCH_COLUMNS = ("features", "class_labels", "kinds", "known_domains")
+# the public columns a batch carries besides its features
+_BATCH_COLUMNS = ("class_labels", "kinds", "known_domains")
 
 
 def make_batch(split: Split) -> Batch:
     """A batch of a Split's public columns; target labels come through as -1.
 
-    The split's arrays are used as they are, so a whole split costs no copy.
+    The split's arrays are used as they are, so a whole float64 split costs no
+    copy; a pixel split's features are its codes scaled into one new array.
     """
-    return Batch(*(getattr(split, name) for name in _BATCH_COLUMNS))
+    return Batch(split._read(), *(getattr(split, name) for name in _BATCH_COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -622,6 +646,7 @@ class BatchSampler:
         self.source = source
         self.target = target
         self.spec = spec
+        self._alike = source.divisor == target.divisor
         self._rng = np.random.default_rng(seed)
         if spec.balance_datasets:
             ids = source.dataset_ids
@@ -646,13 +671,22 @@ class BatchSampler:
         return np.concatenate([epoch.take(n) for epoch, n in zip(self._group_epochs, self._shares)])
 
     def next_batch(self) -> Batch:
-        """Gather the quota rows of both pools' public columns: source rows first, then target."""
+        """Gather the quota rows of both pools' public columns: source rows first, then target.
+
+        Pools that store features alike have their stored rows gathered into
+        one array and scaled once.
+        """
         rows = []
         if self.spec.source_quota:
             rows.append((self.source, self._source_indices()))
         if self.spec.target_quota:
             rows.append((self.target, self._target_epoch.take(self.spec.target_quota)))
-        return Batch(*(np.concatenate([getattr(split, name)[idx] for split, idx in rows]) for name in _BATCH_COLUMNS))
+        if self._alike:
+            features = self.source._scale(np.concatenate([split.features[idx] for split, idx in rows]))
+        else:
+            features = np.concatenate([split._read(idx) for split, idx in rows])
+        columns = (np.concatenate([getattr(split, name)[idx] for split, idx in rows]) for name in _BATCH_COLUMNS)
+        return Batch(features, *columns)
 
 
 # ---------------------------------------------------------------------------

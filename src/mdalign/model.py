@@ -55,6 +55,7 @@ __all__ = [
     "forward_eval",
     "forward_train",
     "load_checkpoint",
+    "predict_domains",
     "save_checkpoint",
 ]
 
@@ -388,11 +389,25 @@ def calibrate_predictor(model: Model, batch: Batch) -> None:
     mean logit over one batch starts training mass-balanced while keeping the
     feature-dependent tilt that seeds the partition.
     """
-    src_idx = np.flatnonzero(batch.source_mask)
-    if src_idx.size == 0 or model.cfg.whole_batch_norm:
+    if model.cfg.whole_batch_norm or not batch.source_mask.any():
         return
-    logits, _ = model.branch.logits(_trunk_forward(model, batch.features)[src_idx])
+    logits, _ = model.branch.logits(_branch_input(model, batch))
     model.branch.b2.value -= logits.mean(axis=0)
+
+
+def _branch_input(model: Model, batch: Batch) -> np.ndarray:
+    """Trunk output of a batch's non-target rows, the predictor branch's input; the classifier never runs."""
+    return _trunk_forward(model, batch.features)[np.flatnonzero(batch.source_mask)]
+
+
+def predict_domains(model: Model, batch: Batch) -> np.ndarray:
+    """The predictor's probabilities over the k latent domains for a batch's non-target rows.
+
+    Only the trunk and the branch run; the rows equal forward_eval's
+    domain_probs of the same rows.
+    """
+    probs, _ = model.branch.forward(_branch_input(model, batch))
+    return probs
 
 
 def forward_eval(model: Model, batch: Batch) -> EvalRecord:

@@ -9,7 +9,15 @@ import numpy as np
 
 from .data import BatchSampler, BatchSpec, Dataset, make_batch
 from .losses import LossBreakdown, LossWeights
-from .model import Model, ModelConfig, backward_train, calibrate_predictor, forward_eval, forward_train
+from .model import (
+    Model,
+    ModelConfig,
+    backward_train,
+    calibrate_predictor,
+    forward_eval,
+    forward_train,
+    predict_domains,
+)
 
 __all__ = [
     "MetricsRow",
@@ -159,9 +167,10 @@ def evaluate_model(model: Model, data: Dataset) -> tuple[float, float, float]:
     """Target accuracy plus discovery NMI/purity on the source training set.
 
     Hidden ground truth is read only here, from the splits' hidden columns.
-    Each split is evaluated whole, in one forward_eval over its own feature
-    array.  Discovery metrics are NaN when the dataset carries no latent
-    domain ids.
+    Each split is evaluated whole, in one pass over its features: target_test
+    through forward_eval, source_train through the trunk and the predictor
+    branch only, since discovery reads nothing else.  Discovery metrics are
+    NaN when the dataset carries no latent domain ids.
     """
     record = forward_eval(model, make_batch(data.target_test))
     acc = accuracy(record.class_probs, data.target_test.hidden_labels)
@@ -169,8 +178,7 @@ def evaluate_model(model: Model, data: Dataset) -> tuple[float, float, float]:
     latent = data.source_train.hidden_domains
     if np.any(latent < 0) or model.cfg.whole_batch_norm:
         return acc, float("nan"), float("nan")
-    source_record = forward_eval(model, make_batch(data.source_train))
-    predicted = np.argmax(source_record.domain_probs, axis=1)
+    predicted = np.argmax(predict_domains(model, make_batch(data.source_train)), axis=1)
     nmi, purity = domain_discovery_metrics(predicted, latent)
     return acc, nmi, purity
 

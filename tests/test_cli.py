@@ -394,6 +394,8 @@ class TestManifestTraining:
             ("empty_sources", "no source files"),
             ("missing_file", "s1-images.idx"),
             ("image_size", "s1-images.idx: images (1, 4, 4), expected (1, 3, 3)"),
+            ("target_image_size", "t-images.idx: images (1, 5, 5), expected (1, 3, 3), the sources' image size"),
+            ("target_test_image_size", "u-images.idx: images (1, 5, 5), expected (1, 3, 3), the sources' image size"),
             ("no_target", "no 'target' entry"),
             ("no_sources", "no 'sources' entry"),
             ("no_images_key", "needs 'images' and 'labels'"),
@@ -416,6 +418,11 @@ class TestManifestTraining:
             os.remove(tmp_path / "s1-images.idx")
         elif breakage == "image_size":
             idx_write_images(tmp_path / "s1-images.idx", np.zeros((24, 4, 4), dtype=np.uint8))
+        elif breakage == "target_image_size":
+            idx_write_images(tmp_path / "t-images.idx", np.zeros((24, 5, 5), dtype=np.uint8))
+        elif breakage == "target_test_image_size":
+            doc["target_test"] = write_digit_set(tmp_path, rng, "u", 0.0)
+            idx_write_images(tmp_path / "u-images.idx", np.zeros((24, 5, 5), dtype=np.uint8))
         elif breakage == "no_images_key":
             del doc["sources"][1]["images"]
         elif breakage == "fractional_domain":

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mdalign.assignment import KNOWN_CODE, TARGET_CODE, UNKNOWN_CODE, DomainTag
 from mdalign.data import (
     BatchSampler,
     BatchSpec,
+    Dataset,
     FeatureShift,
     IdxCountMismatchError,
     IdxMagicError,
@@ -33,6 +35,8 @@ from mdalign.data import (
     synth_make,
 )
 from mdalign.experiments import pinned_benchmark
+from mdalign.model import Model, ModelConfig
+from mdalign.training import TrainConfig, metrics_csv_lines, train
 
 
 from conftest import nearest_centroid_accuracy
@@ -349,9 +353,9 @@ class TestIdx:
 
 
 class TestManifest:
-    def make_pair(self, directory, stem, count, seed):
+    def make_pair(self, directory, stem, count, seed, size=2):
         rng = np.random.default_rng(seed)
-        idx_write_images(directory / f"{stem}-images.idx", rng.integers(0, 256, size=(count, 2, 2), dtype=np.uint8))
+        idx_write_images(directory / f"{stem}-images.idx", rng.integers(0, 256, (count, size, size), dtype=np.uint8))
         idx_write_labels(directory / f"{stem}-labels.idx", rng.integers(0, 4, size=count, dtype=np.uint8))
         return {"images": f"{stem}-images.idx", "labels": f"{stem}-labels.idx"}
 
@@ -372,17 +376,105 @@ class TestManifest:
         assert (data.target_train.class_labels == -1).all()
         assert len(data.target_test) == 7
 
-    def test_image_size_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize("where", ["source", "target", "target_test"])
+    def test_image_size_mismatch_rejected(self, tmp_path, where):
+        """Every file, target files too, must hold images of the first source file's size."""
         idx_write_images(tmp_path / "b-images.idx", np.zeros((2, 3, 2), dtype=np.uint8))
         idx_write_labels(tmp_path / "b-labels.idx", [0, 1])
+        odd = {"images": "b-images.idx", "labels": "b-labels.idx"}
         doc = {
-            "sources": [self.make_pair(tmp_path, "a", 2, 0), {"images": "b-images.idx", "labels": "b-labels.idx"}],
+            "sources": [self.make_pair(tmp_path, "a", 2, 0)],
             "target": self.make_pair(tmp_path, "t", 2, 1),
+            "target_test": self.make_pair(tmp_path, "u", 2, 2),
         }
+        if where == "source":
+            doc["sources"].append(odd)
+        else:
+            doc[where] = odd
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(doc))
-        with pytest.raises(IdxShapeMismatchError):
+        expected = r"b-images\.idx: images \(1, 3, 2\), expected \(1, 2, 2\), the sources' image size"
+        with pytest.raises(IdxShapeMismatchError, match=expected):
             load_manifest(manifest)
+
+    def write_manifest(self, directory, size, counts):
+        """A manifest of len(counts) - 2 source files (the first declares domain 0), a target and a target_test."""
+        *sources, target, target_test = (
+            self.make_pair(directory, f"f{i}", n, i, size) for i, n in enumerate(counts)
+        )
+        sources[0]["domain"] = 0
+        doc = {"sources": sources, "target": target, "target_test": target_test}
+        manifest = directory / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        return manifest, doc
+
+    def test_pixels_rest_as_one_byte_each(self, tmp_path):
+        """A manifest split keeps 1 byte per pixel, and loading peaks at under twice the files' pixel bytes."""
+        counts = (200, 150, 150, 200, 100)
+        manifest, _ = self.write_manifest(tmp_path, 28, counts)
+        tracemalloc.start()
+        try:
+            data = load_manifest(manifest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for split in (data.source_train, data.target_train, data.target_test):
+            assert split.features.dtype == np.uint8
+            assert split.features.nbytes == len(split) * 28 * 28
+        assert peak <= 2 * sum(counts) * 28 * 28
+        for part in (data.source_train[10:20], reveal_domain_labels(data.source_train, [3])):
+            assert part.features.dtype == np.uint8 and part.divisor == 255.0
+
+    def test_pixel_splits_read_as_their_float64_twins(self, tmp_path):
+        """Codes / 255.0 give, bit for bit, what splits of float64 pixels / 255.0 give: batches, rows, training."""
+        manifest, doc = self.write_manifest(tmp_path, 3, (40, 30, 36, 20))
+        pixels = load_manifest(manifest)
+
+        def twin(split, entries):
+            stored = [idx_load(tmp_path / e["images"], tmp_path / e["labels"])[0] for e in entries]
+            names = ("kinds", "class_labels", "known_domains", "dataset_ids", "hidden_labels", "hidden_domains")
+            columns = {name: getattr(split, name) for name in names}
+            return Split.of(np.concatenate([px.reshape(len(px), -1) for px in stored]), **columns)
+
+        floats = Dataset(
+            twin(pixels.source_train, doc["sources"]),
+            twin(pixels.target_train, [doc["target"]]),
+            twin(pixels.target_test, [doc["target_test"]]),
+        )
+
+        def same(a, b):
+            assert a.dtype == b.dtype == np.float64 and np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+        for name in ("source_train", "target_train", "target_test"):
+            split, float_split = getattr(pixels, name), getattr(floats, name)
+            same(make_batch(split).features, make_batch(float_split).features)
+            same(make_batch(split[5:17]).features, make_batch(float_split[5:17]).features)
+            for row, float_row in zip(split, float_split):
+                same(row.features, float_row.features)
+        same(make_batch(reveal_domain_labels(pixels.source_train, [1, 2])).features, floats.source_train.features)
+
+        spec = BatchSpec(source_quota=9, target_quota=7, balance_datasets=True)
+        samplers = [
+            BatchSampler(pixels.source_train, pixels.target_train, spec, seed=4),
+            BatchSampler(floats.source_train, floats.target_train, spec, seed=4),
+            BatchSampler(pixels.source_train, floats.target_train, spec, seed=4),
+        ]
+        for _ in range(12):
+            a, *others = (sampler.next_batch() for sampler in samplers)
+            for b in others:
+                same(a.features, b.features)
+                for name in ("class_labels", "kinds", "known_domains"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name))
+
+        cfg = TrainConfig(iterations=8, base_lr=0.05, batch=spec, seed=2, eval_every=4)
+        runs = []
+        for dataset in (pixels, floats):
+            model = Model(ModelConfig(in_dim=9, n_classes=4, k=2, trunk_widths=(8,), classifier_widths=(8,), seed=1))
+            _, rows = train(model, dataset, cfg)
+            running = [getattr(layer.running, f).tobytes() for layer in model.align_layers.values()
+                       for f in ("mean", "var", "count")]
+            runs.append((metrics_csv_lines(rows), model.flat.value.tobytes(), model.flat.momentum.tobytes(), running))
+        assert runs[0] == runs[1]
 
     def test_no_sources_rejected(self, tmp_path):
         manifest = tmp_path / "manifest.json"

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from mdalign import training
-from mdalign.data import BatchSpec, FeatureShift, SynthConfig, reveal_domain_labels, synth_make
+from mdalign.alignment import AlignmentLayer
+from mdalign.data import BatchSpec, FeatureShift, SynthConfig, make_batch, reveal_domain_labels, synth_make
 from mdalign.experiments import ExperimentConfig
 from mdalign.losses import LossWeights
-from mdalign.model import Model, ModelConfig
+from mdalign.model import Model, ModelConfig, forward_eval
 from mdalign.primitives import ParamBlock
 from mdalign.training import (
     METRICS_HEADER,
@@ -322,3 +323,24 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=r"^model\.k: source row 0 declares domain 2, but model\.k is 2$"):
             train(quick_model(k=2), dataclasses.replace(data, source_train=source), quick_train_cfg(iterations=5))
         assert calls == []
+
+
+class TestEvaluateModel:
+    def test_source_split_skips_the_classifier(self, monkeypatch):
+        """Discovery reads only the predictor, so the alignment layers see the target_test rows alone."""
+        data = synth_make(quick_task())
+        model, _ = train(quick_model(), data, quick_train_cfg(iterations=4, eval_every=4))
+        seen = []
+        infer = AlignmentLayer.infer
+
+        def count_rows(layer, x, assignment):
+            seen.append(len(x))
+            return infer(layer, x, assignment)
+
+        monkeypatch.setattr(AlignmentLayer, "infer", count_rows)
+        _, nmi, purity = training.evaluate_model(model, data)
+        assert seen == [len(data.target_test)] * len(model.align_layers)
+        monkeypatch.undo()
+        domain_probs = forward_eval(model, make_batch(data.source_train)).domain_probs
+        expected = domain_discovery_metrics(np.argmax(domain_probs, axis=1), data.source_train.hidden_domains)
+        assert (nmi, purity) == expected
