@@ -163,14 +163,15 @@ class RunningStats:
     def initialized(self) -> np.ndarray:
         return self.count > 0
 
-    def update(self, stats: DomainStats, momentum: float) -> None:
-        """avg <- (1 - momentum) * avg + momentum * batch for the live domains' mean and var.
+    def update(self, stats: DomainStats) -> None:
+        """avg <- (1 - RUNNING_MOMENTUM) * avg + RUNNING_MOMENTUM * batch for the live domains' mean and var.
 
         Dead domains' rows are left untouched.
         """
         live = stats.live[:, None]
-        np.copyto(self.mean, (1.0 - momentum) * self.mean + momentum * stats.mean, where=live)
-        np.copyto(self.var, (1.0 - momentum) * self.var + momentum * stats.var, where=live)
+        m = RUNNING_MOMENTUM
+        np.copyto(self.mean, (1.0 - m) * self.mean + m * stats.mean, where=live)
+        np.copyto(self.var, (1.0 - m) * self.var + m * stats.var, where=live)
         self.count += stats.live
 
 
@@ -281,7 +282,7 @@ class AlignmentLayer:
         inv_std = np.divide(1.0, np.sqrt(var + self.cfg.eps), out=np.zeros_like(mean), where=used[:, None])
         mix_scale, y_mix, y = self._mix(xr, w, mean, inv_std)
         if update_running:
-            self.running.update(stats, RUNNING_MOMENTUM)
+            self.running.update(stats)
 
         cache = _Cache(
             x_shape=x.shape,

@@ -37,6 +37,7 @@ __all__ = [
     "IdxError",
     "IdxMagicError",
     "IdxShapeMismatchError",
+    "IdxTrailingBytesError",
     "IdxTruncatedError",
     "ImageShift",
     "LabeledSample",
@@ -68,6 +69,10 @@ class IdxMagicError(IdxError):
 
 class IdxTruncatedError(IdxError):
     """File ended before the declared payload."""
+
+
+class IdxTrailingBytesError(IdxError):
+    """File holds bytes after the declared payload."""
 
 
 class IdxCountMismatchError(IdxError):
@@ -223,19 +228,17 @@ class FeatureShift:
     """Deterministic feature-space transform defining one domain.
 
     rotation acts on consecutive coordinate pairs (0,1), (2,3), ...; offset
-    and scale may be scalars or per-dimension tuples.  All parts are
-    invertible except the additive noise, which is only the identity at
-    sigma 0.
+    and scale may be scalars or per-dimension tuples.  Every part is
+    invertible (for a non-zero scale).
     """
 
     rotation: float = 0.0
     offset: float | tuple[float, ...] = 0.0
     scale: float | tuple[float, ...] = 1.0
-    noise_sigma: float = 0.0
 
 
-def apply_feature_shift(x: np.ndarray, shift: FeatureShift, rng: np.random.Generator) -> np.ndarray:
-    """Apply a domain transform to [n, dim] feature rows."""
+def apply_feature_shift(x: np.ndarray, shift: FeatureShift) -> np.ndarray:
+    """Apply a domain transform to [n, dim] feature rows: rotate, then scale, then offset."""
     out = np.array(x, dtype=np.float64)
     if shift.rotation != 0.0:
         # rotate each coordinate pair (0, 1), (2, 3), ...; an odd last column stays
@@ -247,8 +250,6 @@ def apply_feature_shift(x: np.ndarray, shift: FeatureShift, rng: np.random.Gener
         out[:, 1:p:2] = s * a + c * b
     out *= np.asarray(shift.scale, dtype=np.float64)
     out += np.asarray(shift.offset, dtype=np.float64)
-    if shift.noise_sigma > 0.0:
-        out += rng.normal(0.0, shift.noise_sigma, size=out.shape)
     return out
 
 
@@ -308,7 +309,7 @@ def synth_make(cfg: SynthConfig) -> Dataset:
     def draw(count, shift):
         labels = _balanced_labels(count, cfg.n_classes, rng)
         base = prototypes[labels] + rng.normal(size=(count, cfg.feature_dim))
-        return apply_feature_shift(base, shift, rng), labels
+        return apply_feature_shift(base, shift), labels
 
     source = []
     for shift in shifts:
@@ -384,13 +385,19 @@ def _read_exact(f, n: int, path) -> bytes:
 
 
 def _read_idx(path, magic: int, n_dims: int) -> np.ndarray:
-    """The uint8 payload of an IDX file, shaped by its header."""
+    """The uint8 payload of an IDX file, shaped by its header and checked against the file's size before reading."""
     with open(path, "rb") as f:
         (found,) = struct.unpack(">I", _read_exact(f, 4, path))
         if found != magic:
             raise IdxMagicError(f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
         dims = struct.unpack(">" + "I" * n_dims, _read_exact(f, 4 * n_dims, path))
-        payload = _read_exact(f, math.prod(dims), path)
+        declared = math.prod(dims)
+        held = os.fstat(f.fileno()).st_size - f.tell()
+        if held < declared:
+            raise IdxTruncatedError(f"{path}: header declares {declared} payload bytes, the file holds {held}")
+        if held > declared:
+            raise IdxTrailingBytesError(f"{path}: {held - declared} bytes after the {declared}-byte payload")
+        payload = _read_exact(f, declared, path)
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
@@ -477,6 +484,8 @@ def load_manifest(path) -> Dataset:
     """
     with open(path) as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: the manifest must be a JSON object, found {type(doc).__name__}")
     manifest_dir = os.path.dirname(os.path.abspath(path))
 
     image_shape = None  # the first source file's, which every file must match
@@ -523,11 +532,16 @@ def load_manifest(path) -> Dataset:
         if key not in doc:
             raise ValueError(f"{path}: the manifest has no {key!r} entry")
     sources = doc["sources"]
+    if not isinstance(sources, list):
+        raise ValueError(f"{path}: 'sources' must be a list of file entries, found {type(sources).__name__}")
     if not sources:
         raise ValueError(f"{path}: the manifest lists no source files")
     for e in [*sources, doc["target"], doc.get("target_test", doc["target"])]:
         if not isinstance(e, dict) or "images" not in e or "labels" not in e:
             raise ValueError(f"{path}: file entry {e!r} needs 'images' and 'labels'")
+        for key in ("images", "labels"):
+            if not isinstance(e[key], str):
+                raise ValueError(f"{path}: file entry {e!r} needs a path string at {key!r}")
     for e in sources:
         d = e.get("domain")
         if d is not None and type(d) is not int:
@@ -587,15 +601,16 @@ def make_batch(split: Split) -> Batch:
 
 @dataclass(frozen=True)
 class BatchSpec:
-    """Quota-based batch recipe: so many source samples, so many target."""
+    """Quota-based batch recipe: so many source samples, so many target, at least one of each."""
 
     source_quota: int = 64
     target_quota: int = 64
     balance_datasets: bool = False
 
     def __post_init__(self):
-        if self.source_quota < 0 or self.target_quota < 0:
-            raise ValueError("quotas must be >= 0")
+        for name in ("source_quota", "target_quota"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1: every batch holds source and target rows")
 
 
 class _Epoch:
@@ -635,10 +650,17 @@ class BatchSampler:
     fields; hidden ground truth never reaches a batch.  The same pools, spec
     and seed give the same stream of batches.
 
-    Every ValueError about the spec starts with the BatchSpec field at fault.
+    Both pools must store features alike, as a batch scales their gathered
+    rows once: unlike pools raise TypeError.  Every ValueError about the spec
+    starts with the BatchSpec field at fault.
     """
 
     def __init__(self, source: Split, target: Split, spec: BatchSpec, seed: int):
+        if source.divisor != target.divisor:
+            raise TypeError(
+                f"source pool stores {source.features.dtype} with divisor {source.divisor}, "
+                f"target pool {target.features.dtype} with divisor {target.divisor}"
+            )
         if spec.source_quota > len(source):
             raise ValueError(f"source_quota: {spec.source_quota} exceeds the {len(source)} rows of the source pool")
         if spec.target_quota > len(target):
@@ -646,7 +668,6 @@ class BatchSampler:
         self.source = source
         self.target = target
         self.spec = spec
-        self._alike = source.divisor == target.divisor
         self._rng = np.random.default_rng(seed)
         if spec.balance_datasets:
             ids = source.dataset_ids
@@ -654,8 +675,8 @@ class BatchSampler:
                 raise ValueError("balance_datasets: needs a dataset id on every source row")
             groups = {int(g): np.flatnonzero(ids == g) for g in np.unique(ids)}
         else:
-            groups = {None: np.arange(len(source))} if source else {}
-        per, extra = divmod(spec.source_quota, max(len(groups), 1))
+            groups = {None: np.arange(len(source))}
+        per, extra = divmod(spec.source_quota, len(groups))
         self._shares = [per + (gi < extra) for gi in range(len(groups))]
         # the plain mode's one share is the whole quota, checked against the pool above
         for (g, rows), share in zip(groups.items(), self._shares):
@@ -665,26 +686,18 @@ class BatchSampler:
                     f"fewer than its share {share} of source_quota {spec.source_quota}"
                 )
         self._group_epochs = [_Epoch(rows, self._rng) for rows in groups.values()]
-        self._target_epoch = _Epoch(np.arange(len(target)), self._rng) if target else None
+        self._target_epoch = _Epoch(np.arange(len(target)), self._rng)
 
     def _source_indices(self) -> np.ndarray:
         return np.concatenate([epoch.take(n) for epoch, n in zip(self._group_epochs, self._shares)])
 
     def next_batch(self) -> Batch:
-        """Gather the quota rows of both pools' public columns: source rows first, then target.
+        """Gather the quota rows of both pools' public columns, source rows first, then target.
 
-        Pools that store features alike have their stored rows gathered into
-        one array and scaled once.
+        The stored rows of both pools are gathered into one array and scaled once.
         """
-        rows = []
-        if self.spec.source_quota:
-            rows.append((self.source, self._source_indices()))
-        if self.spec.target_quota:
-            rows.append((self.target, self._target_epoch.take(self.spec.target_quota)))
-        if self._alike:
-            features = self.source._scale(np.concatenate([split.features[idx] for split, idx in rows]))
-        else:
-            features = np.concatenate([split._read(idx) for split, idx in rows])
+        rows = ((self.source, self._source_indices()), (self.target, self._target_epoch.take(self.spec.target_quota)))
+        features = self.source._scale(np.concatenate([split.features[idx] for split, idx in rows]))
         columns = (np.concatenate([getattr(split, name)[idx] for split, idx in rows]) for name in _BATCH_COLUMNS)
         return Batch(features, *columns)
 

@@ -518,10 +518,14 @@ def load_checkpoint(path) -> Model:
     The format version, the sets of config, parameter and running-statistics
     names, and every shape must match the model the stored config builds
     exactly, every config value must fit config_from_json, every array be
-    finite, and running variances and counts >= 0; else CheckpointError.
+    finite, and running variances and counts >= 0; else CheckpointError,
+    as for a file that is not valid JSON.
     """
     with open(path) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except ValueError as err:
+            raise CheckpointError(f"{path}: not valid JSON ({err})") from err
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         found = doc.get("format") if isinstance(doc, dict) else None
         raise CheckpointError(f"{path}: checkpoint format {found!r}, expected {CHECKPOINT_FORMAT}")

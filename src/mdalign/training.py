@@ -71,10 +71,6 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.batch.source_quota < 1:
-            raise ValueError("batch.source_quota must be >= 1: a training batch needs a source sample")
-        if self.batch.target_quota < 1 and self.weights.class_entropy > 0:
-            raise ValueError("batch.target_quota must be >= 1 while weights.class_entropy > 0")
 
 
 @dataclass(frozen=True)
@@ -186,24 +182,27 @@ def evaluate_model(model: Model, data: Dataset) -> tuple[float, float, float]:
 def run_sampler(model_cfg: ModelConfig, data: Dataset, cfg: TrainConfig) -> BatchSampler:
     """Check the rules that tie model config, dataset and train config together; return the run's sampler.
 
-    Without target rows the target column's running statistics are never
-    estimated, so only a whole_batch_norm model, which has no target column,
-    may train on batches without them.  A declared source domain pins its
-    rows to one of model.k latent-domain columns, so it must be below k.
-    The sampler then checks its quotas against the pools.  Each ValueError
-    starts with the config path at fault: train.batch..., or model.k.
+    Every split's rows must be model.in_dim features wide.  A source class
+    label indexes one of model.n_classes outputs, and a declared source
+    domain pins its rows to one of model.k latent-domain columns, so each
+    must be below its count.  The sampler then checks its quotas against the
+    pools.  Each ValueError starts with the config path at fault:
+    model.in_dim, model.n_classes, model.k or train.batch...
     """
-    if cfg.batch.target_quota == 0 and not model_cfg.whole_batch_norm:
-        raise ValueError(
-            "train.batch.target_quota: 0 leaves the target column without running statistics, "
-            "which evaluation needs unless model.whole_batch_norm is set"
-        )
+    for name in ("source_train", "target_train", "target_test"):
+        shape = getattr(data, name).features.shape[1:]
+        if shape != (model_cfg.in_dim,):
+            raise ValueError(f"model.in_dim: {name} rows have shape {shape}, but model.in_dim is {model_cfg.in_dim}")
     source = data.source_train
-    beyond = np.flatnonzero(source.known_domains >= model_cfg.k)
-    if beyond.size:
-        row = beyond[0]
-        who = f"dataset id {source.dataset_ids[row]}" if source.dataset_ids[row] >= 0 else f"source row {row}"
-        raise ValueError(f"model.k: {who} declares domain {source.known_domains[row]}, but model.k is {model_cfg.k}")
+    for field_name, count, column, what in (
+        ("n_classes", model_cfg.n_classes, source.class_labels, "has class label"),
+        ("k", model_cfg.k, source.known_domains, "declares domain"),
+    ):
+        beyond = np.flatnonzero(column >= count)
+        if beyond.size:
+            row = beyond[0]
+            who = f"dataset id {source.dataset_ids[row]}" if source.dataset_ids[row] >= 0 else f"source row {row}"
+            raise ValueError(f"model.{field_name}: {who} {what} {column[row]}, but model.{field_name} is {count}")
     try:
         return BatchSampler(source, data.target_train, cfg.batch, cfg.seed)
     except ValueError as err:

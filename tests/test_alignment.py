@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mdalign.alignment import (
+    RUNNING_MOMENTUM,
     AlignConfig,
     AlignmentLayer,
     DomainStats,
@@ -300,18 +301,19 @@ class TestForward:
 class TestRunningStats:
     @pytest.mark.parametrize("dead", [None, 1])
     def test_update_matches_masked_formula(self, dead):
-        """Live domains get the bytes of the masked formula; dead ones keep theirs."""
+        """Live domains get the bytes of the masked formula at RUNNING_MOMENTUM; dead ones keep theirs."""
         rng = np.random.default_rng(70)
         running = RunningStats(3, 5)
         mean, var = running.mean.copy(), running.var.copy()
         live = np.ones(3, dtype=bool)
         if dead is not None:
             live[dead] = False
-        for momentum in (0.1, 0.3, 1.0):
+        m = RUNNING_MOMENTUM
+        for _ in range(3):
             stats = DomainStats(mean=rng.normal(size=(3, 5)), var=rng.uniform(0.1, 2.0, size=(3, 5)), live=live)
-            np.copyto(mean, (1.0 - momentum) * mean + momentum * stats.mean, where=live[:, None])
-            np.copyto(var, (1.0 - momentum) * var + momentum * stats.var, where=live[:, None])
-            running.update(stats, momentum)
+            np.copyto(mean, (1.0 - m) * mean + m * stats.mean, where=live[:, None])
+            np.copyto(var, (1.0 - m) * var + m * stats.var, where=live[:, None])
+            running.update(stats)
             assert running.mean.tobytes() == mean.tobytes()
             assert running.var.tobytes() == var.tobytes()
         assert running.count.tolist() == [3 if d else 0 for d in live]

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -130,16 +131,19 @@ class TestTrainCommand:
                 "data.synthetic.target_shift.permutation: unknown field",
             ),
             (
+                ["data.synthetic.target_shift.noise_sigma=0.1"],
+                "data.synthetic.target_shift.noise_sigma: unknown field",
+            ),
+            (
                 ["train.batch.balance_datasets=true"],
                 "train.batch.balance_datasets: needs a dataset id on every source row",
             ),
             (["train.eval_every=0"], "train: eval_every must be >= 1"),
-            (["train.batch.source_quota=0"], "train: batch.source_quota must be >= 1"),
-            (["train.batch.target_quota=0"], "train: batch.target_quota must be >= 1 while weights.class_entropy > 0"),
-            (
-                ["train.batch.target_quota=0", "train.weights.class_entropy=0"],
-                "train.batch.target_quota: 0 leaves the target column without running statistics",
-            ),
+            (["train.batch.source_quota=0"], "train.batch: source_quota must be >= 1"),
+            (["train.batch.target_quota=0"], "train.batch: target_quota must be >= 1"),
+            (["train.batch.target_quota=0", "train.weights.class_entropy=0"], "train.batch: target_quota must be >= 1"),
+            (["model.in_dim=5"], "model.in_dim: source_train rows have shape (4,), but model.in_dim is 5"),
+            (["model.n_classes=2"], "model.n_classes: source row 0 has class label 2, but model.n_classes is 2"),
             (["train.batch.source_quota=2.5"], "train.batch.source_quota: expected int, found 2.5"),
             (["train.iterations=2.5"], "train.iterations: expected int, found 2.5"),
             (["model.k=1.5"], "model.k: expected int, found 1.5"),
@@ -171,8 +175,9 @@ class TestTrainCommand:
             (["data=3"], "data: expected an object, found int"),
         ],
         ids=["conflict_pair", "conflict_strength", "patch_jitter", "replace", "align_after", "patch_hw",
-             "batch_seed", "schedule", "momentum", "weight_decay", "running_momentum", "permutation",
+             "batch_seed", "schedule", "momentum", "weight_decay", "running_momentum", "permutation", "noise_sigma",
              "balance_without_ids", "eval_every", "source_quota", "target_quota", "target_quota_without_class_entropy",
+             "in_dim", "n_classes",
              "fractional_quota", "fractional_iterations", "fractional_k", "string_affine", "int_standardize",
              "fractional_width", "bool_seed", "nan_base_lr", "string_offset", "short_offset", "one_entry_scale",
              "long_domain_scale", "int_manifest", "list_manifest", "negative_model_seed", "negative_train_seed",
@@ -387,6 +392,24 @@ class TestManifestTraining:
         assert "model.k: dataset id 2 declares domain 2" in err and "model.k is 2" in err
         assert not (tmp_path / "run").exists()
 
+    def test_class_label_beyond_n_classes_is_a_config_error(self, tmp_path, capsys):
+        # a label at or above n_classes used to fail in the first step's cross-entropy, after the run directory was made
+        from mdalign.data import idx_write_labels
+
+        rng = np.random.default_rng(5)
+        sources = [write_digit_set(tmp_path, rng, "s", 0.0)]
+        idx_write_labels(tmp_path / "s-labels.idx", np.arange(24) % 4)
+        manifest_path = tmp_path / "digits.json"
+        manifest_path.write_text(json.dumps({"sources": sources, "target": write_digit_set(tmp_path, rng, "t", 0.0)}))
+        config_path = tmp_path / "config.json"
+        train = {"iterations": 5, "batch": {"source_quota": 12, "target_quota": 12}}
+        config_path.write_text(json.dumps({"data": {"manifest": str(manifest_path)}, "train": train}))
+        sets = ["--set", "model.n_classes=3"]
+        code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "run"), *sets])
+        assert code == EXIT_CONFIG
+        assert "model.n_classes: dataset id 0 has class label 3, but model.n_classes is 3" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize(
         "breakage, expected",
         [
@@ -400,6 +423,12 @@ class TestManifestTraining:
             ("no_sources", "no 'sources' entry"),
             ("no_images_key", "needs 'images' and 'labels'"),
             ("fractional_domain", "declares domain 0.5, which is not an integer"),
+            ("not_an_object", "the manifest must be a JSON object, found int"),
+            ("sources_not_a_list", "'sources' must be a list of file entries, found int"),
+            ("images_not_a_string", "needs a path string at 'images'"),
+            ("labels_not_a_string", "needs a path string at 'labels'"),
+            ("payload_beyond_the_file", "t-images.idx: header declares 38654705655 payload bytes, the file holds 216"),
+            ("trailing_bytes", "s1-labels.idx: 7 bytes after the 24-byte payload"),
         ],
     )
     def test_bad_manifest_is_a_config_error(self, tmp_path, capsys, breakage, expected):
@@ -427,6 +456,21 @@ class TestManifestTraining:
             del doc["sources"][1]["images"]
         elif breakage == "fractional_domain":
             doc["sources"][0]["domain"] = 0.5
+        elif breakage == "not_an_object":
+            doc = 5
+        elif breakage == "sources_not_a_list":
+            doc["sources"] = 5
+        elif breakage == "images_not_a_string":
+            doc["sources"][0]["images"] = 5
+        elif breakage == "labels_not_a_string":
+            doc["target"]["labels"] = ["t-labels.idx"]
+        elif breakage == "payload_beyond_the_file":
+            with open(tmp_path / "t-images.idx", "r+b") as f:
+                f.seek(4)
+                f.write(struct.pack(">I", 0xFFFFFFFF))
+        elif breakage == "trailing_bytes":
+            with open(tmp_path / "s1-labels.idx", "ab") as f:
+                f.write(b"\x00" * 7)
         else:
             del doc[breakage[3:]]
         manifest_path = tmp_path / "digits.json"
@@ -514,7 +558,7 @@ class TestConfigFields:
             "n_latent_domains", "n_classes", "feature_dim", "train_per_domain", "test_per_domain",
             "domain_shifts", "target_shift", "class_separation", "standardize", "seed",
         ),
-        FeatureShift: ("rotation", "offset", "scale", "noise_sigma"),
+        FeatureShift: ("rotation", "offset", "scale"),
         ModelConfig: (
             "in_dim", "n_classes", "k", "trunk_widths", "classifier_widths", "branch_hidden", "align",
             "whole_batch_norm", "seed",
@@ -535,9 +579,9 @@ class TestConfigFields:
         SynthConfig: SynthConfig(
             n_latent_domains=3, n_classes=3, feature_dim=2, train_per_domain=7, test_per_domain=5,
             domain_shifts=(FeatureShift(offset=(1.0, -1.0)), FeatureShift(rotation=0.5, scale=2.0), FeatureShift()),
-            target_shift=FeatureShift(noise_sigma=0.1), class_separation=2.5, standardize=True, seed=3,
+            target_shift=FeatureShift(offset=0.5), class_separation=2.5, standardize=True, seed=3,
         ),
-        FeatureShift: FeatureShift(rotation=0.25, offset=(1.0, 2.5), scale=0.5, noise_sigma=0.1),
+        FeatureShift: FeatureShift(rotation=0.25, offset=(1.0, 2.5), scale=0.5),
         ModelConfig: ModelConfig(
             in_dim=5, n_classes=3, k=4, trunk_widths=(8, 6), classifier_widths=(7,), branch_hidden=9,
             align=AlignConfig(eps=1e-3, affine=False, zero_mass_threshold=0.0),
@@ -550,7 +594,7 @@ class TestConfigFields:
             batch=BatchSpec(source_quota=5, target_quota=6, balance_datasets=True), seed=4, eval_every=3,
         ),
         LossWeights: LossWeights(domain_ce=0.0, class_entropy=0.4, domain_entropy=1.5),
-        BatchSpec: BatchSpec(source_quota=3, target_quota=0, balance_datasets=True),
+        BatchSpec: BatchSpec(source_quota=3, target_quota=2, balance_datasets=True),
     }
 
     @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)

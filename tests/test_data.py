@@ -18,6 +18,7 @@ from mdalign.data import (
     IdxCountMismatchError,
     IdxMagicError,
     IdxShapeMismatchError,
+    IdxTrailingBytesError,
     IdxTruncatedError,
     ImageShift,
     LabeledSample,
@@ -46,20 +47,20 @@ class TestFeatureShift:
     def test_identity_by_default(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(5, 4))
-        np.testing.assert_array_equal(apply_feature_shift(x, FeatureShift(), rng), x)
+        np.testing.assert_array_equal(apply_feature_shift(x, FeatureShift()), x)
 
     def test_rotation_is_invertible(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(6, 4))
-        fwd = apply_feature_shift(x, FeatureShift(rotation=0.7), rng)
-        back = apply_feature_shift(fwd, FeatureShift(rotation=-0.7), rng)
+        fwd = apply_feature_shift(x, FeatureShift(rotation=0.7))
+        back = apply_feature_shift(fwd, FeatureShift(rotation=-0.7))
         np.testing.assert_allclose(back, x, atol=1e-12)
 
     @pytest.mark.parametrize("dim", [1, 4, 5])
     def test_rotation_turns_each_pair_and_keeps_an_odd_last_column(self, dim):
         """Bytes of rotating pair by pair in a loop, odd dimensions included."""
         x = np.random.default_rng(2).normal(size=(6, dim))
-        out = apply_feature_shift(x, FeatureShift(rotation=0.7), np.random.default_rng(0))
+        out = apply_feature_shift(x, FeatureShift(rotation=0.7))
         c, s = np.cos(0.7), np.sin(0.7)
         expected = x.copy()
         for j in range(0, dim - 1, 2):
@@ -69,7 +70,7 @@ class TestFeatureShift:
 
     def test_offset_and_scale(self):
         x = np.ones((2, 2))
-        out = apply_feature_shift(x, FeatureShift(offset=(1.0, -1.0), scale=2.0), np.random.default_rng(0))
+        out = apply_feature_shift(x, FeatureShift(offset=(1.0, -1.0), scale=2.0))
         np.testing.assert_array_equal(out, [[3.0, 1.0], [3.0, 1.0]])
 
 
@@ -95,18 +96,15 @@ RECORDED_SPLITS = {
         SynthConfig(n_latent_domains=3, n_classes=3, feature_dim=4, train_per_domain=20, test_per_domain=15, seed=3),
         "96dd500686c891df940b9e7ce519c79fb9528b334f6976124e34ad75dbe9d8bd",
     ),
-    "noisy_rotated": (
+    "rotated_standardized": (
         SynthConfig(
             n_latent_domains=2, n_classes=3, feature_dim=5, train_per_domain=25, test_per_domain=30,
-            domain_shifts=(
-                FeatureShift(rotation=0.7, noise_sigma=0.3),
-                FeatureShift(rotation=-0.4, offset=1.0, scale=1.5, noise_sigma=0.5),
-            ),
-            target_shift=FeatureShift(rotation=0.2, offset=-0.5, noise_sigma=0.2),
+            domain_shifts=(FeatureShift(rotation=0.7), FeatureShift(rotation=-0.4, offset=1.0, scale=1.5)),
+            target_shift=FeatureShift(rotation=0.2, offset=-0.5),
             standardize=True,
             seed=11,
         ),
-        "1041a2976ab0ab15e8420c4fe0211d5de310ef36f6f2105f02474690deef469b",
+        "01957d4279669d16a015e39f91ea183d4443d2420ff53c7d64913b222e81d637",
     ),
 }
 
@@ -299,6 +297,30 @@ class TestIdx:
         with pytest.raises(IdxTruncatedError):
             idx_load(path, lbl)
 
+    def test_payload_beyond_the_file_is_truncation(self, tmp_path):
+        """The declared size is checked against the file before reading; 2**96 bytes used to raise OverflowError."""
+        path = tmp_path / "huge.idx"
+        path.write_bytes(struct.pack(">IIII", 0x00000803, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF) + b"\x00" * 8)
+        lbl = tmp_path / "l.idx"
+        idx_write_labels(lbl, [0])
+        with pytest.raises(IdxTruncatedError, match=r"header declares \d+ payload bytes, the file holds 8"):
+            idx_load(path, lbl)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        # bytes after the payload used to be silently ignored
+        img, lbl = tmp_path / "i.idx", tmp_path / "l.idx"
+        idx_write_images(img, np.zeros((2, 2, 2), dtype=np.uint8))
+        idx_write_labels(lbl, [0, 1])
+        with open(img, "ab") as f:
+            f.write(b"\x00" * 7)
+        with pytest.raises(IdxTrailingBytesError, match="7 bytes after the 8-byte payload"):
+            idx_load(img, lbl)
+        idx_write_images(img, np.zeros((2, 2, 2), dtype=np.uint8))
+        with open(lbl, "ab") as f:
+            f.write(b"\x01")
+        with pytest.raises(IdxTrailingBytesError, match="1 bytes after the 2-byte payload"):
+            idx_load(img, lbl)
+
     def test_empty_file_is_truncation(self, tmp_path):
         path = tmp_path / "empty.idx"
         path.write_bytes(b"")
@@ -457,14 +479,15 @@ class TestManifest:
         samplers = [
             BatchSampler(pixels.source_train, pixels.target_train, spec, seed=4),
             BatchSampler(floats.source_train, floats.target_train, spec, seed=4),
-            BatchSampler(pixels.source_train, floats.target_train, spec, seed=4),
         ]
         for _ in range(12):
-            a, *others = (sampler.next_batch() for sampler in samplers)
-            for b in others:
-                same(a.features, b.features)
-                for name in ("class_labels", "kinds", "known_domains"):
-                    assert np.array_equal(getattr(a, name), getattr(b, name))
+            a, b = (sampler.next_batch() for sampler in samplers)
+            same(a.features, b.features)
+            for name in ("class_labels", "kinds", "known_domains"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+        # a batch scales both pools' gathered rows at once, so a pixel pool cannot pair with a float64 one
+        with pytest.raises(TypeError, match=r"source pool stores uint8 with divisor 255\.0, target pool float64"):
+            BatchSampler(pixels.source_train, floats.target_train, spec, seed=4)
 
         cfg = TrainConfig(iterations=8, base_lr=0.05, batch=spec, seed=2, eval_every=4)
         runs = []
@@ -544,6 +567,12 @@ class TestBatchSampler:
             batch = sampler.next_batch()
             seen += [tuple(f) for f in batch.features[batch.source_mask]]
         assert len(set(seen)) == 10
+
+    def test_zero_quota_rejected(self):
+        """Every batch holds source and target rows."""
+        for name in ("source_quota", "target_quota"):
+            with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+                BatchSpec(**{name: 0})
 
     def test_quota_exceeding_pool_rejected(self):
         source, target = self.make_pools(n_source=3)

@@ -506,6 +506,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=expected):
             load_checkpoint(self.tampered(tmp_path, edit))
 
+    def test_truncated_file_rejected(self, tmp_path):
+        # a truncated file used to raise json.JSONDecodeError
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(Model(tiny_config()), path)
+        path.write_text(path.read_text()[:100])
+        with pytest.raises(CheckpointError, match=r"ckpt\.json: not valid JSON"):
+            load_checkpoint(path)
+
     def test_config_that_is_not_an_object_rejected(self, tmp_path):
         path = self.tampered(tmp_path, lambda doc: doc["config"].__setitem__("align", 0.1))
         with pytest.raises(CheckpointError, match="config.align: expected an object, found float"):

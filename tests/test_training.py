@@ -70,13 +70,6 @@ class TestSgdStep:
             assert p.value.tobytes() == value.tobytes()
 
 
-class TestTrainConfig:
-    def test_class_entropy_needs_target_rows(self):
-        with pytest.raises(ValueError, match="target_quota"):
-            TrainConfig(batch=BatchSpec(target_quota=0))
-        TrainConfig(batch=BatchSpec(target_quota=0), weights=LossWeights(class_entropy=0.0))
-
-
 class TestLrSchedules:
     def test_step_drop_at_three_quarters(self):
         cfg = TrainConfig(iterations=1200, base_lr=1.0)
@@ -294,24 +287,6 @@ class TestTrainLoop:
         train(quick_model(), synth_make(quick_task()), quick_train_cfg(iterations=7, eval_every=3))
         assert evaluations == [3, 6, 7]
 
-    def test_no_target_rows_needs_whole_batch_norm(self, monkeypatch):
-        """Without target rows only a whole_batch_norm model can be evaluated; others fail before iterating."""
-        data = synth_make(quick_task())
-        cfg = quick_train_cfg(
-            iterations=3, eval_every=3, weights=LossWeights(0.0, 0.0, 0.0),
-            batch=BatchSpec(source_quota=8, target_quota=0),
-        )
-        calls = []
-        forward_train = training.forward_train
-        monkeypatch.setattr(training, "forward_train", lambda *a: calls.append(1) or forward_train(*a))
-        with pytest.raises(ValueError, match=r"batch\.target_quota.*whole_batch_norm"):
-            train(quick_model(), data, cfg)
-        assert calls == []
-        whole = Model(ModelConfig(in_dim=4, n_classes=3, trunk_widths=(16,), classifier_widths=(16,),
-                                  whole_batch_norm=True))
-        _, rows = train(whole, data, cfg)
-        assert len(calls) == 3 and [r.iteration for r in rows] == [3]
-
     def test_declared_domain_beyond_k_fails_before_iterating(self, monkeypatch):
         """A source row declaring domain k has no latent-domain column; train refuses it before the first step."""
         data = synth_make(quick_task())
@@ -322,6 +297,24 @@ class TestTrainLoop:
         monkeypatch.setattr(training, "forward_train", lambda *a: calls.append(1) or forward_train(*a))
         with pytest.raises(ValueError, match=r"^model\.k: source row 0 declares domain 2, but model\.k is 2$"):
             train(quick_model(k=2), dataclasses.replace(data, source_train=source), quick_train_cfg(iterations=5))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "model_cfg, expected",
+        [
+            (dict(in_dim=5), r"^model\.in_dim: source_train rows have shape \(4,\), but model\.in_dim is 5$"),
+            (dict(n_classes=2), r"^model\.n_classes: source row \d+ has class label 2, but model\.n_classes is 2$"),
+        ],
+        ids=["in_dim", "n_classes"],
+    )
+    def test_model_that_does_not_fit_the_data_fails_before_iterating(self, monkeypatch, model_cfg, expected):
+        """A feature width other than in_dim, or a class label >= n_classes, is refused before the first step."""
+        calls = []
+        forward_train = training.forward_train
+        monkeypatch.setattr(training, "forward_train", lambda *a: calls.append(1) or forward_train(*a))
+        model = Model(dataclasses.replace(quick_model().cfg, **model_cfg))
+        with pytest.raises(ValueError, match=expected):
+            train(model, synth_make(quick_task()), quick_train_cfg(iterations=5))
         assert calls == []
 
 
