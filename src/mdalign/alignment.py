@@ -47,8 +47,10 @@ class AlignConfig:
 
     eps guards the variance inside the square root; zero_mass_threshold is
     the total column weight below which a domain is treated as absent from
-    the batch.  The running statistics used at inference average the batch
-    statistics with momentum RUNNING_MOMENTUM.
+    the batch.  It must stay below 1, the mass of a column that holds one
+    hard-assigned row, or a batch's target column would count as absent.
+    The running statistics used at inference average the batch statistics
+    with momentum RUNNING_MOMENTUM.
     """
 
     eps: float = 1e-5
@@ -58,8 +60,8 @@ class AlignConfig:
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be > 0")
-        if self.zero_mass_threshold < 0:
-            raise ValueError("zero_mass_threshold must be >= 0")
+        if not 0 <= self.zero_mass_threshold < 1:
+            raise ValueError("zero_mass_threshold must lie in [0, 1)")
 
 
 @dataclass

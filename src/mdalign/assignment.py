@@ -185,9 +185,12 @@ class DomainPredictor:
         return dense_forward(a1, self.w2.value, self.b2.value), (features, z1, a1)
 
     def forward(self, features: np.ndarray):
-        """Returns (probs, cache): probability rows over the k domains."""
+        """Returns (probs, cache): probability rows over the k domains; FloatingPointError if one is not finite."""
         logits, cache = self.logits(features)
-        return softmax(logits), cache
+        probs = softmax(logits)
+        if not np.isfinite(probs).all():
+            raise FloatingPointError("non-finite domain probabilities from the predictor branch")
+        return probs, cache
 
     def backward(self, cache, grad_logits: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients; returns the gradient at the input features."""

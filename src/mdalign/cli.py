@@ -4,7 +4,9 @@ Commands: train, gradcheck, ablate-k, sweep-labels, baselines.  Configs are
 JSON documents with optional sections model/train/data; `--set key=value`
 overrides individual fields.  Every run directory receives a manifest with
 the config snapshot and its content hash, metrics as CSV, and a JSON
-summary, so identical configs reproduce byte-identical artifacts.
+summary, so identical configs reproduce byte-identical artifacts.  The
+run directory is made only once its run has finished, so a run that fails
+leaves none behind.
 
 Exit codes: 0 success, 1 gradient-check failure, 2 configuration error,
 3 numerical abort during training.
@@ -18,9 +20,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
-from .data import SynthConfig, load_manifest, reveal_domain_labels, synth_make
+from .data import SynthConfig, load_manifest, synth_make
 from .experiments import (
     ExperimentConfig,
     run_baseline_grid,
@@ -28,8 +29,8 @@ from .experiments import (
     run_supervision_sweep,
     summarize,
 )
-from .model import Model, ModelConfig, config_from_json, save_checkpoint
-from .training import NumericalAbortError, TrainConfig, metrics_csv_lines, run_sampler, train
+from .model import ConfigError, Model, ModelConfig, config_from_json, save_checkpoint
+from .training import NumericalAbortError, TrainConfig, metrics_csv_lines, train
 from .verification import LAYER_TOLERANCE, MODEL_TOLERANCE, run_gradient_audit
 
 __all__ = ["entry", "main"]
@@ -38,18 +39,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-
-class ConfigError(Exception):
-    """Invalid configuration; carries the offending field path."""
-
-
-def _read(cls, doc, path: str):
-    """config_from_json, with its ValueError as a ConfigError."""
-    try:
-        return config_from_json(cls, doc, path)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
 
 
 def load_config(path: str, overrides: list[str]) -> dict:
@@ -82,7 +71,11 @@ def load_config(path: str, overrides: list[str]) -> dict:
 
 
 def resolve_config(doc: dict):
-    """Turn the raw document into (dataset, model config, train config, SynthConfig or None for a manifest)."""
+    """Turn the raw document into (data, model config, train config).
+
+    data is the SynthConfig of a synthetic task, or the Dataset a manifest
+    lists, which is loaded here since its widths and labels size the model.
+    """
     for section, value in doc.items():
         if section not in ("data", "model", "train"):
             raise ConfigError(f"{section}: unknown section")
@@ -99,46 +92,41 @@ def resolve_config(doc: dict):
         if not isinstance(data_doc["manifest"], str):
             raise ConfigError(f"data.manifest: expected a path string, found {type(data_doc['manifest']).__name__}")
         try:
-            dataset = load_manifest(data_doc["manifest"])
+            data = load_manifest(data_doc["manifest"])
         except (OSError, ValueError) as err:
             raise ConfigError(f"data.manifest: {err}") from err
-        feat = dataset.source_train.features
-        in_dim = feat.shape[1]
-        n_classes = 1 + int(dataset.source_train.class_labels.max())
-        synth_cfg = None
+        in_dim = data.source_train.features.shape[1]
+        n_classes = 1 + int(data.source_train.class_labels.max())
     else:
-        synth_cfg = _read(SynthConfig, data_doc.get("synthetic", {}), "data.synthetic")
-        dataset = synth_make(synth_cfg)
-        in_dim = synth_cfg.feature_dim
-        n_classes = synth_cfg.n_classes
+        data = config_from_json(SynthConfig, data_doc.get("synthetic", {}), "data.synthetic")
+        in_dim = data.feature_dim
+        n_classes = data.n_classes
 
     model_doc = dict(doc.get("model", {}))
     model_doc.setdefault("in_dim", in_dim)
     model_doc.setdefault("n_classes", n_classes)
-    if synth_cfg is not None:
-        model_doc.setdefault("k", synth_cfg.n_latent_domains)
-    model_cfg = _read(ModelConfig, model_doc, "model")
-    train_cfg = _read(TrainConfig, doc.get("train", {}), "train")
-    try:
-        run_sampler(model_cfg, dataset, train_cfg)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    return dataset, model_cfg, train_cfg, synth_cfg
+    if isinstance(data, SynthConfig):
+        model_doc.setdefault("k", data.n_latent_domains)
+    model_cfg = config_from_json(ModelConfig, model_doc, "model")
+    train_cfg = config_from_json(TrainConfig, doc.get("train", {}), "train")
+    return data, model_cfg, train_cfg
 
 
 def _config_hash(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _prepare_out(out: str, force: bool) -> None:
-    if os.path.exists(out):
-        if not force:
-            raise ConfigError(f"output directory exists: {out} (use --force to overwrite)")
-    else:
-        os.makedirs(out)
+def _check_out(out: str, force: bool) -> None:
+    """Refuse an existing output directory without --force, and any other existing path; _write_manifest makes it."""
+    if os.path.exists(out) and not force:
+        raise ConfigError(f"output directory exists: {out} (use --force to overwrite)")
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"--out {out}: exists and is not a directory")
 
 
 def _write_manifest(out, doc, command, seeds) -> None:
+    """Make the run directory, once its run has finished, and write the run's first artifact into it."""
+    os.makedirs(out, exist_ok=True)
     manifest = {
         "command": command,
         "config": doc,
@@ -157,10 +145,10 @@ def _write_lines(path, lines) -> None:
 
 def cmd_train(args) -> int:
     doc = load_config(args.config, args.set or [])
-    dataset, model_cfg, train_cfg, _ = resolve_config(doc)
-    _prepare_out(args.out, args.force)
-    model = Model(model_cfg)
-    model, rows = train(model, dataset, train_cfg)
+    data, model_cfg, train_cfg = resolve_config(doc)
+    _check_out(args.out, args.force)
+    dataset = synth_make(data) if isinstance(data, SynthConfig) else data
+    model, rows = train(Model(model_cfg), dataset, train_cfg)
     _write_manifest(args.out, doc, "train", [train_cfg.seed])
     _write_lines(os.path.join(args.out, "metrics.csv"), metrics_csv_lines(rows))
     save_checkpoint(model, os.path.join(args.out, "checkpoint.json"))
@@ -196,24 +184,14 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def _run_grid_command(args, runner, key: str, values: tuple[str, ...], reveals: bool = False) -> int:
-    """Run runner(base, seeds); write manifest.json, runs.csv (key, seed and value columns) and summary.csv.
-
-    reveals: the runner also trains on the source rows with their latent
-    domains revealed, so run_sampler checks that dataset too.
-    """
+def _run_grid_command(args, runner, key: str, values: tuple[str, ...]) -> int:
+    """Run runner(base, seeds); write manifest.json, runs.csv (key, seed and value columns) and summary.csv."""
     doc = load_config(args.config, args.set or [])
-    dataset, model_cfg, train_cfg, synth_cfg = resolve_config(doc)
-    if synth_cfg is None:
+    data, model_cfg, train_cfg = resolve_config(doc)
+    if not isinstance(data, SynthConfig):
         raise ConfigError("data: experiment runners need a synthetic dataset")
-    if reveals:
-        revealed = replace(dataset, source_train=reveal_domain_labels(dataset.source_train))
-        try:
-            run_sampler(model_cfg, revealed, train_cfg)
-        except ValueError as err:
-            raise ConfigError(f"{err} ({args.command} reveals the latent domain of every source row)") from err
-    base = ExperimentConfig(data=synth_cfg, model=model_cfg, train=train_cfg)
-    _prepare_out(args.out, args.force)
+    _check_out(args.out, args.force)
+    base = ExperimentConfig(data=data, model=model_cfg, train=train_cfg)
     seeds = list(range(args.seeds))
     rows = runner(base, seeds)
     _write_manifest(args.out, doc, args.command, seeds)
@@ -244,12 +222,11 @@ def cmd_sweep_labels(args) -> int:
         lambda base, seeds: run_supervision_sweep(base, args.fractions, seeds),
         "fraction",
         ("acc",),
-        reveals=any(f > 0 for f in args.fractions),
     )
 
 
 def cmd_baselines(args) -> int:
-    return _run_grid_command(args, run_baseline_grid, "config", ("acc", "nmi", "purity"), reveals=True)
+    return _run_grid_command(args, run_baseline_grid, "config", ("acc", "nmi", "purity"))
 
 
 def _comma_list(convert, accept, expected: str):

@@ -546,8 +546,10 @@ def load_manifest(path) -> Dataset:
         d = e.get("domain")
         if d is not None and type(d) is not int:
             raise ValueError(f"{path}: {e['images']} declares domain {d!r}, which is not an integer")
-        if d is not None and d < 0:
-            raise ValueError(f"{path}: {e['images']} declares domain {d}, but a domain index >= 0 is needed")
+        if d is not None and not 0 <= d < 2**63:
+            raise ValueError(
+                f"{path}: {e['images']} declares domain {d}, but a domain index >= 0 and below 2**63 is needed"
+            )
     domains = np.array([-1 if e.get("domain") is None else e["domain"] for e in sources], dtype=np.int64)
     source_train = load_split(sources, domains)
     target_train = load_split([doc["target"]])

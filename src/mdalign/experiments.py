@@ -20,8 +20,8 @@ import numpy as np
 
 from .data import BatchSpec, Dataset, FeatureShift, Split, SynthConfig, reveal_domain_labels, synth_make
 from .losses import LossWeights
-from .model import Model, ModelConfig
-from .training import MetricsRow, TrainConfig, train
+from .model import ConfigError, Model, ModelConfig
+from .training import MetricsRow, TrainConfig, run_sampler, train
 
 __all__ = [
     "BASELINES",
@@ -150,13 +150,24 @@ def run_grid(cases, seeds) -> list[dict]:
     A case is (fields, data, model_cfg, train_cfg).  fields, such as
     {"k": 3}, lead each of the case's rows, followed by the seed and the
     final acc, nmi and purity.  data is a Dataset, or a function of the run
-    seed that returns one.
+    seed that returns one.  Every run's inputs pass run_sampler before the
+    first run trains; a ConfigError names the run, as in "k=3 seed 0: ...".
     """
+    runs = [
+        (fields, data(seed) if callable(data) else data, model_cfg, train_cfg, seed)
+        for fields, data, model_cfg, train_cfg in cases
+        for seed in seeds
+    ]
+    for fields, data, model_cfg, train_cfg, seed in runs:
+        try:
+            run_sampler(model_cfg, data, train_cfg)
+        except ConfigError as err:
+            run = " ".join(f"{key}={value}" for key, value in fields.items())
+            raise ConfigError(f"{run} seed {seed}: {err}") from err
     rows = []
-    for fields, data, model_cfg, train_cfg in cases:
-        for seed in seeds:
-            result = run_single(data(seed) if callable(data) else data, model_cfg, train_cfg, seed)
-            rows.append({**fields, "seed": seed, "acc": result.acc, "nmi": result.nmi, "purity": result.purity})
+    for fields, data, model_cfg, train_cfg, seed in runs:
+        result = run_single(data, model_cfg, train_cfg, seed)
+        rows.append({**fields, "seed": seed, "acc": result.acc, "nmi": result.nmi, "purity": result.purity})
     return rows
 
 

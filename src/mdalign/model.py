@@ -44,6 +44,7 @@ from .primitives import (
 
 __all__ = [
     "CheckpointError",
+    "ConfigError",
     "EvalRecord",
     "ForwardRecord",
     "Model",
@@ -77,6 +78,12 @@ class ModelConfig:
             raise ValueError("in_dim >= 1, n_classes >= 2 and k >= 1 required")
         if not self.trunk_widths:
             raise ValueError("trunk needs at least one block")
+        for name in ("trunk_widths", "classifier_widths"):
+            for i, width in enumerate(getattr(self, name)):
+                if width < 1:
+                    raise ValueError(f"{name}[{i}] must be >= 1, found {width}")
+        if self.branch_hidden < 1:
+            raise ValueError("branch_hidden must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -451,8 +458,12 @@ def save_checkpoint(model: Model, path) -> None:
         json.dump(doc, f)
 
 
+class ConfigError(ValueError):
+    """A config value, or a run's inputs, do not fit; the message starts with the config path at fault."""
+
+
 def config_from_json(kind, value, path: str):
-    """Read a JSON value as the annotation kind, a config dataclass at the top, or raise ValueError naming its path.
+    """Read a JSON value as the annotation kind, a config dataclass at the top, or raise ConfigError naming its path.
 
     A config takes an object, field by field: each name must be a field, and one left out keeps its default.
     tuple[X, ...] takes a list, float | tuple[float, ...] a number or a list, bool only true or false, int
@@ -460,23 +471,23 @@ def config_from_json(kind, value, path: str):
     """
     if is_dataclass(kind):
         if not isinstance(value, dict):
-            raise ValueError(f"{path}: expected an object, found {type(value).__name__}")
+            raise ConfigError(f"{path}: expected an object, found {type(value).__name__}")
         hints = typing.get_type_hints(kind)
         kwargs = {}
         for key, item in value.items():
             if key not in hints:
-                raise ValueError(f"{path}.{key}: unknown field")
+                raise ConfigError(f"{path}.{key}: unknown field")
             kwargs[key] = config_from_json(hints[key], item, f"{path}.{key}")
         try:
             return kind(**kwargs)
         except ValueError as err:
-            raise ValueError(f"{path}: {err}") from err
+            raise ConfigError(f"{path}: {err}") from err
     if isinstance(kind, types.UnionType):  # float | tuple[float, ...]
         scalar, sequence = typing.get_args(kind)
         kind = sequence if isinstance(value, list) else scalar
     if typing.get_origin(kind) is tuple:
         if not isinstance(value, list):
-            raise ValueError(f"{path}: expected a list, found {value!r}")
+            raise ConfigError(f"{path}: expected a list, found {value!r}")
         return tuple(config_from_json(typing.get_args(kind)[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     fits = {
@@ -485,7 +496,7 @@ def config_from_json(kind, value, path: str):
         float: number and (isinstance(value, int) or math.isfinite(value)),
     }[kind]
     if not fits:
-        raise ValueError(f"{path}: expected {'finite float' if kind is float else kind.__name__}, found {value!r}")
+        raise ConfigError(f"{path}: expected {'finite float' if kind is float else kind.__name__}, found {value!r}")
     return value
 
 

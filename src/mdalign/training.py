@@ -10,6 +10,7 @@ import numpy as np
 from .data import BatchSampler, BatchSpec, Dataset, make_batch
 from .losses import LossBreakdown, LossWeights
 from .model import (
+    ConfigError,
     Model,
     ModelConfig,
     backward_train,
@@ -41,14 +42,14 @@ WEIGHT_DECAY = 1e-6
 
 
 class NumericalAbortError(RuntimeError):
-    """Training hit a non-finite loss; carries the iteration and term values."""
+    """Training went non-finite; carries the iteration and, once its step's loss exists, the loss terms."""
 
-    def __init__(self, iteration: int, breakdown: LossBreakdown):
-        super().__init__(
-            f"non-finite loss at iteration {iteration}: total={breakdown.total}, "
-            f"class_ce={breakdown.class_ce}, domain_ce={breakdown.domain_ce}, "
+    def __init__(self, iteration: int, reason: str, breakdown: LossBreakdown | None = None):
+        terms = "" if breakdown is None else (
+            f": total={breakdown.total}, class_ce={breakdown.class_ce}, domain_ce={breakdown.domain_ce}, "
             f"h_C={breakdown.class_entropy}, h_D={breakdown.domain_entropy}"
         )
+        super().__init__(f"{reason} at iteration {iteration}{terms}")
         self.iteration = iteration
         self.breakdown = breakdown
 
@@ -166,9 +167,12 @@ def evaluate_model(model: Model, data: Dataset) -> tuple[float, float, float]:
     Each split is evaluated whole, in one pass over its features: target_test
     through forward_eval, source_train through the trunk and the predictor
     branch only, since discovery reads nothing else.  Discovery metrics are
-    NaN when the dataset carries no latent domain ids.
+    NaN when the dataset carries no latent domain ids.  Non-finite class or
+    domain probabilities raise FloatingPointError: no metric is read from them.
     """
     record = forward_eval(model, make_batch(data.target_test))
+    if not np.isfinite(record.class_probs).all():
+        raise FloatingPointError("non-finite class probabilities")
     acc = accuracy(record.class_probs, data.target_test.hidden_labels)
 
     latent = data.source_train.hidden_domains
@@ -186,13 +190,13 @@ def run_sampler(model_cfg: ModelConfig, data: Dataset, cfg: TrainConfig) -> Batc
     label indexes one of model.n_classes outputs, and a declared source
     domain pins its rows to one of model.k latent-domain columns, so each
     must be below its count.  The sampler then checks its quotas against the
-    pools.  Each ValueError starts with the config path at fault:
+    pools.  Each ConfigError starts with the config path at fault:
     model.in_dim, model.n_classes, model.k or train.batch...
     """
     for name in ("source_train", "target_train", "target_test"):
         shape = getattr(data, name).features.shape[1:]
         if shape != (model_cfg.in_dim,):
-            raise ValueError(f"model.in_dim: {name} rows have shape {shape}, but model.in_dim is {model_cfg.in_dim}")
+            raise ConfigError(f"model.in_dim: {name} rows have shape {shape}, but model.in_dim is {model_cfg.in_dim}")
     source = data.source_train
     for field_name, count, column, what in (
         ("n_classes", model_cfg.n_classes, source.class_labels, "has class label"),
@@ -202,20 +206,22 @@ def run_sampler(model_cfg: ModelConfig, data: Dataset, cfg: TrainConfig) -> Batc
         if beyond.size:
             row = beyond[0]
             who = f"dataset id {source.dataset_ids[row]}" if source.dataset_ids[row] >= 0 else f"source row {row}"
-            raise ValueError(f"model.{field_name}: {who} {what} {column[row]}, but model.{field_name} is {count}")
+            raise ConfigError(f"model.{field_name}: {who} {what} {column[row]}, but model.{field_name} is {count}")
     try:
         return BatchSampler(source, data.target_train, cfg.batch, cfg.seed)
     except ValueError as err:
-        raise ValueError(f"train.batch.{err}") from err
+        raise ConfigError(f"train.batch.{err}") from err
 
 
 def train(model: Model, data: Dataset, cfg: TrainConfig) -> tuple[Model, list[MetricsRow]]:
     """Run the optimization loop; returns the model and the metrics table.
 
     Fully deterministic for a given (model seed, config, data): cfg.seed
-    seeds the batch sampler.  A non-finite loss aborts with the iteration
-    and per-term diagnostics.  run_sampler refuses a model, dataset and
-    config that do not fit together before the first iteration.
+    seeds the batch sampler.  Divergence raises NumericalAbortError naming
+    the iteration: non-finite predictor outputs, a non-finite loss, an update
+    that leaves a non-finite parameter, caught before the next forward pass,
+    or non-finite outputs in an evaluation.  run_sampler refuses a model,
+    dataset and config that do not fit together before the first iteration.
     """
     sampler = run_sampler(model.cfg, data, cfg)
     rows: list[MetricsRow] = []
@@ -224,17 +230,25 @@ def train(model: Model, data: Dataset, cfg: TrainConfig) -> tuple[Model, list[Me
         batch = sampler.next_batch()
         if it == 0:
             calibrate_predictor(model, batch)
-        record = forward_train(model, batch)
+        try:
+            record = forward_train(model, batch)
+        except FloatingPointError as err:
+            raise NumericalAbortError(it, str(err)) from err
         breakdown = backward_train(model, record, batch, cfg.weights)
         if not math.isfinite(breakdown.total):
-            raise NumericalAbortError(it, breakdown)
+            raise NumericalAbortError(it, "non-finite loss", breakdown)
         sgd_step([model.flat], lr)
+        if not np.isfinite(model.flat.value).all():
+            raise NumericalAbortError(it, "non-finite parameters after the update", breakdown)
         if (it + 1) % cfg.eval_every == 0 or it == cfg.iterations - 1:
             # the step's activations must not live into a whole-split evaluation; between
             # steps they stay, since freeing them there lets the allocator hand their pages
             # back to the kernel and fault them in again at every next forward
             record = None
-            acc, nmi, purity = evaluate_model(model, data)
+            try:
+                acc, nmi, purity = evaluate_model(model, data)
+            except FloatingPointError as err:
+                raise NumericalAbortError(it, f"{err} in the evaluation after the update") from err
             rows.append(
                 MetricsRow(
                     iteration=it + 1,

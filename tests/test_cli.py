@@ -78,6 +78,16 @@ class TestTrainCommand:
         assert main(["train", "--config", quick_config, "--out", str(out)]) == EXIT_CONFIG
         assert main(["train", "--config", quick_config, "--out", str(out), "--force"]) == EXIT_OK
 
+    def test_out_that_is_a_file_is_refused_before_training(self, quick_config, tmp_path, capsys, monkeypatch):
+        # it used to train, then fail writing into the file with NotADirectoryError (exit 1)
+        from mdalign import cli
+
+        monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("trained"))
+        out = tmp_path / "run"
+        out.write_text("")
+        assert main(["train", "--config", quick_config, "--out", str(out), "--force"]) == EXIT_CONFIG
+        assert f"--out {out}: exists and is not a directory" in capsys.readouterr().err
+
     def test_set_override_wins(self, quick_config, tmp_path):
         out = tmp_path / "run"
         code = main(
@@ -173,6 +183,11 @@ class TestTrainCommand:
             (["train=[]"], "train: expected an object, found list"),
             (["model=5"], "model: expected an object, found int"),
             (["data=3"], "data: expected an object, found int"),
+            (["model.branch_hidden=0"], "model: branch_hidden must be >= 1"),
+            (["model.trunk_widths=[0]"], "model: trunk_widths[0] must be >= 1, found 0"),
+            (["model.classifier_widths=[12, 0]"], "model: classifier_widths[1] must be >= 1, found 0"),
+            (["model.align.zero_mass_threshold=1e308"], "model.align: zero_mass_threshold must lie in [0, 1)"),
+            (["model.align.zero_mass_threshold=1"], "model.align: zero_mass_threshold must lie in [0, 1)"),
         ],
         ids=["conflict_pair", "conflict_strength", "patch_jitter", "replace", "align_after", "patch_hw",
              "batch_seed", "schedule", "momentum", "weight_decay", "running_momentum", "permutation", "noise_sigma",
@@ -181,12 +196,49 @@ class TestTrainCommand:
              "fractional_quota", "fractional_iterations", "fractional_k", "string_affine", "int_standardize",
              "fractional_width", "bool_seed", "nan_base_lr", "string_offset", "short_offset", "one_entry_scale",
              "long_domain_scale", "int_manifest", "list_manifest", "negative_model_seed", "negative_train_seed",
-             "negative_synthetic_seed", "train_list", "model_number", "data_number"],
+             "negative_synthetic_seed", "train_list", "model_number", "data_number", "zero_branch_hidden",
+             "zero_trunk_width", "zero_classifier_width", "huge_zero_mass_threshold", "unit_zero_mass_threshold"],
     )
     def test_bad_override_is_a_config_error(self, quick_config, tmp_path, capsys, overrides, expected):
         sets = [arg for override in overrides for arg in ("--set", override)]
         code = main(["train", "--config", quick_config, "--out", str(tmp_path / "run"), *sets])
         assert code == EXIT_CONFIG
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "command, overrides, code, expected",
+        [
+            (["train"], ["model.branch_hidden=0"], EXIT_CONFIG, "config error: model: branch_hidden must be >= 1"),
+            (
+                ["baselines", "--seeds", "1"],
+                ["model.k=1"],
+                EXIT_CONFIG,
+                "config error: config=multi_source seed 0: model.k",
+            ),
+            (["train"], ["train.base_lr=1e18"], EXIT_NUMERICAL, "numerical abort: non-finite loss at iteration 1"),
+            (["baselines", "--seeds", "1"], ["train.base_lr=1e18"], EXIT_NUMERICAL, "non-finite loss at iteration"),
+            (
+                ["train"],
+                ["train.base_lr=1e308"],
+                EXIT_NUMERICAL,
+                "numerical abort: non-finite domain probabilities from the predictor branch at iteration 1",
+            ),
+            (
+                ["train"],
+                ["train.base_lr=1e308", "train.iterations=1"],
+                EXIT_NUMERICAL,
+                "numerical abort: non-finite class probabilities in the evaluation after the update at iteration 0",
+            ),
+        ],
+        ids=["config", "run_inputs", "numerical_abort", "grid_numerical_abort", "diverging_predictor",
+             "diverging_last_step"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_run_leaves_no_directory(self, quick_config, tmp_path, capsys, command, overrides, code, expected):
+        """The run directory is made once the run has finished, so a run that fails at any stage leaves none."""
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        assert main([*command, "--config", quick_config, "--out", str(tmp_path / "run"), *sets]) == code
         assert expected in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
@@ -287,7 +339,11 @@ class TestRunnerCommands:
     @pytest.mark.parametrize(
         "command, code, expected",
         [
-            (["baselines"], EXIT_CONFIG, "model.k: source row 40 declares domain 1, but model.k is 1 (baselines"),
+            (
+                ["baselines"],
+                EXIT_CONFIG,
+                "config=multi_source seed 0: model.k: source row 40 declares domain 1, but model.k is 1",
+            ),
             (["sweep-labels", "--fractions", "0,1"], EXIT_CONFIG, "model.k: source row 40 declares domain 1"),
             (["sweep-labels", "--fractions", "0"], EXIT_OK, ""),
         ],
@@ -429,6 +485,11 @@ class TestManifestTraining:
             ("labels_not_a_string", "needs a path string at 'labels'"),
             ("payload_beyond_the_file", "t-images.idx: header declares 38654705655 payload bytes, the file holds 216"),
             ("trailing_bytes", "s1-labels.idx: 7 bytes after the 24-byte payload"),
+            (
+                "huge_domain",
+                "s0-images.idx declares domain 1180591620717411303424, "
+                "but a domain index >= 0 and below 2**63 is needed",
+            ),
         ],
     )
     def test_bad_manifest_is_a_config_error(self, tmp_path, capsys, breakage, expected):
@@ -454,6 +515,8 @@ class TestManifestTraining:
             idx_write_images(tmp_path / "u-images.idx", np.zeros((24, 5, 5), dtype=np.uint8))
         elif breakage == "no_images_key":
             del doc["sources"][1]["images"]
+        elif breakage == "huge_domain":
+            doc["sources"][0]["domain"] = 2**70
         elif breakage == "fractional_domain":
             doc["sources"][0]["domain"] = 0.5
         elif breakage == "not_an_object":

@@ -1,9 +1,12 @@
 """Benchmark properties and experiment-runner contracts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import nearest_centroid_accuracy
 
+from mdalign import experiments
 from mdalign.assignment import KNOWN_CODE, UNKNOWN_CODE
 from mdalign.data import BatchSpec, synth_make
 from mdalign.experiments import (
@@ -14,10 +17,12 @@ from mdalign.experiments import (
     pinned_benchmark,
     run_baseline_grid,
     run_k_ablation,
+    run_supervision_sweep,
     summarize,
     well_separated_benchmark,
 )
 from mdalign.losses import LossWeights
+from mdalign.model import ConfigError
 from mdalign.training import TrainConfig
 
 
@@ -111,6 +116,25 @@ class TestRunnerContracts:
         base = quick_experiment()
         rows = run_baseline_grid(base, [0])
         assert [r["config"] for r in rows] == ["source_only", "unified", "discovery", "multi_source"]
+
+    @pytest.mark.parametrize(
+        "runner, expected",
+        [
+            (run_baseline_grid, "config=multi_source seed 0"),
+            (lambda base, seeds: run_supervision_sweep(base, [0.0, 1.0], seeds), "fraction=1.0 seed 0"),
+        ],
+        ids=["baselines", "sweep"],
+    )
+    def test_grid_refuses_a_run_before_training_any(self, monkeypatch, runner, expected):
+        """Every run's inputs are checked before the first run trains, and the error names the run."""
+        calls = []
+        inner = experiments.train
+        monkeypatch.setattr(experiments, "train", lambda *a: calls.append(1) or inner(*a))
+        base = ExperimentConfig(model=replace(default_experiment().resolved_model(), k=1))
+        message = rf"^{expected}: model\.k: source row 240 declares domain 1, but model\.k is 1$"
+        with pytest.raises(ConfigError, match=message):
+            runner(base, [0])
+        assert calls == []
 
     def test_skipped_assignment_gradient_changes_no_bit(self, monkeypatch):
         """All four baselines train to the same bytes when backward always builds the full assignment gradient.

@@ -229,6 +229,40 @@ class TestTrainLoop:
         assert info.value.iteration == 0
         assert "class_ce" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "iterations, expected",
+        [
+            (5, "non-finite domain probabilities from the predictor branch at iteration 1"),
+            (1, "non-finite class probabilities in the evaluation after the update at iteration 0"),
+        ],
+        ids=["next_forward", "last_evaluation"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_step_is_a_numerical_abort(self, iterations, expected):
+        """A step so large that the model's outputs overflow aborts: no assignment ValueError, no metrics from NaN."""
+        cfg = quick_train_cfg(iterations=iterations, eval_every=iterations, base_lr=1e308)
+        with pytest.raises(NumericalAbortError) as info:
+            train(quick_model(), synth_make(quick_task()), cfg)
+        assert str(info.value) == expected
+        assert info.value.breakdown is None
+
+    def test_non_finite_parameter_aborts_before_the_next_forward(self, monkeypatch):
+        """An update that leaves an infinite parameter aborts at its own iteration; no further forward pass runs."""
+        calls = []
+        forward_train, step = training.forward_train, training.sgd_step
+
+        def poisoned(params, lr):
+            step(params, lr)
+            if len(calls) == 3:
+                params[0].value[5] = np.inf
+
+        monkeypatch.setattr(training, "forward_train", lambda *a: calls.append(1) or forward_train(*a))
+        monkeypatch.setattr(training, "sgd_step", poisoned)
+        message = r"^non-finite parameters after the update at iteration 2: total="
+        with pytest.raises(NumericalAbortError, match=message):
+            train(quick_model(), synth_make(quick_task()), quick_train_cfg(iterations=5))
+        assert len(calls) == 3
+
     def test_metrics_header_fixed(self):
         assert METRICS_HEADER == "iteration,total,class_ce,domain_ce,h_C,h_D,acc,nmi,purity,lr"
         data = synth_make(quick_task())
