@@ -117,11 +117,22 @@ def _config_hash(doc: dict) -> str:
 
 
 def _check_out(out: str, force: bool) -> None:
-    """Refuse an existing output directory without --force, and any other existing path; _write_manifest makes it."""
+    """Refuse an --out that the finished run could not be written to; _write_manifest makes it.
+
+    Refused: an existing path without --force, one that is not a directory
+    even with it, an empty path, and a path below an existing file.
+    """
+    if not out:
+        raise ConfigError("--out: the path is empty")
     if os.path.exists(out) and not force:
         raise ConfigError(f"output directory exists: {out} (use --force to overwrite)")
     if os.path.exists(out) and not os.path.isdir(out):
         raise ConfigError(f"--out {out}: exists and is not a directory")
+    parent = os.path.dirname(os.path.abspath(out))
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out {out}: {parent} is not a directory")
 
 
 def _write_manifest(out, doc, command, seeds) -> None:

@@ -34,6 +34,7 @@ __all__ = [
     "Dataset",
     "FeatureShift",
     "IdxCountMismatchError",
+    "IdxEmptyError",
     "IdxError",
     "IdxMagicError",
     "IdxShapeMismatchError",
@@ -65,6 +66,10 @@ class IdxError(ValueError):
 
 class IdxMagicError(IdxError):
     """File does not start with the expected magic number."""
+
+
+class IdxEmptyError(IdxError):
+    """Header declares a dimension of 0, so the file holds no samples, or samples of no pixels."""
 
 
 class IdxTruncatedError(IdxError):
@@ -391,6 +396,9 @@ def _read_idx(path, magic: int, n_dims: int) -> np.ndarray:
         if found != magic:
             raise IdxMagicError(f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
         dims = struct.unpack(">" + "I" * n_dims, _read_exact(f, 4 * n_dims, path))
+        if 0 in dims:
+            # nothing to train or score on; and beside a 0, the other dimensions may exceed any float64 array
+            raise IdxEmptyError(f"{path}: header declares dimensions {dims}, one of them 0")
         declared = math.prod(dims)
         held = os.fstat(f.fileno()).st_size - f.tell()
         if held < declared:
@@ -414,8 +422,8 @@ def idx_load(images_path, labels_path):
     """Read a big-endian IDX image/label file pair.
 
     Returns (images [n, 1, h, w] scaled to [0, 1], labels int64 [n]).  Bad
-    magic numbers, truncated payloads, and image/label count disagreements
-    each raise their own error type.
+    magic numbers, a dimension of 0, truncated payloads, trailing bytes and
+    image/label count disagreements each raise their own IdxError subclass.
     """
     images, labels = _idx_pixels(images_path, labels_path)
     return images / 255.0, labels
@@ -592,13 +600,16 @@ class Batch:
 _BATCH_COLUMNS = ("class_labels", "kinds", "known_domains")
 
 
-def make_batch(split: Split) -> Batch:
+def make_batch(split: Split, features: np.ndarray | None = None) -> Batch:
     """A batch of a Split's public columns; target labels come through as -1.
 
-    The split's arrays are used as they are, so a whole float64 split costs no
-    copy; a pixel split's features are its codes scaled into one new array.
+    Its features are the given rows, one per split row, or by default the
+    split's own: a float64 split's array as it is, at no copy, a pixel
+    split's codes scaled into one new array.  An evaluation passes the
+    trunk's output over the split instead (model.split_trunk), which reads
+    the rows block by block.
     """
-    return Batch(split._read(), *(getattr(split, name) for name in _BATCH_COLUMNS))
+    return Batch(split._read() if features is None else features, *(getattr(split, name) for name in _BATCH_COLUMNS))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .alignment import AlignConfig, AlignmentLayer
 from .assignment import Assignment, DomainPredictor, merge_assignments
-from .data import Batch
+from .data import Batch, Split
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -45,6 +45,7 @@ from .primitives import (
 __all__ = [
     "CheckpointError",
     "ConfigError",
+    "EVAL_BLOCK_ROWS",
     "EvalRecord",
     "ForwardRecord",
     "Model",
@@ -56,8 +57,9 @@ __all__ = [
     "forward_eval",
     "forward_train",
     "load_checkpoint",
-    "predict_domains",
+    "row_blocks",
     "save_checkpoint",
+    "split_trunk",
 ]
 
 
@@ -208,19 +210,21 @@ def _forward(
     train: bool,
     assignment: Assignment | None = None,
     update_running: bool = True,
+    trunk_done: bool = False,
 ) -> ForwardRecord:
     """The one walk through trunk, predictor branch and classifier.
 
     Training mode normalizes with batch statistics and keeps every activation
     backward_train needs; evaluation mode normalizes with running statistics
-    and drops each activation once the next one is made, so that a whole split
-    can be evaluated in one call.  The predictor runs on every non-target
-    sample in both modes.  Every alignment layer shares cfg.align and the one
-    assignment matrix, so training mode column-normalizes it once for all of
-    them.
+    and drops each activation once the next one is made.  With trunk_done,
+    an evaluation starts from the trunk: the batch's features are already the
+    trunk's output over its rows, as split_trunk computes it block by block
+    for a whole split.  The predictor runs on every non-target sample in both
+    modes.  Every alignment layer shares cfg.align and the one assignment
+    matrix, so training mode column-normalizes it once for all of them.
     """
     trunk_caches = [] if train else None
-    h = _trunk_forward(model, batch.features, trunk_caches)
+    h = batch.features if trunk_done else _trunk_forward(model, batch.features, trunk_caches)
 
     src_idx = np.flatnonzero(batch.source_mask)
     domain_probs = np.zeros((batch.size, model.cfg.k))
@@ -394,38 +398,58 @@ def calibrate_predictor(model: Model, batch: Batch) -> None:
     one domain, which starves the other domains' statistics and freezes the
     discovery dynamics in a degenerate state.  Subtracting the per-domain
     mean logit over one batch starts training mass-balanced while keeping the
-    feature-dependent tilt that seeds the partition.
+    feature-dependent tilt that seeds the partition.  Only the trunk and the
+    branch run, on the batch's non-target rows.
     """
     if model.cfg.whole_batch_norm or not batch.source_mask.any():
         return
-    logits, _ = model.branch.logits(_branch_input(model, batch))
+    logits, _ = model.branch.logits(_trunk_forward(model, batch.features)[np.flatnonzero(batch.source_mask)])
     model.branch.b2.value -= logits.mean(axis=0)
 
 
-def _branch_input(model: Model, batch: Batch) -> np.ndarray:
-    """Trunk output of a batch's non-target rows, the predictor branch's input; the classifier never runs."""
-    return _trunk_forward(model, batch.features)[np.flatnonzero(batch.source_mask)]
-
-
-def predict_domains(model: Model, batch: Batch) -> np.ndarray:
-    """The predictor's probabilities over the k latent domains for a batch's non-target rows.
-
-    Only the trunk and the branch run; the rows equal forward_eval's
-    domain_probs of the same rows.
-    """
-    probs, _ = model.branch.forward(_branch_input(model, batch))
-    return probs
-
-
-def forward_eval(model: Model, batch: Batch) -> EvalRecord:
+def forward_eval(model: Model, batch: Batch, trunk_done: bool = False) -> EvalRecord:
     """Deterministic inference with running statistics; no state mutation.
 
     The predictor still runs for any non-target sample, so source inputs are
     normalized with their predicted soft assignments.  Works on single-sample
-    batches since no batch statistics are involved.
+    batches since no batch statistics are involved.  With trunk_done, the
+    batch's features are the trunk's output over its rows (split_trunk's),
+    and the walk starts after the trunk.
     """
-    record = _forward(model, batch, False)
+    record = _forward(model, batch, False, trunk_done=trunk_done)
     return EvalRecord(class_probs=record.class_probs, domain_probs=record.domain_probs)
+
+
+# rows per block when a whole split runs through the trunk (row_blocks)
+EVAL_BLOCK_ROWS = 1024
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Rows 0..n in order as max(n // B, 1) blocks of near-equal size, B = EVAL_BLOCK_ROWS.
+
+    From n = B on every block holds B to 2B - 1 rows, so no small tail is
+    left; fewer rows are one block.
+    """
+    count = max(n // EVAL_BLOCK_ROWS, 1)
+    return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
+
+
+def split_trunk(model: Model, split: Split) -> np.ndarray:
+    """The trunk's output [n, trunk_widths[-1]] over every row of a split, computed over row_blocks.
+
+    Each block's rows are read (a pixel split's codes scaled) only for its own
+    pass, so a split's float64 features never exist whole: the peak is one
+    block's features and activations besides the output.  The rows carry the
+    bits of one trunk call over the whole split as long as each block's dense
+    products take the BLAS kernel the one call takes; OpenBLAS switches to
+    other kernels only for small products, and B-row blocks stay above them at
+    every trunk layer shape the workloads use (tests/test_model.py,
+    TestBlockedTrunk, asserts this for the BLAS the suite runs on).
+    """
+    out = np.empty((len(split), model.cfg.trunk_widths[-1]))
+    for rows in row_blocks(len(split)):
+        out[rows] = _trunk_forward(model, split._read(rows))
+    return out
 
 
 # ---------------------------------------------------------------------------

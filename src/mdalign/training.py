@@ -17,7 +17,7 @@ from .model import (
     calibrate_predictor,
     forward_eval,
     forward_train,
-    predict_domains,
+    split_trunk,
 )
 
 __all__ = [
@@ -164,22 +164,25 @@ def evaluate_model(model: Model, data: Dataset) -> tuple[float, float, float]:
     """Target accuracy plus discovery NMI/purity on the source training set.
 
     Hidden ground truth is read only here, from the splits' hidden columns.
-    Each split is evaluated whole, in one pass over its features: target_test
-    through forward_eval, source_train through the trunk and the predictor
-    branch only, since discovery reads nothing else.  Discovery metrics are
-    NaN when the dataset carries no latent domain ids.  Non-finite class or
-    domain probabilities raise FloatingPointError: no metric is read from them.
+    Each split's trunk output is computed in row blocks by split_trunk, so no
+    split's features are scaled whole; the rest of the walk runs once over
+    that output: target_test's through forward_eval, source_train's through
+    the predictor branch only, since discovery reads nothing else.  Discovery
+    metrics are NaN when the dataset carries no latent domain ids.
+    Non-finite class or domain probabilities raise FloatingPointError: no
+    metric is read from them.
     """
-    record = forward_eval(model, make_batch(data.target_test))
+    target = data.target_test
+    record = forward_eval(model, make_batch(target, split_trunk(model, target)), trunk_done=True)
     if not np.isfinite(record.class_probs).all():
         raise FloatingPointError("non-finite class probabilities")
-    acc = accuracy(record.class_probs, data.target_test.hidden_labels)
+    acc = accuracy(record.class_probs, target.hidden_labels)
 
     latent = data.source_train.hidden_domains
     if np.any(latent < 0) or model.cfg.whole_batch_norm:
         return acc, float("nan"), float("nan")
-    predicted = np.argmax(predict_domains(model, make_batch(data.source_train)), axis=1)
-    nmi, purity = domain_discovery_metrics(predicted, latent)
+    domain_probs, _ = model.branch.forward(split_trunk(model, data.source_train))
+    nmi, purity = domain_discovery_metrics(np.argmax(domain_probs, axis=1), latent)
     return acc, nmi, purity
 
 

@@ -88,6 +88,23 @@ class TestTrainCommand:
         assert main(["train", "--config", quick_config, "--out", str(out), "--force"]) == EXIT_CONFIG
         assert f"--out {out}: exists and is not a directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["train"], ["baselines", "--seeds", "1"]], ids=["train", "baselines"])
+    @pytest.mark.parametrize("where", ["empty", "under_a_file"])
+    def test_out_that_cannot_be_made_is_refused_before_training(
+        self, quick_config, tmp_path, capsys, monkeypatch, command, where
+    ):
+        # both used to train in full, then fail in os.makedirs (FileNotFoundError, NotADirectoryError), exit 1
+        from mdalign import cli, experiments
+
+        monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("trained"))
+        monkeypatch.setattr(experiments, "train", lambda *a: pytest.fail("trained"))
+        (tmp_path / "file").write_text("")
+        out = {"empty": "", "under_a_file": str(tmp_path / "file" / "run")}[where]
+        assert main([*command, "--config", quick_config, "--out", out]) == EXIT_CONFIG
+        expected = {"empty": "--out: the path is empty", "under_a_file": f"{tmp_path / 'file'} is not a directory"}
+        assert expected[where] in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file"]
+
     def test_set_override_wins(self, quick_config, tmp_path):
         out = tmp_path / "run"
         code = main(

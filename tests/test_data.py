@@ -16,6 +16,7 @@ from mdalign.data import (
     Dataset,
     FeatureShift,
     IdxCountMismatchError,
+    IdxEmptyError,
     IdxMagicError,
     IdxShapeMismatchError,
     IdxTrailingBytesError,
@@ -328,6 +329,17 @@ class TestIdx:
         idx_write_labels(lbl, [0])
         with pytest.raises(IdxTruncatedError):
             idx_load(path, lbl)
+
+    @pytest.mark.parametrize(
+        "dims", [(0, 2, 2), (2, 0, 2), (0, 2**31, 2**31)], ids=["no_images", "no_pixels", "huge_empty_images"]
+    )
+    def test_zero_dimension_is_refused(self, tmp_path, dims):
+        # (0, 2**31, 2**31) used to pass the reader, then raise a plain ValueError ("array is too big") in idx_load
+        img, lbl = tmp_path / "i.idx", tmp_path / "l.idx"
+        img.write_bytes(struct.pack(">IIII", 0x00000803, *dims))
+        idx_write_labels(lbl, [0] * dims[0])
+        with pytest.raises(IdxEmptyError, match=rf"header declares dimensions \({dims[0]}, {dims[1]}, {dims[2]}\)"):
+            idx_load(img, lbl)
 
     def test_count_mismatch(self, tmp_path):
         img = tmp_path / "i.idx"

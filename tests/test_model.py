@@ -13,6 +13,7 @@ from mdalign.assignment import KNOWN_CODE, TARGET_CODE, UNKNOWN_CODE, Assignment
 from mdalign.data import Batch, Split, make_batch
 from mdalign.losses import LossWeights
 from mdalign.model import (
+    EVAL_BLOCK_ROWS,
     CheckpointError,
     Model,
     ModelConfig,
@@ -22,7 +23,9 @@ from mdalign.model import (
     forward_eval,
     forward_train,
     load_checkpoint,
+    row_blocks,
     save_checkpoint,
+    split_trunk,
 )
 from mdalign.primitives import (
     central_difference,
@@ -31,6 +34,8 @@ from mdalign.primitives import (
     relu_forward,
     softmax,
 )
+
+from conftest import pixel_split
 
 E2E_TOL = 1e-4
 
@@ -390,6 +395,53 @@ class TestForwardEval:
 
         with pytest.raises(UninitializedStatsError):
             forward_eval(model, make_mixed_batch(rng))
+
+
+B = EVAL_BLOCK_ROWS
+
+
+class TestBlockedTrunk:
+    @pytest.mark.parametrize(
+        "n", [0, 1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 3 * B - 1, 3 * B, 480, 3000, 7000, 21000]
+    )
+    def test_block_rule(self, n):
+        """Blocks run in order over 0..n; from n = B on each holds B to 2B - 1 rows, below B all rows are one block."""
+        blocks = row_blocks(n)
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == n
+        if n < B:
+            assert blocks == [slice(0, n)]
+        else:
+            assert all(B <= b.stop - b.start <= 2 * B - 1 for b in blocks), [b.stop - b.start for b in blocks]
+
+    @pytest.mark.parametrize(
+        "in_dim, width, rows, pixels",
+        [
+            (784, 64, 21000, True),  # digit_files source_train
+            (784, 64, 7000, True),  # digit_files target_test
+            (32, 128, 3000, False),  # wide_domains source_train
+            (8, 64, 2 * B + 500, False),  # the pinned task, in use at 480 rows
+            (25, 16, 2 * B + 500, True),  # demo 04, in use at 160 rows
+        ],
+        ids=["digit_files_source", "digit_files_target", "wide_domains", "pinned", "demo_04"],
+    )
+    def test_blocks_give_the_bits_of_one_call(self, in_dim, width, rows, pixels):
+        """At every trunk layer shape in use, the blocked trunk equals one call over all rows bit for bit."""
+        rng = np.random.default_rng(in_dim + rows)
+        model = Model(ModelConfig(in_dim=in_dim, n_classes=3, trunk_widths=(width,), seed=1))
+        kinds = np.full(rows, UNKNOWN_CODE)
+        if pixels:
+            split = pixel_split(rng.integers(0, 256, (rows, in_dim), dtype=np.uint8), kinds=kinds)
+        else:
+            split = Split.of(rng.normal(size=(rows, in_dim)), kinds=kinds)
+        blocked = split_trunk(model, split)
+        layer = model.trunk[0]
+        one_call = relu_forward(dense_forward(split._read(), layer.weight.value, layer.bias.value))
+        sizes = [b.stop - b.start for b in row_blocks(rows)]
+        assert np.array_equal(blocked, one_call), (
+            f"trunk layer {in_dim}->{width}: {len(sizes)} blocks of {min(sizes)} to {max(sizes)} rows differ "
+            f"from one call over {rows} rows in {int((blocked != one_call).any(axis=1).sum())} rows"
+        )
 
 
 class TestCheckpoint:

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,10 +11,11 @@ import pytest
 
 from mdalign import training
 from mdalign.alignment import AlignmentLayer
-from mdalign.data import BatchSpec, FeatureShift, SynthConfig, make_batch, reveal_domain_labels, synth_make
+from mdalign.assignment import TARGET_CODE, UNKNOWN_CODE
+from mdalign.data import BatchSpec, Dataset, FeatureShift, SynthConfig, make_batch, reveal_domain_labels, synth_make
 from mdalign.experiments import ExperimentConfig
 from mdalign.losses import LossWeights
-from mdalign.model import Model, ModelConfig, forward_eval
+from mdalign.model import EVAL_BLOCK_ROWS, Model, ModelConfig, forward_eval
 from mdalign.primitives import ParamBlock
 from mdalign.training import (
     METRICS_HEADER,
@@ -28,6 +30,8 @@ from mdalign.training import (
     sgd_step,
     train,
 )
+
+from conftest import pixel_split
 
 
 class TestSgdStep:
@@ -371,3 +375,32 @@ class TestEvaluateModel:
         domain_probs = forward_eval(model, make_batch(data.source_train)).domain_probs
         expected = domain_discovery_metrics(np.argmax(domain_probs, axis=1), data.source_train.hidden_domains)
         assert (nmi, purity) == expected
+
+    def test_pixel_split_peak_memory(self):
+        """A pixel split is never scaled whole: the peak is set by two blocks of features, not by the split's.
+
+        Besides the blocks, the trunk's output and the heads' activations over
+        the split hold a few [n, width] arrays; one scaled copy of the
+        16-block split alone is 2.7 times the bound.
+        """
+        n, in_dim, width = 16 * EVAL_BLOCK_ROWS, 256, 16
+        rng = np.random.default_rng(19)
+        model = Model(
+            ModelConfig(in_dim=in_dim, n_classes=4, trunk_widths=(width,), classifier_widths=(width,), branch_hidden=width)
+        )
+        for layer in model.align_layers.values():
+            layer.running.count[...] = 1  # mean 0, var 1 as initialized
+
+        def codes():
+            return rng.integers(0, 256, (n, in_dim), dtype=np.uint8)
+
+        source = pixel_split(codes(), kinds=np.full(n, UNKNOWN_CODE), hidden_domains=rng.integers(0, 2, n))
+        target = pixel_split(codes(), kinds=np.full(n, TARGET_CODE), hidden_labels=rng.integers(0, 4, n))
+        tracemalloc.start()
+        try:
+            training.evaluate_model(model, Dataset(source, target, target))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 2 * EVAL_BLOCK_ROWS * in_dim * 8 + 4 * n * width * 8
+        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
