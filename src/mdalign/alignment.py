@@ -177,19 +177,28 @@ class RunningStats:
         self.count += stats.live
 
 
+def _mix(xr: np.ndarray, w: np.ndarray, mean: np.ndarray, inv_std: np.ndarray, mix_scale=None) -> np.ndarray:
+    """y_mix_i = sum_d w[i,d] * (x_i - mean_d) * inv_std_d over [b, c, positions] input, in one buffer.
+
+    Domains without statistics have inv_std rows of zero.  mix_scale is
+    w @ inv_std, made here as a temporary unless the caller passes the one it keeps.
+    """
+    y_mix = xr * (w @ inv_std if mix_scale is None else mix_scale)[:, :, None]
+    y_mix -= (w @ (mean * inv_std))[:, :, None]
+    return y_mix
+
+
 @dataclass
 class _Cache:
+    """What backward() reads of a forward(): the input and the small per-domain arrays."""
+
     x_shape: tuple
     xr: np.ndarray
-    sample_mean: np.ndarray
-    sample_sq: np.ndarray
     w: np.ndarray
     fixed: np.ndarray
     aw: AlphaWeights
     mean: np.ndarray
     inv_std: np.ndarray
-    mix_scale: np.ndarray
-    y_mix: np.ndarray
 
 
 class AlignmentLayer:
@@ -223,19 +232,13 @@ class AlignmentLayer:
         if x.shape[1] != self.channels:
             raise ValueError(f"layer built for {self.channels} channels, got {x.shape[1]}")
 
-    def _mix(self, xr: np.ndarray, w: np.ndarray, mean: np.ndarray, inv_std: np.ndarray):
-        """y_mix_i = sum_d w[i,d] * (x_i - mean_d) * inv_std_d over [b, c, positions] input, then the affine.
-
-        Domains without statistics have inv_std rows of zero.  Returns (mix_scale, y_mix, y).
-        """
-        mix_scale = w @ inv_std
-        y_mix = xr * mix_scale[:, :, None]
-        y_mix -= (w @ (mean * inv_std))[:, :, None]
-        if not self.cfg.affine:
-            return mix_scale, y_mix, y_mix
-        y = y_mix * self.gamma.value[None, :, None]
-        y += self.beta.value[None, :, None]
-        return mix_scale, y_mix, y
+    def _normalize(self, xr: np.ndarray, w: np.ndarray, mean: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
+        """The layer's output over [b, c, positions] input: _mix, then the affine in the same buffer."""
+        y = _mix(xr, w, mean, inv_std)
+        if self.cfg.affine:
+            y *= self.gamma.value[None, :, None]
+            y += self.beta.value[None, :, None]
+        return y
 
     def alpha(self, assignment) -> AlphaWeights:
         """The assignment's column-normalized weights under this layer's zero-mass threshold."""
@@ -263,8 +266,7 @@ class AlignmentLayer:
             aw = self.alpha(assignment)
         elif aw.alpha.shape != w.shape:
             raise ValueError(f"alpha weights {aw.alpha.shape} do not match assignment {w.shape}")
-        sample_mean, sample_sq = _sample_moments(xr)
-        stats = _domain_moments(aw, sample_mean, sample_sq)
+        stats = _domain_moments(aw, *_sample_moments(xr))
 
         mean, var, used = stats.mean, stats.var, aw.live
         fallback = None if used.all() else ~used & (w.max(axis=0) > 0.0)
@@ -282,23 +284,10 @@ class AlignmentLayer:
             used = used | fallback
 
         inv_std = np.divide(1.0, np.sqrt(var + self.cfg.eps), out=np.zeros_like(mean), where=used[:, None])
-        mix_scale, y_mix, y = self._mix(xr, w, mean, inv_std)
+        y = self._normalize(xr, w, mean, inv_std)
         if update_running:
             self.running.update(stats)
-
-        cache = _Cache(
-            x_shape=x.shape,
-            xr=xr,
-            sample_mean=sample_mean,
-            sample_sq=sample_sq,
-            w=w,
-            fixed=assignment.fixed,
-            aw=aw,
-            mean=mean,
-            inv_std=inv_std,
-            mix_scale=mix_scale,
-            y_mix=y_mix,
-        )
+        cache = _Cache(x_shape=x.shape, xr=xr, w=w, fixed=assignment.fixed, aw=aw, mean=mean, inv_std=inv_std)
         return y.reshape(x.shape), cache
 
     def backward(self, cache: _Cache, grad_out: np.ndarray):
@@ -311,22 +300,25 @@ class AlignmentLayer:
         back with exactly zero gradient, so when every row is fixed grad_w is
         returned as zeros without being built.  Fallback domains normalized
         with running statistics contribute only direct paths, since running
-        estimates are treated as constants.  The per-sample moments of the
-        input come from the cache, as forward() computed them.
+        estimates are treated as constants.  The cache holds only the input and
+        the per-domain arrays; what else forward() made is recomputed here with
+        its numpy calls, so every bit matches: the mix (for grad_gamma) through
+        _mix, and the per-sample moments, which only the free rows' path reads,
+        through _sample_moments.  Each [b, c] temporary goes once it is used.
         """
         if grad_out.shape != cache.x_shape:
             raise ValueError(f"grad shape {grad_out.shape} does not match {cache.x_shape}")
         gr = _as_bcm(grad_out)
+        xr, w, mean, inv_std = cache.xr, cache.w, cache.mean, cache.inv_std
+        mix_scale = w @ inv_std
         if self.cfg.affine:
-            grad_gamma = (gr * cache.y_mix).sum(axis=(0, 2))
+            grad_gamma = (gr * _mix(xr, w, mean, inv_std, mix_scale)).sum(axis=(0, 2))
             grad_beta = gr.sum(axis=(0, 2))
             gy = gr * self.gamma.value[None, :, None]
         else:
             grad_gamma = None
             grad_beta = None
             gy = gr
-
-        xr, w, mean, inv_std = cache.xr, cache.w, cache.mean, cache.inv_std
         alpha, live = cache.aw.alpha, cache.aw.live
         n_pos = xr.shape[2]
 
@@ -346,16 +338,14 @@ class AlignmentLayer:
         h1 = (g1 * inv_std)[sel]
         g2_var = (g2 * inv_var)[sel]
         alpha_live = alpha[:, sel]
-        c1 = alpha_live @ h1
-        c2 = alpha_live @ g2_var
-        c3 = alpha_live @ (mean * g2 * inv_var)[sel]
-        paths = xr * c2[:, :, None]
-        paths += c1[:, :, None]
-        paths -= c3[:, :, None]
+        paths = xr * (alpha_live @ g2_var)[:, :, None]
+        paths += (alpha_live @ h1)[:, :, None]
+        paths -= (alpha_live @ (mean * g2 * inv_var)[sel])[:, :, None]
         if n_pos != 1:
             paths /= n_pos
-        grad_x = gy * cache.mix_scale[:, :, None]
+        grad_x = gy * mix_scale[:, :, None]
         grad_x -= paths
+        del paths, mix_scale
         if cache.fixed.all():
             return grad_x.reshape(cache.x_shape), np.zeros_like(w), grad_gamma, grad_beta
 
@@ -364,8 +354,7 @@ class AlignmentLayer:
         grad_w = gyx_sum @ inv_std.T - gy_sum @ (mean * inv_std).T
 
         if live.any():
-            sample_mean = cache.sample_mean
-            sample_sq = cache.sample_sq
+            sample_mean, sample_sq = _sample_moments(xr)
             h2 = g2_var / 2.0
             mu = mean[sel]
             # d loss / d alpha[i, d] through the live statistics
@@ -399,10 +388,4 @@ class AlignmentLayer:
             )
         inv_std = np.zeros_like(self.running.mean)
         inv_std[needed] = 1.0 / np.sqrt(self.running.var[needed] + self.cfg.eps)
-        # _mix's per-element operations in its order, in one output buffer
-        y = _as_bcm(x) * (w @ inv_std)[:, :, None]
-        y -= (w @ (self.running.mean * inv_std))[:, :, None]
-        if self.cfg.affine:
-            y *= self.gamma.value[None, :, None]
-            y += self.beta.value[None, :, None]
-        return y.reshape(x.shape)
+        return self._normalize(_as_bcm(x), w, self.running.mean, inv_std).reshape(x.shape)

@@ -477,7 +477,8 @@ def load_manifest(path) -> Dataset:
     """Load a dataset manifest: a JSON document listing IDX files and domain tags.
 
     Schema: {"sources": [{"images", "labels", optional "domain"}...],
-    "target": {"images", "labels"}, optional "target_test": {...}}.  Source
+    "target": {"images", "labels"}, optional "target_test": {...}}; any
+    other key, at the top or in a file entry, is refused.  Source
     entries with a "domain" index become known-source samples; the others
     unknown-source.  Relative paths resolve against the MDA_DATA_DIR
     environment variable, then the manifest's directory.
@@ -539,17 +540,25 @@ def load_manifest(path) -> Dataset:
     for key in ("sources", "target"):
         if key not in doc:
             raise ValueError(f"{path}: the manifest has no {key!r} entry")
+    for key in doc:
+        if key not in ("sources", "target", "target_test"):
+            raise ValueError(f"{path}: unknown key {key!r}")
     sources = doc["sources"]
     if not isinstance(sources, list):
         raise ValueError(f"{path}: 'sources' must be a list of file entries, found {type(sources).__name__}")
     if not sources:
         raise ValueError(f"{path}: the manifest lists no source files")
-    for e in [*sources, doc["target"], doc.get("target_test", doc["target"])]:
+    entries = [(e, ("images", "labels", "domain")) for e in sources]
+    entries += [(doc[key], ("images", "labels")) for key in ("target", "target_test") if key in doc]
+    for e, known in entries:
         if not isinstance(e, dict) or "images" not in e or "labels" not in e:
             raise ValueError(f"{path}: file entry {e!r} needs 'images' and 'labels'")
         for key in ("images", "labels"):
             if not isinstance(e[key], str):
                 raise ValueError(f"{path}: file entry {e!r} needs a path string at {key!r}")
+        for key in e:
+            if key not in known:
+                raise ValueError(f"{path}: file entry {e!r} has unknown key {key!r}")
     for e in sources:
         d = e.get("domain")
         if d is not None and type(d) is not int:

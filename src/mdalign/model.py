@@ -12,7 +12,7 @@ assignment gradients.
 from __future__ import annotations
 
 import json
-import math
+import sys
 import types
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -173,7 +173,14 @@ class Model:
 
 @dataclass
 class ForwardRecord:
-    """Everything a forward pass produced; training passes also keep the caches backward needs."""
+    """Everything a forward pass produced; training passes also keep the caches backward needs.
+
+    Those are the dense inputs, the dense outputs (inside each alignment
+    cache), the ReLU outputs and the small per-domain arrays: trunk_caches
+    holds (input, ReLU output) per block, cls_caches (dense input, alignment
+    cache, ReLU output or None for the last layer) per layer.  Backward
+    recomputes the rest.
+    """
 
     class_probs: np.ndarray
     domain_probs: np.ndarray
@@ -191,16 +198,15 @@ class EvalRecord:
 
 
 def _trunk_forward(model: Model, features: np.ndarray, caches: list | None = None) -> np.ndarray:
-    """Trunk output of a batch's [b, in_dim] features; appends (input, pre-activation) per block to caches if given.
+    """Trunk output of a batch's [b, in_dim] features; appends (input, ReLU output) per block to caches if given.
 
     Features of any other rank fail in dense_forward with a ValueError.
     """
     h = features
     for layer in model.trunk:
-        z = dense_forward(h, layer.weight.value, layer.bias.value)
+        inp, h = h, relu_forward(dense_forward(h, layer.weight.value, layer.bias.value))
         if caches is not None:
-            caches.append((h, z))
-        h = relu_forward(z)
+            caches.append((inp, h))
     return h
 
 
@@ -214,12 +220,12 @@ def _forward(
 ) -> ForwardRecord:
     """The one walk through trunk, predictor branch and classifier.
 
-    Training mode normalizes with batch statistics and keeps every activation
-    backward_train needs; evaluation mode normalizes with running statistics
-    and drops each activation once the next one is made.  With trunk_done,
-    an evaluation starts from the trunk: the batch's features are already the
-    trunk's output over its rows, as split_trunk computes it block by block
-    for a whole split.  The predictor runs on every non-target sample in both
+    Training mode normalizes with batch statistics and keeps the caches
+    ForwardRecord lists for backward_train; evaluation mode normalizes with
+    running statistics and drops each activation once the next one is made.
+    With trunk_done, an evaluation starts from the trunk: the batch's
+    features are already the trunk's output over its rows, as split_trunk
+    computes it block by block for a whole split.  The predictor runs on every non-target sample in both
     modes.  Every alignment layer shares cfg.align and the one assignment
     matrix, so training mode column-normalizes it once for all of them.
     """
@@ -245,13 +251,15 @@ def _forward(
         z = dense_forward(h, layer.weight.value, layer.bias.value)
         if train:
             z, align_cache = model.align_layers[j].forward(z, assignment, update_running, aw)
-            cls_caches.append((h, align_cache, z))
+            inp = h
         else:
             # an activation goes as soon as the next one exists
             h = None
             z = model.align_layers[j].infer(z, assignment)
         h = relu_forward(z) if j < last else z
         z = None
+        if train:
+            cls_caches.append((inp, align_cache, h if j < last else None))
 
     return ForwardRecord(
         class_probs=softmax(h),
@@ -343,9 +351,10 @@ def backward_train(
     grad = g_logits
     last = len(model.classifier) - 1
     for j in range(last, -1, -1):
-        dense_input, align_cache, pre_act = record.cls_caches[j]
+        dense_input, align_cache, relu_out = record.cls_caches[j]
         if j < last:
-            grad = relu_backward(pre_act, grad)
+            # relu_out > 0 exactly where the pre-activation is, NaN and -0.0 included
+            grad = relu_backward(relu_out, grad)
         layer = model.align_layers[j]
         grad, grad_w, g_gamma, g_beta = layer.backward(align_cache, grad)
         if layer.cfg.affine:
@@ -380,8 +389,8 @@ def backward_train(
     # trunk stack
     grad = g_trunk
     for i in range(len(model.trunk) - 1, -1, -1):
-        inp, pre = record.trunk_caches[i]
-        grad = relu_backward(pre, grad)
+        inp, relu_out = record.trunk_caches[i]
+        grad = relu_backward(relu_out, grad)
         layer = model.trunk[i]
         # the gradient at the network input is never used
         grad, g_w, g_b = dense_backward(inp, layer.weight.value, grad, input_grad=i > 0)
@@ -491,7 +500,7 @@ def config_from_json(kind, value, path: str):
 
     A config takes an object, field by field: each name must be a field, and one left out keeps its default.
     tuple[X, ...] takes a list, float | tuple[float, ...] a number or a list, bool only true or false, int
-    only integers (not booleans) and float any finite number.  Paths look like model.trunk_widths[0].
+    only integers (not booleans) and float any number a float holds finitely.  Paths look like model.trunk_widths[0].
     """
     if is_dataclass(kind):
         if not isinstance(value, dict):
@@ -517,7 +526,7 @@ def config_from_json(kind, value, path: str):
     fits = {
         bool: isinstance(value, bool),
         int: number and isinstance(value, int),
-        float: number and (isinstance(value, int) or math.isfinite(value)),
+        float: number and abs(value) <= sys.float_info.max,
     }[kind]
     if not fits:
         raise ConfigError(f"{path}: expected {'finite float' if kind is float else kind.__name__}, found {value!r}")
@@ -532,6 +541,9 @@ def _restore(where: str, target: np.ndarray, values, nonnegative: bool = False) 
         raise CheckpointError(f"{where}: {err}") from err
     if arr.shape != target.shape:
         raise CheckpointError(f"{where}: shape {arr.shape}, expected {target.shape}")
+    # numpy reads a JSON boolean as a number (even [true, 2] is int64); a checkpoint never stores one
+    if any(type(v) is bool for v in np.asarray(values, dtype=object).flat):
+        raise CheckpointError(f"{where}: bool values, expected {target.dtype}")
     if not np.can_cast(arr.dtype, target.dtype, "same_kind"):
         raise CheckpointError(f"{where}: {arr.dtype} values, expected {target.dtype}")
     if not np.isfinite(arr).all() or nonnegative and (arr < 0).any():
@@ -561,8 +573,8 @@ def load_checkpoint(path) -> Model:
             doc = json.load(f)
         except ValueError as err:
             raise CheckpointError(f"{path}: not valid JSON ({err})") from err
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        found = doc.get("format") if isinstance(doc, dict) else None
+    found = doc.get("format") if isinstance(doc, dict) else None
+    if type(found) is not int or found != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: checkpoint format {found!r}, expected {CHECKPOINT_FORMAT}")
     _same_names(str(path), doc, ("format", "config", "params", "running"))
     config = doc["config"]

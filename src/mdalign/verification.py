@@ -16,7 +16,7 @@ from .assignment import KNOWN_CODE, TARGET_CODE, UNKNOWN_CODE, Assignment
 from .data import Split, make_batch
 from .losses import LossWeights
 from .model import Model, ModelConfig, backward_train, compute_loss, forward_train
-from .primitives import central_difference, max_relative_error
+from .primitives import central_difference, dense_forward, max_relative_error
 
 __all__ = [
     "LAYER_TOLERANCE",
@@ -130,10 +130,19 @@ def _audit_batch(rng, in_dim=4, classes=3, k=2):
 
 def _relu_margin(model: Model, batch) -> float:
     """Smallest |pre-activation| at any rectifier; the finite-difference
-    probe is only valid away from the kinks."""
+    probe is only valid away from the kinks.
+
+    A training record keeps rectifier outputs, not inputs, so the trunk's
+    dense outputs are recomputed from the cached inputs and the aligned
+    outputs from the alignment caches, with forward's arithmetic.
+    """
     record = forward_train(model, batch, update_running=False)
-    pre_acts = [z for _, z in record.trunk_caches]
-    pre_acts += [z for _, _, z in record.cls_caches[:-1]]
+    pre_acts = [
+        dense_forward(inp, layer.weight.value, layer.bias.value)
+        for (inp, _), layer in zip(record.trunk_caches, model.trunk)
+    ]
+    for j, (_, c, _) in enumerate(record.cls_caches[:-1]):
+        pre_acts.append(model.align_layers[j]._normalize(c.xr, c.w, c.mean, c.inv_std))
     _, branch_z1, _ = record.branch_cache
     pre_acts.append(branch_z1)
     return min(float(np.abs(z).min()) for z in pre_acts)

@@ -179,6 +179,7 @@ class TestTrainCommand:
             (["model.trunk_widths=[12.5]"], "model.trunk_widths[0]: expected int, found 12.5"),
             (["train.seed=true"], "train.seed: expected int, found True"),
             (["train.base_lr=NaN"], "train.base_lr: expected finite float, found nan"),
+            (["train.base_lr=" + "9" * 400], "train.base_lr: expected finite float, found 999"),
             (
                 ['data.synthetic.target_shift.offset="x"'],
                 "data.synthetic.target_shift.offset: expected finite float, found 'x'",
@@ -211,7 +212,7 @@ class TestTrainCommand:
              "balance_without_ids", "eval_every", "source_quota", "target_quota", "target_quota_without_class_entropy",
              "in_dim", "n_classes",
              "fractional_quota", "fractional_iterations", "fractional_k", "string_affine", "int_standardize",
-             "fractional_width", "bool_seed", "nan_base_lr", "string_offset", "short_offset", "one_entry_scale",
+             "fractional_width", "bool_seed", "nan_base_lr", "huge_int_base_lr", "string_offset", "short_offset", "one_entry_scale",
              "long_domain_scale", "int_manifest", "list_manifest", "negative_model_seed", "negative_train_seed",
              "negative_synthetic_seed", "train_list", "model_number", "data_number", "zero_branch_hidden",
              "zero_trunk_width", "zero_classifier_width", "huge_zero_mass_threshold", "unit_zero_mass_threshold"],
@@ -496,6 +497,8 @@ class TestManifestTraining:
             ("no_sources", "no 'sources' entry"),
             ("no_images_key", "needs 'images' and 'labels'"),
             ("fractional_domain", "declares domain 0.5, which is not an integer"),
+            ("misspelt_domain", "has unknown key 'domian'"),
+            ("misspelt_target_test", "digits.json: unknown key 'target_tset'"),
             ("not_an_object", "the manifest must be a JSON object, found int"),
             ("sources_not_a_list", "'sources' must be a list of file entries, found int"),
             ("images_not_a_string", "needs a path string at 'images'"),
@@ -534,6 +537,10 @@ class TestManifestTraining:
             del doc["sources"][1]["images"]
         elif breakage == "huge_domain":
             doc["sources"][0]["domain"] = 2**70
+        elif breakage == "misspelt_domain":
+            doc["sources"][0]["domian"] = 0
+        elif breakage == "misspelt_target_test":
+            doc["target_tset"] = write_digit_set(tmp_path, rng, "u", 0.0)
         elif breakage == "fractional_domain":
             doc["sources"][0]["domain"] = 0.5
         elif breakage == "not_an_object":

@@ -410,6 +410,23 @@ class TestManifest:
         assert (data.target_train.class_labels == -1).all()
         assert len(data.target_test) == 7
 
+    @pytest.mark.parametrize(
+        "where, key",
+        [("top", "target_tset"), ("source", "domian"), ("target", "domain"), ("target_test", "label")],
+    )
+    def test_unknown_key_rejected(self, tmp_path, where, key):
+        """A misspelt key is refused by name; it used to be ignored, so a "domian" lost the declared domain."""
+        doc = {
+            "sources": [self.make_pair(tmp_path, "a", 2, 0)],
+            "target": self.make_pair(tmp_path, "t", 2, 1),
+            "target_test": self.make_pair(tmp_path, "u", 2, 2),
+        }
+        (doc if where == "top" else doc["sources"][0] if where == "source" else doc[where])[key] = 0
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            load_manifest(manifest)
+
     @pytest.mark.parametrize("where", ["source", "target", "target_test"])
     def test_image_size_mismatch_rejected(self, tmp_path, where):
         """Every file, target files too, must hold images of the first source file's size."""

@@ -193,6 +193,57 @@ class TestForwardTrain:
             probs.append(forward_train(model, source_only, update_running=False).class_probs)
         assert np.abs(probs[0] - probs[1]).max() > 1e-6
 
+    def test_record_keeps_what_backward_reads(self):
+        """A training record's arrays take about 2 b c floats per aligned hidden layer.
+
+        Allowed, in float64s: the features, b in_dim; the trunk's ReLU outputs,
+        b sum(trunk); each hidden layer's dense and ReLU outputs, 2 b c; the
+        branch's rows, b (trunk[-1] + 2 branch_hidden); and 16 b (k + 1 +
+        n_classes) for the narrow per-row and per-domain arrays.  Keeping the
+        pre-activations, the mix and the per-sample moments besides read 13.9 MiB
+        against a bound of 6.4 MiB at this size.
+        """
+        b = 512
+        cfg = ModelConfig(
+            in_dim=32, n_classes=6, k=5, trunk_widths=(128,), classifier_widths=(256, 256), branch_hidden=64
+        )
+        rng = np.random.default_rng(19)
+        batch = make_batch(
+            Split.of(
+                rng.normal(size=(b, cfg.in_dim)),
+                kinds=[UNKNOWN_CODE] * (b // 2) + [TARGET_CODE] * (b // 2),
+                class_labels=rng.integers(0, cfg.n_classes, b),
+            )
+        )
+        record = forward_train(Model(cfg), batch)
+        bases = {}
+
+        def walk(obj, seen):
+            if id(obj) in seen:
+                return
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                while isinstance(obj.base, np.ndarray):
+                    obj = obj.base
+                bases[id(obj)] = obj.nbytes
+            elif isinstance(obj, (list, tuple)):
+                for item in obj:
+                    walk(item, seen)
+            elif hasattr(obj, "__dict__"):
+                for item in vars(obj).values():
+                    walk(item, seen)
+
+        walk(record, set())
+        floats = b * (
+            cfg.in_dim
+            + sum(cfg.trunk_widths)
+            + 2 * sum(cfg.classifier_widths)
+            + cfg.trunk_widths[-1]
+            + 2 * cfg.branch_hidden
+            + 16 * (cfg.k + 1 + cfg.n_classes)
+        )
+        assert sum(bases.values()) <= 8 * floats, sum(bases.values()) / 2**20
+
 
 class TestBackwardTrain:
     def test_end_to_end_gradients_match_finite_differences(self):
@@ -550,8 +601,24 @@ class TestCheckpoint:
             (lambda doc: doc["params"]["trunk.0.bias"].__setitem__(0, np.nan), r"params\.trunk\.0\.bias: .*finite"),
             (lambda doc: doc["running"]["0"]["var"][0].__setitem__(0, -5.0), r"running\.0\.var: .*>= 0"),
             (lambda doc: doc["running"]["0"]["count"].__setitem__(0, -3), r"running\.0\.count: .*>= 0"),
+            # JSON booleans used to load as counts of 1 and as zero biases
+            (
+                lambda doc: doc["running"]["0"].update(count=[True] * len(doc["running"]["0"]["count"])),
+                r"running\.0\.count: bool values, expected int64",
+            ),
+            (
+                lambda doc: doc["params"].update({"trunk.0.bias": [False] * len(doc["params"]["trunk.0.bias"])}),
+                r"params\.trunk\.0\.bias: bool values, expected float64",
+            ),
+            (lambda doc: doc["running"]["0"]["count"].__setitem__(0, False), r"running\.0\.count: bool values"),
+            (lambda doc: doc.update(format=3.0), r"checkpoint format 3\.0, expected 3"),
+            # an integer beyond a float's range used to load, then overflow in the first forward pass
+            (lambda doc: doc["config"]["align"].update(eps=2**1100), r"config\.align\.eps: expected finite float"),
         ],
-        ids=["int_affine", "bool_seed", "string_widths", "nan_param", "negative_var", "negative_count"],
+        ids=[
+            "int_affine", "bool_seed", "string_widths", "nan_param", "negative_var", "negative_count",
+            "bool_count", "bool_bias", "bool_among_counts", "float_format", "huge_int_eps",
+        ],
     )
     def test_bad_value_rejected(self, tmp_path, edit, expected):
         # each of these used to load into a model without complaint

@@ -130,6 +130,16 @@ class TestRelu:
         reference = np.where(x > 0, g, 0.0)
         assert np.array_equal(relu_backward(x, g).view(np.int64), reference.view(np.int64))
 
+    def test_backward_from_the_output_equals_backward_from_the_input(self):
+        """relu_forward(z) > 0 exactly where z > 0, so backward may read the ReLU output in place of its input."""
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]
+        z = np.concatenate([special, np.random.default_rng(4).normal(size=57)]).reshape(8, 8)
+        g = np.random.default_rng(5).normal(size=z.shape)
+        g[0, :4] = [-0.0, np.inf, -np.inf, np.nan]
+        for grad in (g, g.T.copy()):
+            got = relu_backward(relu_forward(z), grad)
+            assert np.array_equal(got.view(np.int64), relu_backward(z, grad).view(np.int64))
+
     def test_negative_gradient_at_dead_unit_is_positive_zero(self):
         g = relu_backward(np.array([-1.0, 0.0]), np.array([-3.0, -2.0]))
         assert not np.signbit(g).any()
