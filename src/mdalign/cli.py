@@ -97,6 +97,8 @@ def resolve_config(doc: dict):
             raise ConfigError(f"data.manifest: {err}") from err
         in_dim = data.source_train.features.shape[1]
         n_classes = 1 + int(data.source_train.class_labels.max())
+        if n_classes < 2 and "n_classes" not in doc.get("model", {}):
+            raise ConfigError("data.manifest: every source label is 0, one class; a model needs 2 or more")
     else:
         data = config_from_json(SynthConfig, data_doc.get("synthetic", {}), "data.synthetic")
         in_dim = data.feature_dim

@@ -389,33 +389,64 @@ def _read_exact(f, n: int, path) -> bytes:
     return data
 
 
+def _idx_header(f, path, magic: int, n_dims: int) -> tuple[int, ...]:
+    """The dimensions an open IDX file's header declares, leaving f at the payload.
+
+    The magic number, a dimension of 0, and the declared payload against the
+    file's size are all checked before any payload byte is read.
+    """
+    (found,) = struct.unpack(">I", _read_exact(f, 4, path))
+    if found != magic:
+        raise IdxMagicError(f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
+    dims = struct.unpack(">" + "I" * n_dims, _read_exact(f, 4 * n_dims, path))
+    if 0 in dims:
+        # nothing to train or score on; and beside a 0, the other dimensions may exceed any float64 array
+        raise IdxEmptyError(f"{path}: header declares dimensions {dims}, one of them 0")
+    declared = math.prod(dims)
+    held = os.fstat(f.fileno()).st_size - f.tell()
+    if held < declared:
+        raise IdxTruncatedError(f"{path}: header declares {declared} payload bytes, the file holds {held}")
+    if held > declared:
+        raise IdxTrailingBytesError(f"{path}: {held - declared} bytes after the {declared}-byte payload")
+    return dims
+
+
+def _read_payload(f, out: np.ndarray, path) -> np.ndarray:
+    """Fill out, a C-contiguous uint8 array, with f's next out.size bytes; a short read raises IdxTruncatedError."""
+    got = f.readinto(memoryview(out).cast("B"))
+    if got != out.size:
+        raise IdxTruncatedError(f"{path}: needed {out.size} payload bytes, found {got}")
+    return out
+
+
 def _read_idx(path, magic: int, n_dims: int) -> np.ndarray:
-    """The uint8 payload of an IDX file, shaped by its header and checked against the file's size before reading."""
+    """The uint8 payload of an IDX file, read into a new array of the shape its checked header declares."""
     with open(path, "rb") as f:
-        (found,) = struct.unpack(">I", _read_exact(f, 4, path))
-        if found != magic:
-            raise IdxMagicError(f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
-        dims = struct.unpack(">" + "I" * n_dims, _read_exact(f, 4 * n_dims, path))
-        if 0 in dims:
-            # nothing to train or score on; and beside a 0, the other dimensions may exceed any float64 array
-            raise IdxEmptyError(f"{path}: header declares dimensions {dims}, one of them 0")
-        declared = math.prod(dims)
-        held = os.fstat(f.fileno()).st_size - f.tell()
-        if held < declared:
-            raise IdxTruncatedError(f"{path}: header declares {declared} payload bytes, the file holds {held}")
-        if held > declared:
-            raise IdxTrailingBytesError(f"{path}: {held - declared} bytes after the {declared}-byte payload")
-        payload = _read_exact(f, declared, path)
-    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+        dims = _idx_header(f, path, magic, n_dims)
+        return _read_payload(f, np.empty(dims, dtype=np.uint8), path)
 
 
-def _idx_pixels(images_path, labels_path):
-    """(uint8 images [n, 1, h, w], int64 labels [n]) of an IDX file pair."""
-    images = _read_idx(images_path, IMAGE_MAGIC, 3)
+def _check_pair(images_path, labels_path):
+    """(image dims (n, h, w), int64 labels [n]) of an IDX file pair.
+
+    The image header is checked, then the labels read and counted against
+    it; no pixel is read.
+    """
+    with open(images_path, "rb") as f:
+        dims = _idx_header(f, images_path, IMAGE_MAGIC, 3)
     labels = _read_idx(labels_path, LABEL_MAGIC, 1).astype(np.int64)
-    if images.shape[0] != labels.shape[0]:
-        raise IdxCountMismatchError(f"{images.shape[0]} images vs {labels.shape[0]} labels")
-    return images[:, None], labels
+    if dims[0] != labels.shape[0]:
+        raise IdxCountMismatchError(f"{images_path}: {dims[0]} images vs {labels.shape[0]} labels in {labels_path}")
+    return dims, labels
+
+
+def _read_images(path, dims: tuple[int, ...], out: np.ndarray) -> np.ndarray:
+    """Read an image file's pixels into out, of dims' size, once its header, opened again, still declares dims."""
+    with open(path, "rb") as f:
+        found = _idx_header(f, path, IMAGE_MAGIC, 3)
+        if found != dims:
+            raise IdxError(f"{path}: header declares dimensions {found}, it declared {dims} when first read")
+        return _read_payload(f, out, path)
 
 
 def idx_load(images_path, labels_path):
@@ -425,8 +456,9 @@ def idx_load(images_path, labels_path):
     magic numbers, a dimension of 0, truncated payloads, trailing bytes and
     image/label count disagreements each raise their own IdxError subclass.
     """
-    images, labels = _idx_pixels(images_path, labels_path)
-    return images / 255.0, labels
+    dims, labels = _check_pair(images_path, labels_path)
+    images = _read_images(images_path, dims, np.empty(dims, dtype=np.uint8))
+    return images[:, None] / 255.0, labels
 
 
 def _as_bytes(arr: np.ndarray, what: str) -> np.ndarray:
@@ -451,7 +483,7 @@ def idx_write_images(path, images: np.ndarray) -> None:
     arr = _as_bytes(arr, "pixels")
     with open(path, "wb") as f:
         f.write(struct.pack(">IIII", IMAGE_MAGIC, *arr.shape))
-        f.write(arr.tobytes())
+        f.write(np.ascontiguousarray(arr))
 
 
 def idx_write_labels(path, labels) -> None:
@@ -462,7 +494,7 @@ def idx_write_labels(path, labels) -> None:
     arr = _as_bytes(arr, "labels")
     with open(path, "wb") as f:
         f.write(struct.pack(">II", LABEL_MAGIC, arr.shape[0]))
-        f.write(arr.tobytes())
+        f.write(np.ascontiguousarray(arr))
 
 
 def _resolve(path_str: str, manifest_dir) -> str:
@@ -500,23 +532,29 @@ def load_manifest(path) -> Dataset:
     image_shape = None  # the first source file's, which every file must match
 
     def load_split(entries, domains=None) -> Split:
-        """One split of IDX pairs, their uint8 pixels joined into one [n, h * w] array of codes.
+        """One split of IDX pairs, their uint8 pixels read straight into one [n, h * w] array of codes.
 
-        domains holds each source file's declared domain, -1 where it declares
-        none; without domains the rows are target rows, whose labels stay hidden.
+        The first pass checks every file pair in order, reading labels only,
+        then every image size; the second reads each image file's pixels into
+        its rows, one file open at a time.  domains holds each source file's
+        declared domain, -1 where it declares none; without domains the rows
+        are target rows, whose labels stay hidden.
         """
         nonlocal image_shape
-        pairs = [
-            _idx_pixels(_resolve(e["images"], manifest_dir), _resolve(e["labels"], manifest_dir))
-            for e in entries
-        ]
-        image_shape = image_shape or pairs[0][0].shape[1:]
-        for e, (px, _) in zip(entries, pairs):
-            if px.shape[1:] != image_shape:
+        paths = [(_resolve(e["images"], manifest_dir), _resolve(e["labels"], manifest_dir)) for e in entries]
+        pairs = [_check_pair(images_path, labels_path) for images_path, labels_path in paths]
+        image_shape = image_shape or (1, *pairs[0][0][1:])
+        for e, (dims, _) in zip(entries, pairs):
+            if (1, *dims[1:]) != image_shape:
                 raise IdxShapeMismatchError(
-                    f"{e['images']}: images {px.shape[1:]}, expected {image_shape}, the sources' image size"
+                    f"{e['images']}: images {(1, *dims[1:])}, expected {image_shape}, the sources' image size"
                 )
-        codes = np.concatenate([px.reshape(len(px), -1) for px, _ in pairs])
+        counts = [dims[0] for dims, _ in pairs]
+        codes = np.empty((sum(counts), math.prod(image_shape)), dtype=np.uint8)
+        start = 0
+        for (images_path, _), (dims, _) in zip(paths, pairs):
+            _read_images(images_path, dims, codes[start : start + dims[0]])
+            start += dims[0]
         labels = np.concatenate([labels for _, labels in pairs])
         n = len(labels)
         if domains is None:
@@ -524,7 +562,6 @@ def load_manifest(path) -> Dataset:
                 codes, np.full(n, -1), np.full(n, TARGET_CODE, dtype=np.int8), np.full(n, -1),
                 np.full(n, -1), labels, np.full(n, -1), divisor=255.0,
             )
-        counts = [len(labels) for _, labels in pairs]
         ids = np.arange(len(entries))
         return Split(
             features=codes,

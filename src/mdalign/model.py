@@ -551,6 +551,30 @@ def _restore(where: str, target: np.ndarray, values, nonnegative: bool = False) 
     target[...] = arr
 
 
+def _outer_shape(values) -> tuple[int, ...]:
+    """The shape of nested JSON lists along their first items, which numpy gives a regular nest; _restore checks all."""
+    shape = []
+    while isinstance(values, list):
+        shape.append(len(values))
+        values = values[0] if values else None
+    return tuple(shape)
+
+
+def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter of Model(cfg), in named_params order, computed without building the model."""
+    trunk_dims = (cfg.in_dim,) + cfg.trunk_widths
+    cls_dims = (cfg.trunk_widths[-1],) + cfg.classifier_widths + (cfg.n_classes,)
+    shapes = {}
+    for part, dims in (("trunk", trunk_dims), ("classifier", cls_dims)):
+        for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
+            shapes[f"{part}.{i}.weight"], shapes[f"{part}.{i}.bias"] = (a, b), (b,)
+    if cfg.align.affine:
+        for j, width in enumerate(cls_dims[1:]):
+            shapes[f"align.{j}.gamma"] = shapes[f"align.{j}.beta"] = (width,)
+    h, k = cfg.branch_hidden, cfg.k
+    return shapes | {"branch.w1": (cfg.trunk_widths[-1], h), "branch.b1": (h,), "branch.w2": (h, k), "branch.b2": (k,)}
+
+
 def _same_names(where: str, found, expected) -> None:
     if not isinstance(found, dict):
         raise CheckpointError(f"{where}: expected an object, found {type(found).__name__}")
@@ -566,7 +590,9 @@ def load_checkpoint(path) -> Model:
     names, and every shape must match the model the stored config builds
     exactly, every config value must fit config_from_json, every array be
     finite, and running variances and counts >= 0; else CheckpointError,
-    as for a file that is not valid JSON.
+    as for a file that is not valid JSON.  The parameters' shapes are
+    checked before the model is built, so a width too large to allocate is
+    refused by name too.
     """
     with open(path) as f:
         try:
@@ -581,12 +607,17 @@ def load_checkpoint(path) -> Model:
     _same_names(f"{path}: config", config, [f.name for f in fields(ModelConfig)])
     _same_names(f"{path}: config.align", config["align"], [f.name for f in fields(AlignConfig)])
     try:
-        model = Model(config_from_json(ModelConfig, config, "config"))
+        cfg = config_from_json(ModelConfig, config, "config")
     except ValueError as err:
         raise CheckpointError(f"{path}: {err}") from err
-    params = dict(model.named_params())
-    _same_names(f"{path}: params", doc["params"], params)
-    for name, p in params.items():
+    shapes = _param_shapes(cfg)
+    _same_names(f"{path}: params", doc["params"], shapes)
+    for name, shape in shapes.items():
+        found = _outer_shape(doc["params"][name])
+        if found != shape:
+            raise CheckpointError(f"{path}: params.{name}: shape {found}, expected {shape}")
+    model = Model(cfg)
+    for name, p in model.named_params():
         _restore(f"{path}: params.{name}", p.value, doc["params"][name])
     layers = {str(j): layer for j, layer in model.align_layers.items()}
     _same_names(f"{path}: running", doc["running"], layers)

@@ -484,6 +484,27 @@ class TestManifestTraining:
         assert "model.n_classes: dataset id 0 has class label 3, but model.n_classes is 3" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_one_source_class_is_a_manifest_error(self, tmp_path, capsys):
+        # it used to be "config error: model: in_dim >= 1, n_classes >= 2 and k >= 1 required", naming no file
+        from mdalign.data import idx_write_labels
+
+        rng = np.random.default_rng(6)
+        doc = {"sources": [write_digit_set(tmp_path, rng, "s", 0.0)], "target": write_digit_set(tmp_path, rng, "t", 0.0)}
+        idx_write_labels(tmp_path / "s-labels.idx", np.zeros(24, dtype=np.uint8))
+        manifest_path = tmp_path / "digits.json"
+        manifest_path.write_text(json.dumps(doc))
+        config_path = tmp_path / "config.json"
+        train = {"iterations": 2, "batch": {"source_quota": 12, "target_quota": 12}}
+        config_path.write_text(json.dumps({"data": {"manifest": str(manifest_path)}, "train": train}))
+        code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")])
+        assert code == EXIT_CONFIG
+        assert "config error: data.manifest: every source label is 0, one class" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        # with the classes set, the same files train
+        sets = ["--set", "model.n_classes=2"]
+        code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "run"), *sets])
+        assert code == EXIT_OK
+
     @pytest.mark.parametrize(
         "breakage, expected",
         [

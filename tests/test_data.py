@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import io
 import json
+import re
 import struct
 import tracemalloc
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from mdalign.assignment import KNOWN_CODE, TARGET_CODE, UNKNOWN_CODE, DomainTag
+import mdalign.data as mdata
 from mdalign.data import (
     BatchSampler,
     BatchSpec,
@@ -17,6 +20,7 @@ from mdalign.data import (
     FeatureShift,
     IdxCountMismatchError,
     IdxEmptyError,
+    IdxError,
     IdxMagicError,
     IdxShapeMismatchError,
     IdxTrailingBytesError,
@@ -346,7 +350,8 @@ class TestIdx:
         lbl = tmp_path / "l.idx"
         idx_write_images(img, np.zeros((3, 2, 2), dtype=np.uint8))
         idx_write_labels(lbl, [1, 2])
-        with pytest.raises(IdxCountMismatchError):
+        expected = rf"{re.escape(str(img))}: 3 images vs 2 labels in {re.escape(str(lbl))}$"
+        with pytest.raises(IdxCountMismatchError, match=expected):
             idx_load(img, lbl)
 
     def test_round_trip_is_bit_exact(self, tmp_path):
@@ -475,6 +480,46 @@ class TestManifest:
         assert peak <= 2 * sum(counts) * 28 * 28
         for part in (data.source_train[10:20], reveal_domain_labels(data.source_train, [3])):
             assert part.features.dtype == np.uint8 and part.divisor == 255.0
+
+    def test_loading_peaks_near_the_bytes_it_returns(self, tmp_path):
+        """Each file's pixels are read straight into its split's rows, with no second copy of a payload.
+
+        The loader used to read each payload into a bytes object, then join the files into the split's
+        array: on this manifest its peak was 1.26 times the bytes it returns.
+        """
+        manifest, _ = self.write_manifest(tmp_path, 28, (300, 250, 350, 300, 200))
+        tracemalloc.start()
+        try:
+            data = load_manifest(manifest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        splits = {id(split): split for split in (data.source_train, data.target_train, data.target_test)}
+        returned = sum(getattr(split, f.name).nbytes for split in splits.values()
+                       for f in dataclasses.fields(split) if f.name != "divisor")
+        assert peak <= 1.1 * returned, (peak, returned)
+
+    def test_image_file_changed_between_the_passes_is_refused(self, tmp_path, monkeypatch):
+        """The pixels are read in a second pass, which checks each image header again before it reads."""
+        manifest, doc = self.write_manifest(tmp_path, 2, (3, 3, 3, 3))
+        first_pass = mdata._check_pair
+
+        def then_grow(images_path, labels_path):
+            checked = first_pass(images_path, labels_path)
+            if images_path.endswith("f0-images.idx"):
+                idx_write_images(images_path, np.zeros((4, 2, 2), dtype=np.uint8))
+            return checked
+
+        monkeypatch.setattr(mdata, "_check_pair", then_grow)
+        expected = r"f0-images\.idx: header declares dimensions \(4, 2, 2\), it declared \(3, 2, 2\)"
+        with pytest.raises(IdxError, match=expected):
+            load_manifest(manifest)
+
+    def test_short_payload_read_is_truncation(self, tmp_path):
+        """A payload read that ends early, as when the file shrinks after its header was checked, is refused."""
+        out = np.empty((2, 4), dtype=np.uint8)
+        with pytest.raises(IdxTruncatedError, match="needed 8 payload bytes, found 5"):
+            mdata._read_payload(io.BytesIO(bytes(5)), out, "f.idx")
 
     def test_pixel_splits_read_as_their_float64_twins(self, tmp_path):
         """Codes / 255.0 give, bit for bit, what splits of float64 pixels / 255.0 give: batches, rows, training."""

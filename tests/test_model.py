@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -631,6 +632,31 @@ class TestCheckpoint:
         save_checkpoint(Model(tiny_config()), path)
         path.write_text(path.read_text()[:100])
         with pytest.raises(CheckpointError, match=r"ckpt\.json: not valid JSON"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"align": AlignConfig(affine=False)}, {"classifier_widths": (5, 7)}, {"trunk_widths": (6, 3)},
+         {"whole_batch_norm": True}],
+        ids=["no_affine", "two_classifier_blocks", "two_trunk_blocks", "whole_batch_norm"],
+    )
+    def test_other_architectures_round_trip(self, tmp_path, overrides):
+        model = Model(tiny_config(**overrides))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+        restored = load_checkpoint(path)
+        assert restored.cfg == model.cfg
+        assert restored.flat.value.tobytes() == model.flat.value.tobytes()
+
+    @pytest.mark.parametrize(
+        "field, param",
+        [("in_dim", "trunk.0.weight"), ("n_classes", "classifier.1.weight"), ("k", "branch.w2"),
+         ("branch_hidden", "branch.w1")],
+    )
+    def test_width_too_large_to_allocate_is_refused(self, tmp_path, field, param):
+        # the model used to be built before any stored shape was compared: MemoryError, not CheckpointError
+        path = self.tampered(tmp_path, lambda doc: doc["config"].update({field: 10**12}))
+        with pytest.raises(CheckpointError, match=rf"params\.{re.escape(param)}: shape .*1000000000000"):
             load_checkpoint(path)
 
     def test_config_that_is_not_an_object_rejected(self, tmp_path):
