@@ -7,12 +7,11 @@ from a seed alone.  Real digit sets enter through the big-endian IDX format
 and can be turned into pseudo-domains with deterministic pixel transforms.
 
 Every split is one columnar Split: a feature array [n, ...] and one array
-per field, built once at ingestion by Split.of (or, for the digit files,
-straight into the columns, their pixels kept as uint8 codes until a batch
-reads them).  Ground-truth latent domain ids (and target labels) sit in
-hidden columns that batches never copy: the sampler and the training loop
-cannot see them, and evaluation code reads them from the split's hidden
-columns.
+per field, built once at ingestion by Split.of (the digit files' pixels
+kept as uint8 codes until a batch reads them).  Ground-truth latent domain
+ids (and target labels) sit in hidden columns that batches never copy: the
+sampler and the training loop cannot see them, and evaluation code reads
+them from the split's hidden columns.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ __all__ = [
     "ImageShift",
     "LabeledSample",
     "NonFiniteFeatureError",
+    "PIXEL_SCALE",
     "Split",
     "SynthConfig",
     "apply_feature_shift",
@@ -58,6 +58,8 @@ __all__ = [
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
+# a uint8 pixel code c is read as the feature c / PIXEL_SCALE, in [0, 1]
+PIXEL_SCALE = 255.0
 
 
 class IdxError(ValueError):
@@ -121,12 +123,12 @@ def _opt(value) -> int | None:
 class Split:
     """One dataset split as columns, one entry per row in every array.
 
-    features holds the stored values: float64 [n, ...] with divisor None, or,
-    for a split of digit files, their uint8 pixel codes [n, h * w] with
-    divisor 255.0.  Only the private reader turns stored values into the
-    float64 features a batch carries, dividing codes by the divisor as the
-    rows are read, so a pixel split keeps 1 byte per pixel at rest and the
-    rows it gives carry the bits a float64 split of pixels / 255.0 would.
+    features holds the stored values [n, ...]: uint8 pixel codes, such as a
+    split of digit files' [n, h * w], or else float64.  Only the private
+    reader turns them into the float64 features a batch carries, dividing
+    codes by PIXEL_SCALE as the rows are read, so a pixel split keeps 1 byte
+    per pixel at rest and gives the bits a float64 split of codes /
+    PIXEL_SCALE would.
     class_labels is -1 on unlabeled rows;
     kinds holds each row's int8 kind code (assignment.KNOWN_CODE, UNKNOWN_CODE
     or TARGET_CODE) and known_domains its declared domain, -1 unless the row
@@ -137,8 +139,8 @@ class Split:
 
     Build one with Split.of.  split[i] is a LabeledSample whose features are
     row i as float64: a view of a float64 split's row, a scaled copy of a
-    pixel split's.  A slice or an index array gives a Split with the same
-    divisor.
+    pixel split's.  A slice or an index array gives a Split of the same
+    features dtype.
     """
 
     features: np.ndarray
@@ -148,7 +150,6 @@ class Split:
     dataset_ids: np.ndarray
     hidden_labels: np.ndarray = field(repr=False)
     hidden_domains: np.ndarray = field(repr=False)
-    divisor: float | None = None
 
     @classmethod
     def of(
@@ -163,14 +164,25 @@ class Split:
         hidden_domains=None,
         name: str = "split",
     ) -> "Split":
-        """A split of the given columns, each omitted one -1 on every row; non-finite features are rejected."""
-        features = np.asarray(features, dtype=np.float64)
+        """A split of the given columns, each omitted one -1 on every row.
+
+        uint8 features are pixel codes, kept as they are: no copy and no
+        scan, since every code / PIXEL_SCALE is finite.  Features of any other
+        dtype become float64, and NaN or infinity among them raises
+        NonFiniteFeatureError naming the split and its first row holding one.
+        """
+        features = np.asarray(features)
+        if features.dtype != np.uint8:
+            features = np.asarray(features, dtype=np.float64)
+            if not np.isfinite(features).all():
+                bad = ~np.isfinite(features.reshape(len(features), -1)).all(axis=1)
+                raise NonFiniteFeatureError(f"{name}: row {np.flatnonzero(bad)[0]} has non-finite features")
         n = features.shape[0]
 
         def ids(column):
             return np.full(n, -1) if column is None else np.asarray(column, dtype=np.int64)
 
-        split = cls(
+        return cls(
             features,
             ids(class_labels),
             np.asarray(kinds, dtype=np.int8),
@@ -179,22 +191,10 @@ class Split:
             ids(hidden_labels),
             ids(hidden_domains),
         )
-        split.check_finite(name)
-        return split
-
-    def check_finite(self, name: str) -> None:
-        """Raise NonFiniteFeatureError naming the split and its first row holding NaN or infinity."""
-        if not np.isfinite(self.features).all():
-            bad = ~np.isfinite(self.features.reshape(len(self), -1)).all(axis=1)
-            raise NonFiniteFeatureError(f"{name}: row {np.flatnonzero(bad)[0]} has non-finite features")
-
-    def _scale(self, stored: np.ndarray) -> np.ndarray:
-        """Stored values of this split as float64 features: float64 values as they are, codes over the divisor."""
-        return stored if self.divisor is None else np.divide(stored, self.divisor)
 
     def _read(self, idx=slice(None)) -> np.ndarray:
         """Feature rows idx; a float64 split gives its own array indexed, so a whole split is not copied."""
-        return self._scale(self.features[idx])
+        return _scale(self.features[idx])
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -209,10 +209,15 @@ class Split:
                 hidden_label=_opt(self.hidden_labels[key]),
                 hidden_latent_domain=_opt(self.hidden_domains[key]),
             )
-        return replace(self, **{f.name: getattr(self, f.name)[key] for f in fields(self) if f.name != "divisor"})
+        return replace(self, **{f.name: getattr(self, f.name)[key] for f in fields(self)})
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
+
+
+def _scale(stored: np.ndarray) -> np.ndarray:
+    """Stored split values as float64 features: float64 values as they are, uint8 codes over PIXEL_SCALE."""
+    return np.divide(stored, PIXEL_SCALE) if stored.dtype == np.uint8 else stored
 
 
 @dataclass
@@ -321,30 +326,32 @@ def synth_make(cfg: SynthConfig) -> Dataset:
         source.append(draw(cfg.train_per_domain, shift))
         draw(cfg.test_per_domain, shift)  # dropped; later draws depend on it
     x, labels = (np.concatenate(column) for column in zip(*source))
-    splits = {
-        "source_train": Split.of(
-            x,
-            kinds=np.full(len(x), UNKNOWN_CODE),
-            class_labels=labels,
-            hidden_labels=labels,
-            hidden_domains=np.repeat(np.arange(len(shifts)), cfg.train_per_domain),
-            name="source_train",
-        )
-    }
-    for name, count in (("target_train", cfg.train_per_domain), ("target_test", cfg.test_per_domain)):
-        x, labels = draw(count, cfg.target_shift)
-        splits[name] = Split.of(x, kinds=np.full(count, TARGET_CODE), hidden_labels=labels, name=name)
+    target_train = draw(cfg.train_per_domain, cfg.target_shift)
+    target_test = draw(cfg.test_per_domain, cfg.target_shift)
 
     if cfg.standardize:
         # label-free preprocessing: pooled moments of the unlabeled training
-        # material, applied to every split
-        pool = np.concatenate([splits["source_train"].features, splits["target_train"].features])
+        # material, applied in place to every split's features
+        pool = np.concatenate([x, target_train[0]])
         mu = pool.mean(axis=0)
         sd = pool.std(axis=0)
         sd[sd == 0] = 1.0
-        for split in splits.values():
-            split.features = (split.features - mu) / sd
-    return Dataset(**splits)
+        for features in (x, target_train[0], target_test[0]):
+            features -= mu
+            features /= sd
+
+    def target(name, features, labels):
+        return Split.of(features, kinds=np.full(len(features), TARGET_CODE), hidden_labels=labels, name=name)
+
+    source_train = Split.of(
+        x,
+        kinds=np.full(len(x), UNKNOWN_CODE),
+        class_labels=labels,
+        hidden_labels=labels,
+        hidden_domains=np.repeat(np.arange(len(shifts)), cfg.train_per_domain),
+        name="source_train",
+    )
+    return Dataset(source_train, target("target_train", *target_train), target("target_test", *target_test))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +465,7 @@ def idx_load(images_path, labels_path):
     """
     dims, labels = _check_pair(images_path, labels_path)
     images = _read_images(images_path, dims, np.empty(dims, dtype=np.uint8))
-    return images[:, None] / 255.0, labels
+    return images[:, None] / PIXEL_SCALE, labels
 
 
 def _as_bytes(arr: np.ndarray, what: str) -> np.ndarray:
@@ -519,9 +526,11 @@ def load_manifest(path) -> Dataset:
     hold images of the first source file's size, else IdxShapeMismatchError.
     Without a "target_test" entry the target rows are also the held-out
     rows.  Each split keeps its files' uint8 pixels as they are, 1 byte per
-    pixel, with divisor 255.0: a batch or an evaluation reads its rows as
-    code / 255.0, the float64 value idx_load gives.  A file that cannot be
-    read raises OSError; a malformed manifest or IDX file raises ValueError.
+    pixel: a batch or an evaluation reads its rows as code / PIXEL_SCALE,
+    the float64 value idx_load gives.  A file that cannot be read raises
+    OSError; a malformed manifest or IDX file raises ValueError, as does a
+    target label above every source label, which no model of the sources'
+    classes can score.
     """
     with open(path) as f:
         doc = json.load(f)
@@ -556,22 +565,17 @@ def load_manifest(path) -> Dataset:
             _read_images(images_path, dims, codes[start : start + dims[0]])
             start += dims[0]
         labels = np.concatenate([labels for _, labels in pairs])
-        n = len(labels)
         if domains is None:
-            return Split(
-                codes, np.full(n, -1), np.full(n, TARGET_CODE, dtype=np.int8), np.full(n, -1),
-                np.full(n, -1), labels, np.full(n, -1), divisor=255.0,
-            )
+            return Split.of(codes, kinds=np.full(len(labels), TARGET_CODE, dtype=np.int8), hidden_labels=labels)
         ids = np.arange(len(entries))
-        return Split(
-            features=codes,
-            class_labels=labels,
+        return Split.of(
+            codes,
             kinds=np.repeat(np.where(domains >= 0, KNOWN_CODE, UNKNOWN_CODE).astype(np.int8), counts),
+            class_labels=labels,
             known_domains=np.repeat(domains, counts),
             dataset_ids=np.repeat(ids, counts),
             hidden_labels=labels,
             hidden_domains=np.repeat(np.where(domains >= 0, domains, ids), counts),
-            divisor=255.0,
         )
 
     for key in ("sources", "target"):
@@ -606,9 +610,13 @@ def load_manifest(path) -> Dataset:
             )
     domains = np.array([-1 if e.get("domain") is None else e["domain"] for e in sources], dtype=np.int64)
     source_train = load_split(sources, domains)
-    target_train = load_split([doc["target"]])
-    target_test = load_split([doc["target_test"]]) if "target_test" in doc else target_train
-    return Dataset(source_train, target_train, target_test)
+    targets = {key: load_split([doc[key]]) for key in ("target", "target_test") if key in doc}
+    top = source_train.class_labels.max()
+    for key, split in targets.items():
+        if (label := split.hidden_labels.max()) > top:
+            where = f"{path}: {doc[key]['labels']}"
+            raise ValueError(f"{where} holds target label {label}, above {top}, the largest source label")
+    return Dataset(source_train, targets["target"], targets.get("target_test", targets["target"]))
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +658,8 @@ def make_batch(split: Split, features: np.ndarray | None = None) -> Batch:
     """A batch of a Split's public columns; target labels come through as -1.
 
     Its features are the given rows, one per split row, or by default the
-    split's own: a float64 split's array as it is, at no copy, a pixel
-    split's codes scaled into one new array.  An evaluation passes the
+    split's own: a float64 split's array as it is, at no copy, a uint8
+    split's codes over PIXEL_SCALE in one new array.  An evaluation passes the
     trunk's output over the split instead (model.split_trunk), which reads
     the rows block by block.
     """
@@ -709,17 +717,14 @@ class BatchSampler:
     fields; hidden ground truth never reaches a batch.  The same pools, spec
     and seed give the same stream of batches.
 
-    Both pools must store features alike, as a batch scales their gathered
-    rows once: unlike pools raise TypeError.  Every ValueError about the spec
-    starts with the BatchSpec field at fault.
+    Both pools must store features of one dtype, as a batch scales their
+    gathered rows once, else TypeError naming both dtypes.  Every ValueError
+    about the spec starts with the BatchSpec field at fault.
     """
 
     def __init__(self, source: Split, target: Split, spec: BatchSpec, seed: int):
-        if source.divisor != target.divisor:
-            raise TypeError(
-                f"source pool stores {source.features.dtype} with divisor {source.divisor}, "
-                f"target pool {target.features.dtype} with divisor {target.divisor}"
-            )
+        if source.features.dtype != target.features.dtype:
+            raise TypeError(f"source pool stores {source.features.dtype}, target pool {target.features.dtype}")
         if spec.source_quota > len(source):
             raise ValueError(f"source_quota: {spec.source_quota} exceeds the {len(source)} rows of the source pool")
         if spec.target_quota > len(target):
@@ -756,7 +761,7 @@ class BatchSampler:
         The stored rows of both pools are gathered into one array and scaled once.
         """
         rows = ((self.source, self._source_indices()), (self.target, self._target_epoch.take(self.spec.target_quota)))
-        features = self.source._scale(np.concatenate([split.features[idx] for split, idx in rows]))
+        features = _scale(np.concatenate([split.features[idx] for split, idx in rows]))
         columns = (np.concatenate([getattr(split, name)[idx] for split, idx in rows]) for name in _BATCH_COLUMNS)
         return Batch(features, *columns)
 

@@ -446,9 +446,9 @@ def row_blocks(n: int) -> list[slice]:
 def split_trunk(model: Model, split: Split) -> np.ndarray:
     """The trunk's output [n, trunk_widths[-1]] over every row of a split, computed over row_blocks.
 
-    Each block's rows are read (a pixel split's codes scaled) only for its own
-    pass, so a split's float64 features never exist whole: the peak is one
-    block's features and activations besides the output.  The rows carry the
+    Each block's rows are read (a uint8 split's codes over PIXEL_SCALE) only
+    for its own pass, so a split's float64 features never exist whole: the
+    peak is one block's features and activations besides the output.  The rows carry the
     bits of one trunk call over the whole split as long as each block's dense
     products take the BLAS kernel the one call takes; OpenBLAS switches to
     other kernels only for small products, and B-row blocks stay above them at
@@ -533,31 +533,22 @@ def config_from_json(kind, value, path: str):
     return value
 
 
-def _restore(where: str, target: np.ndarray, values, nonnegative: bool = False) -> None:
-    """Copy finite checkpoint values into an array of exactly the same shape; nothing broadcasts."""
+def _checked(where: str, values, shape: tuple[int, ...], dtype, nonnegative: bool = False) -> np.ndarray:
+    """Checkpoint JSON values as a finite array of exactly this shape, of values dtype holds; nothing broadcasts."""
     try:
         arr = np.asarray(values)
     except ValueError as err:
         raise CheckpointError(f"{where}: {err}") from err
-    if arr.shape != target.shape:
-        raise CheckpointError(f"{where}: shape {arr.shape}, expected {target.shape}")
+    if arr.shape != shape:
+        raise CheckpointError(f"{where}: shape {arr.shape}, expected {shape}")
     # numpy reads a JSON boolean as a number (even [true, 2] is int64); a checkpoint never stores one
     if any(type(v) is bool for v in np.asarray(values, dtype=object).flat):
-        raise CheckpointError(f"{where}: bool values, expected {target.dtype}")
-    if not np.can_cast(arr.dtype, target.dtype, "same_kind"):
-        raise CheckpointError(f"{where}: {arr.dtype} values, expected {target.dtype}")
+        raise CheckpointError(f"{where}: bool values, expected {np.dtype(dtype)}")
+    if not np.can_cast(arr.dtype, dtype, "same_kind"):
+        raise CheckpointError(f"{where}: {arr.dtype} values, expected {np.dtype(dtype)}")
     if not np.isfinite(arr).all() or nonnegative and (arr < 0).any():
         raise CheckpointError(f"{where}: values must be finite{' and >= 0' if nonnegative else ''}")
-    target[...] = arr
-
-
-def _outer_shape(values) -> tuple[int, ...]:
-    """The shape of nested JSON lists along their first items, which numpy gives a regular nest; _restore checks all."""
-    shape = []
-    while isinstance(values, list):
-        shape.append(len(values))
-        values = values[0] if values else None
-    return tuple(shape)
+    return arr
 
 
 def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -590,9 +581,9 @@ def load_checkpoint(path) -> Model:
     names, and every shape must match the model the stored config builds
     exactly, every config value must fit config_from_json, every array be
     finite, and running variances and counts >= 0; else CheckpointError,
-    as for a file that is not valid JSON.  The parameters' shapes are
-    checked before the model is built, so a width too large to allocate is
-    refused by name too.
+    as for a file that is not valid JSON.  Every stored array is checked
+    against the shapes the config implies before the model is built, so a
+    width too large to allocate is refused by name too.
     """
     with open(path) as f:
         try:
@@ -611,20 +602,22 @@ def load_checkpoint(path) -> Model:
     except ValueError as err:
         raise CheckpointError(f"{path}: {err}") from err
     shapes = _param_shapes(cfg)
-    _same_names(f"{path}: params", doc["params"], shapes)
-    for name, shape in shapes.items():
-        found = _outer_shape(doc["params"][name])
-        if found != shape:
-            raise CheckpointError(f"{path}: params.{name}: shape {found}, expected {shape}")
+    _same_names(f"{path}: params", doc["params"], list(shapes))
+    params = {name: _checked(f"{path}: params.{name}", doc["params"][name], shape, np.float64)
+              for name, shape in shapes.items()}
+    n, widths = cfg.n_domains, cfg.classifier_widths + (cfg.n_classes,)  # Model's alignment layer widths
+    _same_names(f"{path}: running", doc["running"], [str(j) for j in range(len(widths))])
+    running = {}
+    for j, width in enumerate(widths):
+        stats = doc["running"][str(j)]
+        _same_names(f"{path}: running.{j}", stats, ["mean", "var", "count"])
+        rules = {"mean": ((n, width), np.float64, False), "var": ((n, width), np.float64, True),
+                 "count": ((n,), np.int64, True)}
+        for name, rule in rules.items():
+            running[j, name] = _checked(f"{path}: running.{j}.{name}", stats[name], *rule)
     model = Model(cfg)
     for name, p in model.named_params():
-        _restore(f"{path}: params.{name}", p.value, doc["params"][name])
-    layers = {str(j): layer for j, layer in model.align_layers.items()}
-    _same_names(f"{path}: running", doc["running"], layers)
-    for key, layer in layers.items():
-        stats = doc["running"][key]
-        _same_names(f"{path}: running.{key}", stats, ("mean", "var", "count"))
-        for field_name, nonnegative in (("mean", False), ("var", True), ("count", True)):
-            where = f"{path}: running.{key}.{field_name}"
-            _restore(where, getattr(layer.running, field_name), stats[field_name], nonnegative)
+        p.value[...] = params[name]
+    for (j, name), values in running.items():
+        getattr(model.align_layers[j].running, name)[...] = values
     return model

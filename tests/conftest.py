@@ -1,10 +1,6 @@
 """Shared test helpers."""
 
-import dataclasses
-
 import numpy as np
-
-from mdalign.data import Split
 
 
 def nearest_centroid_accuracy(train, test):
@@ -14,11 +10,6 @@ def nearest_centroid_accuracy(train, test):
     test_feats = test.features.reshape(len(test), -1)
     pred = np.argmin(((test_feats[:, None, :] - centroids[None]) ** 2).sum(axis=2), axis=1)
     return float(np.mean(pred == test.hidden_labels))
-
-
-def pixel_split(codes, **columns):
-    """A split of uint8 pixel codes [n, d], read as code / 255.0 as load_manifest's are; columns go to Split.of."""
-    return dataclasses.replace(Split.of(np.empty((len(codes), 0)), **columns), features=codes, divisor=255.0)
 
 
 try:

@@ -484,13 +484,35 @@ class TestManifestTraining:
         assert "model.n_classes: dataset id 0 has class label 3, but model.n_classes is 3" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_target_label_above_the_sources_is_a_manifest_error(self, tmp_path, capsys):
+        # it used to train, and evaluation scored every row of the unknown class as a miss (acc=0.0000)
+        from mdalign.data import idx_write_labels
+
+        rng = np.random.default_rng(7)
+        doc = {"sources": [write_digit_set(tmp_path, rng, "s", 0.0)], "target": write_digit_set(tmp_path, rng, "t", 0.0)}
+        idx_write_labels(tmp_path / "t-labels.idx", np.full(24, 9, dtype=np.uint8))
+        manifest_path = tmp_path / "digits.json"
+        manifest_path.write_text(json.dumps(doc))
+        config_path = tmp_path / "config.json"
+        train = {"iterations": 2, "batch": {"source_quota": 12, "target_quota": 12}}
+        config_path.write_text(json.dumps({"data": {"manifest": str(manifest_path)}, "train": train}))
+        for sets in ([], ["--set", "model.n_classes=10"]):
+            code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "run"), *sets])
+            assert code == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error: data.manifest: ")
+            assert "t-labels.idx holds target label 9, above 1, the largest source label" in err
+            assert not (tmp_path / "run").exists()
+
     def test_one_source_class_is_a_manifest_error(self, tmp_path, capsys):
         # it used to be "config error: model: in_dim >= 1, n_classes >= 2 and k >= 1 required", naming no file
         from mdalign.data import idx_write_labels
 
         rng = np.random.default_rng(6)
         doc = {"sources": [write_digit_set(tmp_path, rng, "s", 0.0)], "target": write_digit_set(tmp_path, rng, "t", 0.0)}
-        idx_write_labels(tmp_path / "s-labels.idx", np.zeros(24, dtype=np.uint8))
+        # the target too, since a target label above every source label is refused on its own
+        for stem in ("s", "t"):
+            idx_write_labels(tmp_path / f"{stem}-labels.idx", np.zeros(24, dtype=np.uint8))
         manifest_path = tmp_path / "digits.json"
         manifest_path.write_text(json.dumps(doc))
         config_path = tmp_path / "config.json"

@@ -239,6 +239,67 @@ class TestSplit:
             with pytest.raises(NonFiniteFeatureError, match="batch: row 1 "):
                 Split.of(features, kinds=np.full(3, UNKNOWN_CODE), name="batch")
 
+    def test_uint8_codes_rest_as_codes_and_read_as_their_float64_twin(self):
+        """uint8 features are kept as they are, and every read gives the bits of a float64 split of codes / 255."""
+        rng = np.random.default_rng(8)
+        codes = rng.integers(0, 256, (30, 5), dtype=np.uint8)
+        columns = {
+            "kinds": np.where(np.arange(30) < 20, UNKNOWN_CODE, TARGET_CODE),
+            "class_labels": np.where(np.arange(30) < 20, np.arange(30) % 3, -1),
+            "dataset_ids": np.where(np.arange(30) < 20, np.arange(30) % 2, -1),
+            "hidden_domains": np.where(np.arange(30) < 20, np.arange(30) % 2, -1),
+        }
+        split = Split.of(codes, **columns)
+        twin = Split.of(codes / 255.0, **columns)
+        assert split.features is codes and mdata.PIXEL_SCALE == 255.0
+
+        def same(a, b):
+            assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+        for row, twin_row in zip(split, twin):
+            same(row.features, twin_row.features)
+        parts = [(split[4:17], twin[4:17]), (split[np.array([3, 0, 29])], twin[np.array([3, 0, 29])])]
+        parts.append((reveal_domain_labels(split, [1, 2]), reveal_domain_labels(twin, [1, 2])))
+        for part, twin_part in [(split, twin), *parts]:
+            assert part.features.dtype == np.uint8
+            same(make_batch(part).features, make_batch(twin_part).features)
+        spec = BatchSpec(source_quota=6, target_quota=4, balance_datasets=True)
+        samplers = [BatchSampler(s[:20], s[20:], spec, seed=3) for s in (split, twin)]
+        for _ in range(5):
+            a, b = (sampler.next_batch() for sampler in samplers)
+            same(a.features, b.features)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.int64, np.float32])
+    def test_other_dtypes_become_float64_unscaled(self, dtype):
+        features = np.arange(12).reshape(4, 3).astype(dtype)
+        split = Split.of(features, kinds=np.full(4, UNKNOWN_CODE))
+        assert split.features.dtype == np.float64
+        assert split.features.tolist() == np.arange(12.0).reshape(4, 3).tolist()
+        assert make_batch(split).features.tolist() == split.features.tolist()
+
+    def test_every_returned_split_is_built_by_split_of(self, tmp_path, monkeypatch):
+        """synth_make and load_manifest return only splits Split.of built, holding the features it checked.
+
+        load_manifest used to build its splits with the bare constructor, and
+        synth_make to standardize after Split.of, binding features it never
+        checked.
+        """
+        built = {}
+        of = Split.of.__func__
+
+        def recorded(cls, *args, **kwargs):
+            split = of(cls, *args, **kwargs)
+            built[id(split)] = (split, split.features)
+            return split
+
+        monkeypatch.setattr(Split, "of", classmethod(recorded))
+        manifest, _ = TestManifest().write_manifest(tmp_path, 2, (12, 8, 6, 5))
+        for data in (synth_make(SynthConfig(seed=1, train_per_domain=10, standardize=True)), load_manifest(manifest)):
+            for name in ("source_train", "target_train", "target_test"):
+                split = getattr(data, name)
+                assert id(split) in built, name
+                assert built[id(split)][1] is split.features, name
+
 
 class TestImageTransform:
     def test_inversion_is_an_involution(self):
@@ -393,9 +454,10 @@ class TestIdx:
 
 class TestManifest:
     def make_pair(self, directory, stem, count, seed, size=2):
+        """An IDX pair of count random images, labelled 0, 1, 2, 3, 0, ... in a random order."""
         rng = np.random.default_rng(seed)
         idx_write_images(directory / f"{stem}-images.idx", rng.integers(0, 256, (count, size, size), dtype=np.uint8))
-        idx_write_labels(directory / f"{stem}-labels.idx", rng.integers(0, 4, size=count, dtype=np.uint8))
+        idx_write_labels(directory / f"{stem}-labels.idx", rng.permutation(np.arange(count) % 4))
         return {"images": f"{stem}-images.idx", "labels": f"{stem}-labels.idx"}
 
     def test_manifest_loading_and_tags(self, tmp_path):
@@ -479,7 +541,7 @@ class TestManifest:
             assert split.features.nbytes == len(split) * 28 * 28
         assert peak <= 2 * sum(counts) * 28 * 28
         for part in (data.source_train[10:20], reveal_domain_labels(data.source_train, [3])):
-            assert part.features.dtype == np.uint8 and part.divisor == 255.0
+            assert part.features.dtype == np.uint8
 
     def test_loading_peaks_near_the_bytes_it_returns(self, tmp_path):
         """Each file's pixels are read straight into its split's rows, with no second copy of a payload.
@@ -495,8 +557,7 @@ class TestManifest:
         finally:
             tracemalloc.stop()
         splits = {id(split): split for split in (data.source_train, data.target_train, data.target_test)}
-        returned = sum(getattr(split, f.name).nbytes for split in splits.values()
-                       for f in dataclasses.fields(split) if f.name != "divisor")
+        returned = sum(getattr(split, f.name).nbytes for split in splits.values() for f in dataclasses.fields(split))
         assert peak <= 1.1 * returned, (peak, returned)
 
     def test_image_file_changed_between_the_passes_is_refused(self, tmp_path, monkeypatch):
@@ -543,6 +604,7 @@ class TestManifest:
 
         for name in ("source_train", "target_train", "target_test"):
             split, float_split = getattr(pixels, name), getattr(floats, name)
+            assert split.features.dtype == split[5:17].features.dtype == np.uint8
             same(make_batch(split).features, make_batch(float_split).features)
             same(make_batch(split[5:17]).features, make_batch(float_split[5:17]).features)
             for row, float_row in zip(split, float_split):
@@ -560,7 +622,7 @@ class TestManifest:
             for name in ("class_labels", "kinds", "known_domains"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
         # a batch scales both pools' gathered rows at once, so a pixel pool cannot pair with a float64 one
-        with pytest.raises(TypeError, match=r"source pool stores uint8 with divisor 255\.0, target pool float64"):
+        with pytest.raises(TypeError, match=r"source pool stores uint8, target pool float64"):
             BatchSampler(pixels.source_train, floats.target_train, spec, seed=4)
 
         cfg = TrainConfig(iterations=8, base_lr=0.05, batch=spec, seed=2, eval_every=4)
@@ -572,6 +634,23 @@ class TestManifest:
                        for f in ("mean", "var", "count")]
             runs.append((metrics_csv_lines(rows), model.flat.value.tobytes(), model.flat.momentum.tobytes(), running))
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("key", ["target", "target_test"])
+    def test_target_label_above_the_sources_is_refused(self, tmp_path, key):
+        """A target label no source holds used to train, and evaluation scored every row of it as a miss."""
+        doc = {
+            "sources": [self.make_pair(tmp_path, "a", 4, 0), self.make_pair(tmp_path, "b", 4, 1)],
+            "target": self.make_pair(tmp_path, "t", 4, 2),
+            "target_test": self.make_pair(tmp_path, "u", 4, 3),
+        }
+        for stem in ("a", "b", "t", "u"):
+            idx_write_labels(tmp_path / f"{stem}-labels.idx", [0, 1, 1, 0])
+        idx_write_labels(tmp_path / doc[key]["labels"], [0, 9, 1, 0])
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        expected = f"{doc[key]['labels']} holds target label 9, above 1, the largest source label"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            load_manifest(manifest)
 
     def test_no_sources_rejected(self, tmp_path):
         manifest = tmp_path / "manifest.json"

@@ -175,8 +175,9 @@ def test_damaged_idx_file_is_a_config_error(run, data):
 def test_labels_beyond_the_classes_train_or_are_a_config_error(run, labels, n_classes):
     """Labels of any byte value, against the classes the source labels imply or an override of model.n_classes.
 
-    A source label at or above an override is a config error naming model.n_classes, the path at fault;
-    source labels that imply fewer than two classes name data.manifest.
+    A target label above every source label is a config error naming data.manifest, with or without an
+    override; otherwise a source label at or above an override is a config error naming model.n_classes,
+    the path at fault, and source labels that imply fewer than two classes name data.manifest.
     """
     contents = {}
     for name, values in labels.items():
@@ -185,6 +186,12 @@ def test_labels_beyond_the_classes_train_or_are_a_config_error(run, labels, n_cl
     overrides = () if n_classes is None else (f"model.n_classes={n_classes}",)
     with files_written(run.root, contents):
         code, err, left = run(overrides=overrides)
+    source_top = max(max(labels[name]) for name in LABEL_FILES[:2])
+    if max(max(labels[name]) for name in LABEL_FILES[2:]) > source_top:
+        assert code == EXIT_CONFIG and not left, err
+        assert err.startswith("config error: data.manifest: "), (labels, n_classes, err)
+        assert f"above {source_top}, the largest source label" in err, (labels, n_classes, err)
+        return
     if code == EXIT_OK:
         assert left
         return

@@ -36,8 +36,6 @@ from mdalign.primitives import (
     softmax,
 )
 
-from conftest import pixel_split
-
 E2E_TOL = 1e-4
 
 
@@ -482,10 +480,8 @@ class TestBlockedTrunk:
         rng = np.random.default_rng(in_dim + rows)
         model = Model(ModelConfig(in_dim=in_dim, n_classes=3, trunk_widths=(width,), seed=1))
         kinds = np.full(rows, UNKNOWN_CODE)
-        if pixels:
-            split = pixel_split(rng.integers(0, 256, (rows, in_dim), dtype=np.uint8), kinds=kinds)
-        else:
-            split = Split.of(rng.normal(size=(rows, in_dim)), kinds=kinds)
+        features = rng.integers(0, 256, (rows, in_dim), dtype=np.uint8) if pixels else rng.normal(size=(rows, in_dim))
+        split = Split.of(features, kinds=kinds)
         blocked = split_trunk(model, split)
         layer = model.trunk[0]
         one_call = relu_forward(dense_forward(split._read(), layer.weight.value, layer.bias.value))

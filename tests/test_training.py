@@ -12,7 +12,16 @@ import pytest
 from mdalign import training
 from mdalign.alignment import AlignmentLayer
 from mdalign.assignment import TARGET_CODE, UNKNOWN_CODE
-from mdalign.data import BatchSpec, Dataset, FeatureShift, SynthConfig, make_batch, reveal_domain_labels, synth_make
+from mdalign.data import (
+    BatchSpec,
+    Dataset,
+    FeatureShift,
+    Split,
+    SynthConfig,
+    make_batch,
+    reveal_domain_labels,
+    synth_make,
+)
 from mdalign.experiments import ExperimentConfig
 from mdalign.losses import LossWeights
 from mdalign.model import EVAL_BLOCK_ROWS, Model, ModelConfig, forward_eval
@@ -30,8 +39,6 @@ from mdalign.training import (
     sgd_step,
     train,
 )
-
-from conftest import pixel_split
 
 
 class TestSgdStep:
@@ -394,8 +401,8 @@ class TestEvaluateModel:
         def codes():
             return rng.integers(0, 256, (n, in_dim), dtype=np.uint8)
 
-        source = pixel_split(codes(), kinds=np.full(n, UNKNOWN_CODE), hidden_domains=rng.integers(0, 2, n))
-        target = pixel_split(codes(), kinds=np.full(n, TARGET_CODE), hidden_labels=rng.integers(0, 4, n))
+        source = Split.of(codes(), kinds=np.full(n, UNKNOWN_CODE), hidden_domains=rng.integers(0, 2, n))
+        target = Split.of(codes(), kinds=np.full(n, TARGET_CODE), hidden_labels=rng.integers(0, 4, n))
         tracemalloc.start()
         try:
             training.evaluate_model(model, Dataset(source, target, target))
