@@ -137,6 +137,16 @@ def _over_positions(a: np.ndarray, reduce) -> np.ndarray:
     return a[:, :, 0] if a.shape[2] == 1 else reduce(a, axis=2)
 
 
+def _times_t(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a @ m.T for a small [domains, c] m, transposed to row-major first: OpenBLAS runs that twice as fast."""
+    return a @ np.ascontiguousarray(m.T)
+
+
+def _times_into(xr: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """xr * m[:, :, None] for [b, c, positions] xr and a fresh [b, c] m, written into m when there is one position."""
+    return np.multiply(xr, m[:, :, None], out=m[:, :, None] if xr.shape[2] == 1 else None)
+
+
 def _sample_moments(xr: np.ndarray):
     """Per-sample, per-channel mean and mean square of [b, c, positions] input."""
     return _over_positions(xr, np.mean), _over_positions(xr**2, np.mean)
@@ -175,17 +185,6 @@ class RunningStats:
         np.copyto(self.mean, (1.0 - m) * self.mean + m * stats.mean, where=live)
         np.copyto(self.var, (1.0 - m) * self.var + m * stats.var, where=live)
         self.count += stats.live
-
-
-def _mix(xr: np.ndarray, w: np.ndarray, mean: np.ndarray, inv_std: np.ndarray, mix_scale=None) -> np.ndarray:
-    """y_mix_i = sum_d w[i,d] * (x_i - mean_d) * inv_std_d over [b, c, positions] input, in one buffer.
-
-    Domains without statistics have inv_std rows of zero.  mix_scale is
-    w @ inv_std, made here as a temporary unless the caller passes the one it keeps.
-    """
-    y_mix = xr * (w @ inv_std if mix_scale is None else mix_scale)[:, :, None]
-    y_mix -= (w @ (mean * inv_std))[:, :, None]
-    return y_mix
 
 
 @dataclass
@@ -232,11 +231,21 @@ class AlignmentLayer:
         if x.shape[1] != self.channels:
             raise ValueError(f"layer built for {self.channels} channels, got {x.shape[1]}")
 
+    def _scale(self, inv_std: np.ndarray) -> np.ndarray:
+        """gamma folded into 1/sigma, [domains, channels]; inv_std itself without the affine."""
+        return inv_std * self.gamma.value if self.cfg.affine else inv_std
+
     def _normalize(self, xr: np.ndarray, w: np.ndarray, mean: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
-        """The layer's output over [b, c, positions] input: _mix, then the affine in the same buffer."""
-        y = _mix(xr, w, mean, inv_std)
+        """The output over [b, c, positions] input in one buffer, as forward() and infer() both make it.
+
+        With s = inv_std * gamma, y_i = x_i * (w_i @ s) - w_i @ (mean * s) + beta.  beta is not folded in:
+        w_i @ beta is beta only for rows that sum to 1, and the gradient audit probes rows that do not.
+        Domains without statistics have inv_std rows of zero.
+        """
+        scale = self._scale(inv_std)
+        y = _times_into(xr, w @ scale)
+        y -= (w @ (mean * scale))[:, :, None]
         if self.cfg.affine:
-            y *= self.gamma.value[None, :, None]
             y += self.beta.value[None, :, None]
         return y
 
@@ -293,77 +302,66 @@ class AlignmentLayer:
     def backward(self, cache: _Cache, grad_out: np.ndarray):
         """Exact gradients of forward(): (grad_x, grad_w, grad_gamma, grad_beta).
 
-        grad_x covers the direct path plus the paths through every live
-        domain's mean and variance; grad_w covers the direct mixing path plus
-        the path through the column-normalized weights, whose normalizer
-        couples all samples in a domain.  Fixed assignment rows always come
-        back with exactly zero gradient, so when every row is fixed grad_w is
-        returned as zeros without being built.  Fallback domains normalized
-        with running statistics contribute only direct paths, since running
-        estimates are treated as constants.  The cache holds only the input and
-        the per-domain arrays; what else forward() made is recomputed here with
-        its numpy calls, so every bit matches: the mix (for grad_gamma) through
-        _mix, and the per-sample moments, which only the free rows' path reads,
-        through _sample_moments.  Each [b, c] temporary goes once it is used.
+        grad_x covers the direct path plus the paths through every live domain's mean and variance;
+        grad_w the direct mixing path plus the path through the column-normalized weights, whose
+        normalizer couples all samples in a domain.  Fixed rows get exactly zero grad_w, so with every
+        row fixed it comes back as zeros without being built.  Fallback domains, normalized with
+        running statistics held constant, contribute only direct paths.
+
+        Every path is built from two per-domain [domains, c] reductions of the upstream gradient g,
+        taken before the affine scale: P = w^T sum_pos g and Q = (w^T sum_pos (g x) - mean P) / sigma.
+        Then grad_gamma = sum_d Q, and with G1 = gamma P, G2 = gamma Q and alpha over the live domains,
+        grad_x = (w @ (gamma/sigma)) g - [x (alpha @ (G2/sigma^2)) + alpha @ (G1/sigma - mean G2/sigma^2)] / n_pos.
+        grad_w reads gamma / sigma and the same two per-domain products.  No mix is formed: the cache
+        holds the input and the per-domain arrays, and the per-sample moments, which only the free
+        rows' path reads, are recomputed with forward's calls.  grad_out is only read.
         """
         if grad_out.shape != cache.x_shape:
             raise ValueError(f"grad shape {grad_out.shape} does not match {cache.x_shape}")
         gr = _as_bcm(grad_out)
         xr, w, mean, inv_std = cache.xr, cache.w, cache.mean, cache.inv_std
-        mix_scale = w @ inv_std
-        if self.cfg.affine:
-            grad_gamma = (gr * _mix(xr, w, mean, inv_std, mix_scale)).sum(axis=(0, 2))
-            grad_beta = gr.sum(axis=(0, 2))
-            gy = gr * self.gamma.value[None, :, None]
-        else:
-            grad_gamma = None
-            grad_beta = None
-            gy = gr
         alpha, live = cache.aw.alpha, cache.aw.live
         n_pos = xr.shape[2]
+        scale = self._scale(inv_std)
 
-        gy_sum = _over_positions(gy, np.sum)
-        gyx_sum = _over_positions(gy * xr, np.sum)
-
-        # Per-domain reductions of the upstream gradient: G1 = sum w*gy,
-        # G2 = sum w*gy*xhat.  Only rows of used domains ever get consumed.
-        g1 = w.T @ gy_sum
-        g2 = (w.T @ gyx_sum - mean * g1) * inv_std
+        g_sum = _over_positions(gr, np.sum)
+        gx_sum = _over_positions(gr * xr, np.sum)
+        p = w.T @ g_sum
+        q = (w.T @ gx_sum - mean * p) * inv_std
+        if self.cfg.affine:
+            grad_gamma, grad_beta = q.sum(axis=0), g_sum.sum(axis=0)
+            g1, g2 = p * self.gamma.value, q * self.gamma.value
+        else:
+            grad_gamma = grad_beta = None
+            g1, g2 = p, q
 
         # Input gradient: direct mixing term minus the mean/variance paths of
         # the live domains, spread over spatial positions.  With every domain
         # live, a slice takes their rows without copying them.
         sel = slice(None) if live.all() else live
-        inv_var = inv_std**2
-        h1 = (g1 * inv_std)[sel]
-        g2_var = (g2 * inv_var)[sel]
+        v = (g2 * inv_std**2)[sel]
+        u = (g1 * inv_std)[sel] - mean[sel] * v
         alpha_live = alpha[:, sel]
-        paths = xr * (alpha_live @ g2_var)[:, :, None]
-        paths += (alpha_live @ h1)[:, :, None]
-        paths -= (alpha_live @ (mean * g2 * inv_var)[sel])[:, :, None]
+        paths = _times_into(xr, alpha_live @ v)
+        paths += (alpha_live @ u)[:, :, None]
         if n_pos != 1:
             paths /= n_pos
-        grad_x = gy * mix_scale[:, :, None]
+        grad_x = _times_into(gr, w @ scale)
         grad_x -= paths
-        del paths, mix_scale
+        del paths
         if cache.fixed.all():
             return grad_x.reshape(cache.x_shape), np.zeros_like(w), grad_gamma, grad_beta
 
         # Direct path of the assignment gradient: sum over channels and
-        # positions of gy * xhat per domain.
-        grad_w = gyx_sum @ inv_std.T - gy_sum @ (mean * inv_std).T
+        # positions of g * gamma * xhat per domain.
+        grad_w = _times_t(gx_sum, scale) - _times_t(g_sum, mean * scale)
 
         if live.any():
             sample_mean, sample_sq = _sample_moments(xr)
-            h2 = g2_var / 2.0
-            mu = mean[sel]
+            h2 = v / 2.0
             # d loss / d alpha[i, d] through the live statistics
-            g_alpha = -(
-                sample_mean @ h1.T
-                + sample_sq @ h2.T
-                - 2.0 * (sample_mean @ (mu * h2).T)
-                + (mu**2 * h2).sum(axis=1)[None, :]
-            )
+            g_alpha = -(_times_t(sample_mean, u) + _times_t(sample_sq, h2))
+            g_alpha -= (mean[sel] ** 2 * h2).sum(axis=1)[None, :]
             # project through alpha = w / column_total
             colsum = (alpha_live * g_alpha).sum(axis=0)
             grad_w[:, sel] += (g_alpha - colsum[None, :]) / cache.aw.total_weight[sel][None, :]

@@ -156,12 +156,37 @@ def _write_lines(path, lines) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+def _built(what: str, sizes: dict[str, int], build):
+    """build(), or a ConfigError naming the largest of sizes when what it builds cannot be allocated.
+
+    sizes maps config paths to the sizes whose products give build's
+    arrays, so the largest is the one to blame: a stray 10**12 among widths
+    in the hundreds.
+    """
+    try:
+        return build()
+    except MemoryError as err:
+        path = max(sizes, key=sizes.get)
+        raise ConfigError(f"{path}: {sizes[path]} is too large, {what} does not fit in memory") from err
+
+
+def _model_sizes(cfg: ModelConfig) -> dict[str, int]:
+    sizes = {f"model.{name}": getattr(cfg, name) for name in ("in_dim", "n_classes", "k", "branch_hidden")}
+    for name in ("trunk_widths", "classifier_widths"):
+        sizes |= {f"model.{name}[{i}]": width for i, width in enumerate(getattr(cfg, name))}
+    return sizes
+
+
 def cmd_train(args) -> int:
     doc = load_config(args.config, args.set or [])
     data, model_cfg, train_cfg = resolve_config(doc)
     _check_out(args.out, args.force)
-    dataset = synth_make(data) if isinstance(data, SynthConfig) else data
-    model, rows = train(Model(model_cfg), dataset, train_cfg)
+    if isinstance(data, SynthConfig):
+        names = ("n_classes", "feature_dim", "train_per_domain", "test_per_domain")
+        sizes = {f"data.synthetic.{name}": getattr(data, name) for name in names}
+        data = _built("the synthetic dataset", sizes, lambda: synth_make(data))
+    model = _built("the model", _model_sizes(model_cfg), lambda: Model(model_cfg))
+    model, rows = train(model, data, train_cfg)
     _write_manifest(args.out, doc, "train", [train_cfg.seed])
     _write_lines(os.path.join(args.out, "metrics.csv"), metrics_csv_lines(rows))
     save_checkpoint(model, os.path.join(args.out, "checkpoint.json"))
@@ -182,14 +207,19 @@ def cmd_train(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     report, ok = run_gradient_audit(seed=args.seed)
-    print(f"alignment layer ({report['layer']['configs']} configurations, tolerance {LAYER_TOLERANCE:g}):")
+    layer, worst = report["layer"], report["layer_worst"]
+
+    def where(key: str) -> str:
+        return " ".join(f"{name}={value}" for name, value in worst[key].items())
+
+    print(f"alignment layer ({layer['configs']} configurations, tolerance {LAYER_TOLERANCE:g}):")
     for key in ("grad_x", "grad_w", "grad_gamma", "grad_beta"):
-        print(f"  {key:12s} max rel err {report['layer'][key]:.3e}")
+        print(f"  {key:12s} max rel err {layer[key]:.3e} at {where(key)}")
     print(f"full model (tolerance {MODEL_TOLERANCE:g}):")
     for group in ("trunk", "classifier", "mda_affine", "branch", "assignment"):
         print(f"  {group:12s} max rel err {report['model'][group]:.3e}")
     if not ok:
-        offenders = [k for k, v in report["layer"].items() if k != "configs" and v > LAYER_TOLERANCE]
+        offenders = [f"{k} ({where(k)})" for k, v in layer.items() if k != "configs" and v > LAYER_TOLERANCE]
         offenders += [k for k, v in report["model"].items() if v > MODEL_TOLERANCE]
         print(f"FAILED: {', '.join(offenders)}")
         return EXIT_CHECK_FAILED

@@ -35,8 +35,12 @@ from .primitives import (
     dense_backward,
     dense_forward,
     he_normal,
-    relu_backward,
-    relu_forward,
+    # The walk rectifies the buffers it made in place, so it calls neither
+    # relu_forward nor relu_backward; benchmarks/spans.py still wraps both here.
+    relu_backward,  # noqa: F401
+    relu_backward_inplace,
+    relu_forward,  # noqa: F401
+    relu_inplace,
     softmax,
     softmax_backward,
     softmax_cross_entropy_backward,
@@ -204,7 +208,7 @@ def _trunk_forward(model: Model, features: np.ndarray, caches: list | None = Non
     """
     h = features
     for layer in model.trunk:
-        inp, h = h, relu_forward(dense_forward(h, layer.weight.value, layer.bias.value))
+        inp, h = h, relu_inplace(dense_forward(h, layer.weight.value, layer.bias.value))
         if caches is not None:
             caches.append((inp, h))
     return h
@@ -256,7 +260,8 @@ def _forward(
             # an activation goes as soon as the next one exists
             h = None
             z = model.align_layers[j].infer(z, assignment)
-        h = relu_forward(z) if j < last else z
+        # the ReLU rectifies in place the alignment output that only this walk holds
+        h = relu_inplace(z) if j < last else z
         z = None
         if train:
             cls_caches.append((inp, align_cache, h if j < last else None))
@@ -353,8 +358,9 @@ def backward_train(
     for j in range(last, -1, -1):
         dense_input, align_cache, relu_out = record.cls_caches[j]
         if j < last:
-            # relu_out > 0 exactly where the pre-activation is, NaN and -0.0 included
-            grad = relu_backward(relu_out, grad)
+            # relu_out > 0 exactly where the pre-activation is, NaN and -0.0
+            # included; grad is the dense_backward output made one layer up
+            grad = relu_backward_inplace(relu_out, grad)
         layer = model.align_layers[j]
         grad, grad_w, g_gamma, g_beta = layer.backward(align_cache, grad)
         if layer.cfg.affine:
@@ -390,7 +396,8 @@ def backward_train(
     grad = g_trunk
     for i in range(len(model.trunk) - 1, -1, -1):
         inp, relu_out = record.trunk_caches[i]
-        grad = relu_backward(relu_out, grad)
+        # grad is made here: g_trunk, or the dense_backward output of the block above
+        grad = relu_backward_inplace(relu_out, grad)
         layer = model.trunk[i]
         # the gradient at the network input is never used
         grad, g_w, g_b = dense_backward(inp, layer.weight.value, grad, input_grad=i > 0)

@@ -54,13 +54,16 @@ def _grid_assignment(rng, b, k, mixed):
     return probs, fixed
 
 
-def audit_alignment_layer(seed: int = 0) -> dict:
+def audit_alignment_layer(seed: int = 0) -> tuple[dict, dict]:
     """Probe layer gradients over the full configuration grid.
 
-    Returns max relative errors per output across all configurations:
-    {"grad_x", "grad_w", "grad_gamma", "grad_beta", "configs"}.
+    Returns (errors, worst).  errors holds the max relative error per output
+    across all configurations: {"grad_x", "grad_w", "grad_gamma",
+    "grad_beta", "configs"}; worst maps each of those outputs to the
+    configuration {"b", "k", "c", "rank", "mixed"} where its max was found.
     """
     errors = {"grad_x": 0.0, "grad_w": 0.0, "grad_gamma": 0.0, "grad_beta": 0.0}
+    worst = {}
     case = 0
     for b in (4, 8):
         for k in (1, 2, 3):
@@ -91,23 +94,18 @@ def audit_alignment_layer(seed: int = 0) -> dict:
                         x, Assignment.unchecked(probs, fixed), update_running=False
                     )
                     grad_x, grad_w, grad_gamma, grad_beta = layer.backward(cache, probe)
-                    errors["grad_x"] = max(
-                        errors["grad_x"], max_relative_error(grad_x, central_difference(loss, x))
-                    )
-                    errors["grad_w"] = max(
-                        errors["grad_w"],
-                        max_relative_error(grad_w[free], central_difference(loss, free_probs)),
-                    )
-                    errors["grad_gamma"] = max(
-                        errors["grad_gamma"],
-                        max_relative_error(grad_gamma, central_difference(loss, layer.gamma.value)),
-                    )
-                    errors["grad_beta"] = max(
-                        errors["grad_beta"],
-                        max_relative_error(grad_beta, central_difference(loss, layer.beta.value)),
-                    )
+                    found = {
+                        "grad_x": max_relative_error(grad_x, central_difference(loss, x)),
+                        "grad_w": max_relative_error(grad_w[free], central_difference(loss, free_probs)),
+                        "grad_gamma": max_relative_error(grad_gamma, central_difference(loss, layer.gamma.value)),
+                        "grad_beta": max_relative_error(grad_beta, central_difference(loss, layer.beta.value)),
+                    }
+                    for key, err in found.items():
+                        if key not in worst or err > errors[key]:
+                            errors[key] = err
+                            worst[key] = {"b": b, "k": k, "c": c, "rank": rank, "mixed": mixed}
     errors["configs"] = case
-    return errors
+    return errors, worst
 
 
 def _audit_batch(rng, in_dim=4, classes=3, k=2):
@@ -211,9 +209,12 @@ def audit_full_model(seed: int = 0) -> dict:
 
 
 def run_gradient_audit(seed: int = 0) -> tuple[dict, bool]:
-    """Full audit; returns ({"layer": ..., "model": ...}, all_within_tolerance)."""
-    layer = audit_alignment_layer(seed)
+    """Full audit; returns ({"layer": ..., "layer_worst": ..., "model": ...}, all_within_tolerance).
+
+    "layer" and "layer_worst" are audit_alignment_layer's errors and worst configurations.
+    """
+    layer, layer_worst = audit_alignment_layer(seed)
     model = audit_full_model(seed)
     ok = all(v <= LAYER_TOLERANCE for key, v in layer.items() if key != "configs")
     ok = ok and all(v <= MODEL_TOLERANCE for v in model.values())
-    return {"layer": layer, "model": model}, ok
+    return {"layer": layer, "layer_worst": layer_worst, "model": model}, ok

@@ -463,29 +463,34 @@ class TestBackward:
         assert case >= 20
 
 
-def reference_step(layer, x, assignment, grad_out):
-    """forward() then backward() in their first arithmetic: every temporary unfused, moments recomputed.
+def first_reference_step(layer, x, assignment, grad_out):
+    """forward() then backward() in the layer's first arithmetic, computed in x's dtype, every temporary unfused.
 
-    Returns (y, grad_x, grad_w, grad_gamma, grad_beta).  Reads the layer's
+    The mix y_mix = sum_d w_d (x - mean_d) / sigma_d is formed, scaled by
+    gamma and shifted by beta; backward reads gamma * grad_out and the mix
+    (for grad_gamma) and takes three alpha products for grad_x.  Returns
+    (y, grad_x, grad_w, grad_gamma, grad_beta).  Reads the layer's
     parameters and running statistics and changes neither.
     """
-    w = assignment.probs
+    w = assignment.probs.astype(x.dtype)
     xr = x.reshape(x.shape[0], x.shape[1], -1)
-    aw = compute_alpha(w, layer.cfg.zero_mass_threshold)
-    mean = aw.alpha.T @ xr.mean(axis=2)
-    var = np.maximum(aw.alpha.T @ (xr**2).mean(axis=2) - mean**2, 0.0)
-    mean[~aw.live] = 0.0
-    var[~aw.live] = 0.0
-    fallback = ~aw.live & (w.max(axis=0) > 0.0)
+    total = w.sum(axis=0)
+    live = total > layer.cfg.zero_mass_threshold
+    alpha = np.where(live, w / np.where(live, total, 1.0), 0.0)
+    mean = alpha.T @ xr.mean(axis=2)
+    var = np.maximum(alpha.T @ (xr**2).mean(axis=2) - mean**2, 0.0)
+    mean[~live] = 0.0
+    var[~live] = 0.0
+    fallback = ~live & (w.max(axis=0) > 0.0)
     mean[fallback] = layer.running.mean[fallback]
     var[fallback] = layer.running.var[fallback]
-    used = aw.live | fallback
+    used = live | fallback
     inv_std = np.zeros_like(mean)
     inv_std[used] = 1.0 / np.sqrt(var[used] + layer.cfg.eps)
     mix_scale = w @ inv_std
     y_mix = mix_scale[:, :, None] * xr - (w @ (mean * inv_std))[:, :, None]
 
-    gr = grad_out.reshape(xr.shape)
+    gr = grad_out.reshape(xr.shape).astype(x.dtype)
     if layer.cfg.affine:
         y = layer.gamma.value[None, :, None] * y_mix + layer.beta.value[None, :, None]
         grad_gamma = (gr * y_mix).sum(axis=(0, 2))
@@ -493,7 +498,7 @@ def reference_step(layer, x, assignment, grad_out):
         gy = gr * layer.gamma.value[None, :, None]
     else:
         y, grad_gamma, grad_beta, gy = y_mix, None, None, gr
-    alpha, live, n_pos = aw.alpha, aw.live, xr.shape[2]
+    n_pos = xr.shape[2]
     gy_sum = gy.sum(axis=2)
     gyx_sum = (gy * xr).sum(axis=2)
     g1 = w.T @ gy_sum
@@ -516,22 +521,77 @@ def reference_step(layer, x, assignment, grad_out):
             + (mu**2 * h2).sum(axis=1)[None, :]
         )
         colsum = (alpha[:, live] * g_alpha).sum(axis=0)
+        grad_w[:, live] += (g_alpha - colsum[None, :]) / total[live][None, :]
+    grad_w[assignment.fixed] = 0.0
+    return y.reshape(x.shape), grad_x.reshape(x.shape), grad_w, grad_gamma, grad_beta
+
+
+def reference_step(layer, x, assignment, grad_out):
+    """forward() then backward() in the layer's arithmetic, every temporary unfused, moments recomputed.
+
+    gamma is folded into 1/sigma, s = inv_std * gamma, and backward builds
+    every path from the per-domain reductions P and Q of grad_out.  Returns
+    (y, grad_x, grad_w, grad_gamma, grad_beta).  Reads the layer's
+    parameters and running statistics and changes neither.
+    """
+    w = assignment.probs
+    xr = x.reshape(x.shape[0], x.shape[1], -1)
+    aw = compute_alpha(w, layer.cfg.zero_mass_threshold)
+    mean = aw.alpha.T @ xr.mean(axis=2)
+    var = np.maximum(aw.alpha.T @ (xr**2).mean(axis=2) - mean**2, 0.0)
+    mean[~aw.live] = 0.0
+    var[~aw.live] = 0.0
+    fallback = ~aw.live & (w.max(axis=0) > 0.0)
+    mean[fallback] = layer.running.mean[fallback]
+    var[fallback] = layer.running.var[fallback]
+    used = aw.live | fallback
+    inv_std = np.zeros_like(mean)
+    inv_std[used] = 1.0 / np.sqrt(var[used] + layer.cfg.eps)
+    scale = inv_std * layer.gamma.value if layer.cfg.affine else inv_std
+    y = xr * (w @ scale)[:, :, None] - (w @ (mean * scale))[:, :, None]
+    if layer.cfg.affine:
+        y = y + layer.beta.value[None, :, None]
+
+    gr = grad_out.reshape(xr.shape)
+    g_sum = gr.sum(axis=2)
+    gx_sum = (gr * xr).sum(axis=2)
+    p = w.T @ g_sum
+    q = (w.T @ gx_sum - mean * p) * inv_std
+    if layer.cfg.affine:
+        grad_gamma = q.sum(axis=0)
+        grad_beta = g_sum.sum(axis=0)
+        g1 = p * layer.gamma.value
+        g2 = q * layer.gamma.value
+    else:
+        grad_gamma, grad_beta, g1, g2 = None, None, p, q
+    alpha, live, n_pos = aw.alpha, aw.live, xr.shape[2]
+    v = (g2 * inv_std**2)[live]
+    u = (g1 * inv_std)[live] - mean[live] * v
+    paths = xr * (alpha[:, live] @ v)[:, :, None] + (alpha[:, live] @ u)[:, :, None]
+    grad_x = gr * (w @ scale)[:, :, None] - paths / n_pos
+    grad_w = gx_sum @ scale.T.copy() - g_sum @ (mean * scale).T.copy()
+    if live.any():
+        sample_mean = xr.mean(axis=2)
+        sample_sq = (xr**2).mean(axis=2)
+        h2 = v / 2.0
+        g_alpha = -(sample_mean @ u.T.copy() + sample_sq @ h2.T.copy()) - (mean[live] ** 2 * h2).sum(axis=1)[None, :]
+        colsum = (alpha[:, live] * g_alpha).sum(axis=0)
         grad_w[:, live] += (g_alpha - colsum[None, :]) / aw.total_weight[live][None, :]
     grad_w[assignment.fixed] = 0.0
     return y.reshape(x.shape), grad_x.reshape(x.shape), grad_w, grad_gamma, grad_beta
 
 
 def reference_infer(layer, x, w):
-    """infer() in its first arithmetic: forward's mix over the running statistics, every temporary apart."""
+    """infer() in the layer's arithmetic: forward's gamma-folded mix over the running statistics, temporaries apart."""
     xr = x.reshape(x.shape[0], x.shape[1], -1)
     needed = w.max(axis=0) > 0.0
     inv_std = np.zeros_like(layer.running.mean)
     inv_std[needed] = 1.0 / np.sqrt(layer.running.var[needed] + layer.cfg.eps)
-    mix_scale = w @ inv_std
-    y_mix = mix_scale[:, :, None] * xr - (w @ (layer.running.mean * inv_std))[:, :, None]
+    scale = inv_std * layer.gamma.value if layer.cfg.affine else inv_std
+    y = xr * (w @ scale)[:, :, None] - (w @ (layer.running.mean * scale))[:, :, None]
     if layer.cfg.affine:
-        return (layer.gamma.value[None, :, None] * y_mix + layer.beta.value[None, :, None]).reshape(x.shape)
-    return y_mix.reshape(x.shape)
+        y = y + layer.beta.value[None, :, None]
+    return y.reshape(x.shape)
 
 
 class TestReferenceArithmetic:
@@ -603,6 +663,47 @@ class TestReferenceArithmetic:
         got = layer.infer(x, raw_assignment(probs))
         assert got.shape == x.shape
         assert np.array_equal(expected, got)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e2, 1e3])
+    def test_no_less_accurate_than_the_first_arithmetic(self, offset):
+        """At 512 x 256 with k = 5 plus the target, every output is within 2x of the first arithmetic's error.
+
+        Errors are the largest deviation from first_reference_step run in
+        np.longdouble, over the largest magnitude of that reference.
+        """
+        rng = np.random.default_rng(23)
+        b, c, k = 512, 256, 5
+        layer = AlignmentLayer(c, k + 1)
+        layer.gamma.value[...] = rng.uniform(0.5, 1.5, size=c)
+        layer.beta.value[...] = rng.normal(size=c)
+        probs = np.zeros((b, k + 1))
+        probs[: b // 2, :k] = rng.dirichlet(np.ones(k), size=b // 2)
+        probs[b // 2 :, k] = 1.0
+        assignment = Assignment(probs, np.arange(b) >= b // 2)
+        x = rng.normal(size=(b, c)) + offset
+        probe = rng.normal(size=(b, c))
+
+        exact = first_reference_step(layer, x.astype(np.longdouble), assignment, probe)
+        first = first_reference_step(layer, x, assignment, probe)
+        y, cache = layer.forward(x, assignment, update_running=False)
+        got = (y,) + layer.backward(cache, probe)
+        for name, e, f, g in zip(("y", "grad_x", "grad_w", "grad_gamma", "grad_beta"), exact, first, got):
+            scale = np.abs(e).max()
+            first_err = float(np.abs(f - e).max() / scale)
+            err = float(np.abs(g - e).max() / scale)
+            assert err <= 2.0 * first_err, f"{name}: {err:.2e} against {first_err:.2e}"
+
+    def test_backward_leaves_the_callers_gradient_alone(self):
+        """backward(cache, g) only reads g: the gradient audit hands the same probe to its loss afterwards."""
+        rng = np.random.default_rng(24)
+        for shape in ((12, 5), (12, 5, 2, 3)):
+            layer = AlignmentLayer(5, 3)
+            probs = rng.dirichlet(np.ones(3), size=12)
+            _, cache = layer.forward(rng.normal(size=shape), raw_assignment(probs))
+            probe = rng.normal(size=shape)
+            kept = probe.copy()
+            layer.backward(cache, probe)
+            assert np.array_equal(probe, kept)
 
 
 class TestInfer:

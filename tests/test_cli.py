@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import re
+import resource
 import struct
 import subprocess
 import sys
@@ -286,6 +288,35 @@ class TestTrainCommand:
         assert "config file not found: missing.json" in proc.stderr
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "setting, path",
+        [
+            ("model.branch_hidden=1000000000000", "model.branch_hidden"),
+            ("model.trunk_widths=[1000000000000]", "model.trunk_widths[0]"),
+            ("model.classifier_widths=[1000000000000]", "model.classifier_widths[0]"),
+            ("model.k=1000000000000", "model.k"),
+            ("data.synthetic.train_per_domain=1000000000000", "data.synthetic.train_per_domain"),
+            ("data.synthetic.feature_dim=1000000000000", "data.synthetic.feature_dim"),
+        ],
+    )
+    def test_size_too_large_to_allocate_is_a_config_error(self, quick_config, tmp_path, setting, path):
+        """Each size fails to allocate at once; the run has a process of its own, its address space capped at 3 GiB."""
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+        src = os.path.dirname(os.path.dirname(mdalign.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        out = tmp_path / "run"
+        cmd = [sys.executable, "-m", "mdalign.cli", "train", "--config", quick_config, "--out", str(out)]
+        cmd += ["--set", setting]
+        proc = subprocess.run(
+            cmd, env=env, capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space
+        )
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.startswith(f"config error: {path}: 1000000000000 is too large"), proc.stderr
+        assert not out.exists()
+
     def test_bad_set_syntax(self, quick_config, tmp_path):
         code = main(["train", "--config", quick_config, "--out", str(tmp_path / "o"), "--set", "oops"])
         assert code == EXIT_CONFIG
@@ -310,6 +341,28 @@ class TestGradcheckCommand:
         monkeypatch.setattr(AlignmentLayer, "backward", corrupted)
         assert main(["gradcheck"]) == EXIT_CHECK_FAILED
         assert "FAILED" in capsys.readouterr().out
+
+    def test_each_layer_gradient_names_its_worst_configuration(self, capsys):
+        assert main(["gradcheck"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        for key in ("grad_x", "grad_w", "grad_gamma", "grad_beta"):
+            line = next(line for line in lines if line.split()[0] == key)
+            assert re.search(r" at b=[48] k=[123] c=[13] rank=[24] mixed=(True|False)$", line), line
+
+    def test_failure_names_the_configuration(self, monkeypatch, capsys):
+        from mdalign.alignment import AlignmentLayer
+
+        original = AlignmentLayer.backward
+
+        def corrupted(self, cache, grad_out):
+            grad_x, grad_w, grad_gamma, grad_beta = original(self, cache, grad_out)
+            if cache.x_shape == (4, 1) and self.n_domains == 2:
+                grad_gamma = grad_gamma * 1.01
+            return grad_x, grad_w, grad_gamma, grad_beta
+
+        monkeypatch.setattr(AlignmentLayer, "backward", corrupted)
+        assert main(["gradcheck"]) == EXIT_CHECK_FAILED
+        assert "FAILED: grad_gamma (b=4 k=1 c=1 rank=2 mixed=True)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
     def test_bad_seed_is_a_usage_error(self, capsys, seed):
