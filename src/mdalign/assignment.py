@@ -19,8 +19,7 @@ from .primitives import (
     dense_backward,
     dense_forward,
     he_normal,
-    relu_backward,  # noqa: F401  not called here; benchmarks/spans.py wraps it in this module
-    relu_backward_inplace,
+    relu_backward,
     relu_forward,
     softmax,
 )
@@ -199,7 +198,7 @@ class DomainPredictor:
         g_a1, g_w2, g_b2 = dense_backward(a1, self.w2.value, grad_logits)
         self.w2.grad += g_w2
         self.b2.grad += g_b2
-        g_z1 = relu_backward_inplace(z1, g_a1)  # g_a1 is dense_backward's own output
+        g_z1 = relu_backward(z1, g_a1)  # g_a1 is dense_backward's own output
         g_in, g_w1, g_b1 = dense_backward(features, self.w1.value, g_z1)
         self.w1.grad += g_w1
         self.b1.grad += g_b1

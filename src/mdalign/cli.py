@@ -156,25 +156,20 @@ def _write_lines(path, lines) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def _built(what: str, sizes: dict[str, int], build):
+def _built(what: str, section: str, sizes: dict[str, int], build):
     """build(), or a ConfigError naming the largest of sizes when what it builds cannot be allocated.
 
-    sizes maps config paths to the sizes whose products give build's
-    arrays, so the largest is the one to blame: a stray 10**12 among widths
-    in the hundreds.
+    sizes maps field paths under section to the sizes whose products give
+    build's arrays, so the largest is the one to blame: a stray 10**12 among
+    widths in the hundreds.  numpy raises MemoryError when the allocation
+    fails and ValueError when the byte count does not even fit in an intp;
+    the configs have checked every other value before build runs.
     """
     try:
         return build()
-    except MemoryError as err:
+    except (MemoryError, ValueError) as err:
         path = max(sizes, key=sizes.get)
-        raise ConfigError(f"{path}: {sizes[path]} is too large, {what} does not fit in memory") from err
-
-
-def _model_sizes(cfg: ModelConfig) -> dict[str, int]:
-    sizes = {f"model.{name}": getattr(cfg, name) for name in ("in_dim", "n_classes", "k", "branch_hidden")}
-    for name in ("trunk_widths", "classifier_widths"):
-        sizes |= {f"model.{name}[{i}]": width for i, width in enumerate(getattr(cfg, name))}
-    return sizes
+        raise ConfigError(f"{section}.{path}: {sizes[path]} is too large, {what} does not fit in memory") from err
 
 
 def cmd_train(args) -> int:
@@ -182,10 +177,8 @@ def cmd_train(args) -> int:
     data, model_cfg, train_cfg = resolve_config(doc)
     _check_out(args.out, args.force)
     if isinstance(data, SynthConfig):
-        names = ("n_classes", "feature_dim", "train_per_domain", "test_per_domain")
-        sizes = {f"data.synthetic.{name}": getattr(data, name) for name in names}
-        data = _built("the synthetic dataset", sizes, lambda: synth_make(data))
-    model = _built("the model", _model_sizes(model_cfg), lambda: Model(model_cfg))
+        data = _built("the synthetic dataset", "data.synthetic", data.sizes(), lambda: synth_make(data))
+    model = _built("the model", "model", model_cfg.sizes(), lambda: Model(model_cfg))
     model, rows = train(model, data, train_cfg)
     _write_manifest(args.out, doc, "train", [train_cfg.seed])
     _write_lines(os.path.join(args.out, "metrics.csv"), metrics_csv_lines(rows))

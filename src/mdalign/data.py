@@ -304,6 +304,11 @@ class SynthConfig:
                 if isinstance(value, tuple) and len(value) != self.feature_dim:
                     raise ValueError(f"{name}.{part}: {len(value)} entries, but feature_dim is {self.feature_dim}")
 
+    def sizes(self) -> dict[str, int]:
+        """The fields whose products size the dataset's arrays, by name."""
+        names = ("n_latent_domains", "n_classes", "feature_dim", "train_per_domain", "test_per_domain")
+        return {name: getattr(self, name) for name in names}
+
 
 def _balanced_labels(count: int, n_classes: int, rng: np.random.Generator) -> np.ndarray:
     labels = np.arange(count) % n_classes

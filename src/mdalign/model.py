@@ -35,12 +35,8 @@ from .primitives import (
     dense_backward,
     dense_forward,
     he_normal,
-    # The walk rectifies the buffers it made in place, so it calls neither
-    # relu_forward nor relu_backward; benchmarks/spans.py still wraps both here.
-    relu_backward,  # noqa: F401
-    relu_backward_inplace,
-    relu_forward,  # noqa: F401
-    relu_inplace,
+    relu_backward,
+    relu_forward,
     softmax,
     softmax_backward,
     softmax_cross_entropy_backward,
@@ -96,6 +92,13 @@ class ModelConfig:
     @property
     def n_domains(self) -> int:
         return 1 if self.whole_batch_norm else self.k + 1
+
+    def sizes(self) -> dict[str, int]:
+        """The fields whose products size the model's arrays, by path: a list entry as name[i]."""
+        sizes = {name: getattr(self, name) for name in ("in_dim", "n_classes", "k", "branch_hidden")}
+        for name in ("trunk_widths", "classifier_widths"):
+            sizes |= {f"{name}[{i}]": width for i, width in enumerate(getattr(self, name))}
+        return sizes
 
 
 class _Dense:
@@ -208,7 +211,8 @@ def _trunk_forward(model: Model, features: np.ndarray, caches: list | None = Non
     """
     h = features
     for layer in model.trunk:
-        inp, h = h, relu_inplace(dense_forward(h, layer.weight.value, layer.bias.value))
+        z = dense_forward(h, layer.weight.value, layer.bias.value)
+        inp, h = h, relu_forward(z, out=z)
         if caches is not None:
             caches.append((inp, h))
     return h
@@ -261,7 +265,7 @@ def _forward(
             h = None
             z = model.align_layers[j].infer(z, assignment)
         # the ReLU rectifies in place the alignment output that only this walk holds
-        h = relu_inplace(z) if j < last else z
+        h = relu_forward(z, out=z) if j < last else z
         z = None
         if train:
             cls_caches.append((inp, align_cache, h if j < last else None))
@@ -360,7 +364,7 @@ def backward_train(
         if j < last:
             # relu_out > 0 exactly where the pre-activation is, NaN and -0.0
             # included; grad is the dense_backward output made one layer up
-            grad = relu_backward_inplace(relu_out, grad)
+            grad = relu_backward(relu_out, grad)
         layer = model.align_layers[j]
         grad, grad_w, g_gamma, g_beta = layer.backward(align_cache, grad)
         if layer.cfg.affine:
@@ -397,7 +401,7 @@ def backward_train(
     for i in range(len(model.trunk) - 1, -1, -1):
         inp, relu_out = record.trunk_caches[i]
         # grad is made here: g_trunk, or the dense_backward output of the block above
-        grad = relu_backward_inplace(relu_out, grad)
+        grad = relu_backward(relu_out, grad)
         layer = model.trunk[i]
         # the gradient at the network input is never used
         grad, g_w, g_b = dense_backward(inp, layer.weight.value, grad, input_grad=i > 0)

@@ -20,9 +20,7 @@ __all__ = [
     "he_normal",
     "max_relative_error",
     "relu_backward",
-    "relu_backward_inplace",
     "relu_forward",
-    "relu_inplace",
     "softmax",
     "softmax_backward",
     "softmax_cross_entropy_backward",
@@ -80,32 +78,24 @@ def dense_backward(x, weight, grad_out, input_grad: bool = True):
     return grad_x, grad_w, grad_b
 
 
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def relu_inplace(x: np.ndarray) -> np.ndarray:
-    """relu_forward(x) written into x and returned; for a caller that made x and needs it no more."""
-    return np.maximum(x, 0.0, out=x)
+def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0); out=x rectifies x in place, for a caller that made x and needs it no more."""
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Pass the gradient where x > 0; the subgradient at 0 is taken as 0.  grad_out is left alone.
+    """Pass the gradient where x > 0; the subgradient at 0 is taken as 0.
 
-    Computed as grad_out * (x > 0) + 0.0, whose + 0.0 turns the -0.0 of a
-    negative gradient at a dead unit into +0.0.  For finite gradients this
-    equals np.where(x > 0, grad_out, 0.0) bit for bit, except that a -0.0
-    gradient at a live unit also comes back +0.0; a NaN or infinite gradient
-    at a dead unit gives NaN instead of 0.
+    Written into grad_out, which is returned: a caller that needs its
+    gradient afterwards passes a copy.  Computed as grad_out * (x > 0) + 0.0,
+    whose + 0.0 turns the -0.0 of a negative gradient at a dead unit into
+    +0.0.  For finite gradients this equals np.where(x > 0, grad_out, 0.0)
+    bit for bit, except that a -0.0 gradient at a live unit also comes back
+    +0.0; a NaN or infinite gradient at a dead unit gives NaN instead of 0.
     """
-    return relu_backward_inplace(x, grad_out.copy())
-
-
-def relu_backward_inplace(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """relu_backward(x, grad) written into grad and returned; for a caller that made grad and needs it no more."""
-    grad *= x > 0.0
-    grad += 0.0
-    return grad
+    grad_out *= x > 0.0
+    grad_out += 0.0
+    return grad_out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

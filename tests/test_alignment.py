@@ -664,6 +664,10 @@ class TestReferenceArithmetic:
         assert got.shape == x.shape
         assert np.array_equal(expected, got)
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+        reason="np.longdouble is float64 here, so it gives no reference more exact than either arithmetic",
+    )
     @pytest.mark.parametrize("offset", [0.0, 1e2, 1e3])
     def test_no_less_accurate_than_the_first_arithmetic(self, offset):
         """At 512 x 256 with k = 5 plus the target, every output is within 2x of the first arithmetic's error.

@@ -297,6 +297,9 @@ class TestTrainCommand:
             ("model.k=1000000000000", "model.k"),
             ("data.synthetic.train_per_domain=1000000000000", "data.synthetic.train_per_domain"),
             ("data.synthetic.feature_dim=1000000000000", "data.synthetic.feature_dim"),
+            # a byte count past intp is refused before any allocation, with a ValueError
+            ("model.branch_hidden=1000000000000000000", "model.branch_hidden"),
+            ("data.synthetic.train_per_domain=1000000000000000000", "data.synthetic.train_per_domain"),
         ],
     )
     def test_size_too_large_to_allocate_is_a_config_error(self, quick_config, tmp_path, setting, path):
@@ -314,7 +317,8 @@ class TestTrainCommand:
             cmd, env=env, capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space
         )
         assert proc.returncode == EXIT_CONFIG, proc.stderr
-        assert proc.stderr.startswith(f"config error: {path}: 1000000000000 is too large"), proc.stderr
+        size = setting.rsplit("=", 1)[1].strip("[]")
+        assert proc.stderr.startswith(f"config error: {path}: {size} is too large"), proc.stderr
         assert not out.exists()
 
     def test_bad_set_syntax(self, quick_config, tmp_path):

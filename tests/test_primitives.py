@@ -137,7 +137,7 @@ class TestRelu:
         g = np.random.default_rng(5).normal(size=z.shape)
         g[0, :4] = [-0.0, np.inf, -np.inf, np.nan]
         for grad in (g, g.T.copy()):
-            got = relu_backward(relu_forward(z), grad)
+            got = relu_backward(relu_forward(z), grad.copy())
             assert np.array_equal(got.view(np.int64), relu_backward(z, grad).view(np.int64))
 
     def test_negative_gradient_at_dead_unit_is_positive_zero(self):
