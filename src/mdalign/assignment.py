@@ -164,8 +164,8 @@ def merge_assignments(pred: np.ndarray, tags, known_domains: np.ndarray | None =
 class DomainPredictor:
     """Two-layer head predicting a softmax over the k latent source domains.
 
-    Attached to the shared trunk right after its first block, where features
-    are still domain-sensitive.
+    Attached to the shared trunk's output, the features the classifier
+    also starts from.
     """
 
     def __init__(self, in_dim: int, k: int, hidden: int = 64, seed: int = 0):

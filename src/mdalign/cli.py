@@ -20,8 +20,9 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
-from .data import SynthConfig, load_manifest, synth_make
+from .data import NonFiniteFeatureError, SynthConfig, load_manifest, synth_make
 from .experiments import (
     ExperimentConfig,
     run_baseline_grid,
@@ -156,20 +157,22 @@ def _write_lines(path, lines) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def _built(what: str, section: str, sizes: dict[str, int], build):
-    """build(), or a ConfigError naming the largest of sizes when what it builds cannot be allocated.
+def _built(what: str, section: str, make, cfg, flags: tuple[str, ...] = ()):
+    """make(cfg), or a ConfigError naming what in the config section keeps it from being made.
 
-    sizes maps field paths under section to the sizes whose products give
-    build's arrays, so the largest is the one to blame: a stray 10**12 among
-    widths in the hundreds.  numpy raises MemoryError when the allocation
-    fails and ValueError when the byte count does not even fit in an intp;
-    the configs have checked every other value before build runs.
+    Non-finite synthetic features name the section and keep the split and row the data layer found.  A failed
+    allocation blames the largest of cfg.sizes(), which size the arrays (a field in flags by its command-line flag):
+    a stray 10**12 among widths in the hundreds.  numpy raises MemoryError when the allocation fails and ValueError
+    when the byte count does not even fit in an intp; the configs have checked every other value before make runs.
     """
     try:
-        return build()
+        return make(cfg)
+    except NonFiniteFeatureError as err:
+        raise ConfigError(f"{section}: {err}") from err
     except (MemoryError, ValueError) as err:
+        sizes = {(f"--{name}" if name in flags else f"{section}.{name}"): v for name, v in cfg.sizes().items()}
         path = max(sizes, key=sizes.get)
-        raise ConfigError(f"{section}.{path}: {sizes[path]} is too large, {what} does not fit in memory") from err
+        raise ConfigError(f"{path}: {sizes[path]} is too large, {what} does not fit in memory") from err
 
 
 def cmd_train(args) -> int:
@@ -177,8 +180,8 @@ def cmd_train(args) -> int:
     data, model_cfg, train_cfg = resolve_config(doc)
     _check_out(args.out, args.force)
     if isinstance(data, SynthConfig):
-        data = _built("the synthetic dataset", "data.synthetic", data.sizes(), lambda: synth_make(data))
-    model = _built("the model", "model", model_cfg.sizes(), lambda: Model(model_cfg))
+        data = _built("the synthetic dataset", "data.synthetic", synth_make, data)
+    model = _built("the model", "model", Model, model_cfg)
     model, rows = train(model, data, train_cfg)
     _write_manifest(args.out, doc, "train", [train_cfg.seed])
     _write_lines(os.path.join(args.out, "metrics.csv"), metrics_csv_lines(rows))
@@ -220,13 +223,16 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def _run_grid_command(args, runner, key: str, values: tuple[str, ...]) -> int:
-    """Run runner(base, seeds); write manifest.json, runs.csv (key, seed and value columns) and summary.csv."""
+def _run_grid_command(args, runner, key: str, values: tuple[str, ...], ks: tuple[int, ...] = ()) -> int:
+    """Run runner(base, seeds) once its data and largest model (at the largest --k value in ks, else model.k) are
+    made and dropped, so neither fails once runs train; write manifest.json, runs.csv and summary.csv."""
     doc = load_config(args.config, args.set or [])
     data, model_cfg, train_cfg = resolve_config(doc)
     if not isinstance(data, SynthConfig):
         raise ConfigError("data: experiment runners need a synthetic dataset")
     _check_out(args.out, args.force)
+    _built("the synthetic dataset", "data.synthetic", synth_make, data)
+    _built("the model", "model", Model, replace(model_cfg, k=max(ks, default=model_cfg.k)), ("k",) if ks else ())
     base = ExperimentConfig(data=data, model=model_cfg, train=train_cfg)
     seeds = list(range(args.seeds))
     rows = runner(base, seeds)
@@ -248,7 +254,7 @@ def _run_grid_command(args, runner, key: str, values: tuple[str, ...]) -> int:
 
 def cmd_ablate_k(args) -> int:
     return _run_grid_command(
-        args, lambda base, seeds: run_k_ablation(base, args.k, seeds), "k", ("acc", "nmi", "purity")
+        args, lambda base, seeds: run_k_ablation(base, args.k, seeds), "k", ("acc", "nmi", "purity"), tuple(args.k)
     )
 
 

@@ -15,11 +15,11 @@ import json
 import sys
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .alignment import AlignConfig, AlignmentLayer
+from .alignment import AlignmentLayer
 from .assignment import Assignment, DomainPredictor, merge_assignments
 from .data import Batch, Split
 from .losses import (
@@ -71,7 +71,6 @@ class ModelConfig:
     trunk_widths: tuple[int, ...] = (64,)
     classifier_widths: tuple[int, ...] = (64,)
     branch_hidden: int = 64
-    align: AlignConfig = field(default_factory=AlignConfig)
     whole_batch_norm: bool = False
     seed: int = 0
 
@@ -122,9 +121,7 @@ class Model:
         self.trunk = [_Dense(rng, a, b) for a, b in zip(trunk_dims[:-1], trunk_dims[1:])]
         cls_dims = (cfg.trunk_widths[-1],) + cfg.classifier_widths + (cfg.n_classes,)
         self.classifier = [_Dense(rng, a, b) for a, b in zip(cls_dims[:-1], cls_dims[1:])]
-        self.align_layers = {
-            j: AlignmentLayer(width, cfg.n_domains, cfg.align) for j, width in enumerate(cls_dims[1:])
-        }
+        self.align_layers = {j: AlignmentLayer(width, cfg.n_domains) for j, width in enumerate(cls_dims[1:])}
         self.branch = DomainPredictor(
             cfg.trunk_widths[-1], cfg.k, cfg.branch_hidden, seed=int(rng.integers(2**31))
         )
@@ -154,8 +151,7 @@ class Model:
         for i, layer in enumerate(self.classifier):
             out += [(f"classifier.{i}.weight", layer.weight), (f"classifier.{i}.bias", layer.bias)]
         for j, layer in self.align_layers.items():
-            if layer.cfg.affine:
-                out += [(f"align.{j}.gamma", layer.gamma), (f"align.{j}.beta", layer.beta)]
+            out += [(f"align.{j}.gamma", layer.gamma), (f"align.{j}.beta", layer.beta)]
         out += [
             ("branch.w1", self.branch.w1),
             ("branch.b1", self.branch.b1),
@@ -234,8 +230,8 @@ def _forward(
     With trunk_done, an evaluation starts from the trunk: the batch's
     features are already the trunk's output over its rows, as split_trunk
     computes it block by block for a whole split.  The predictor runs on every non-target sample in both
-    modes.  Every alignment layer shares cfg.align and the one assignment
-    matrix, so training mode column-normalizes it once for all of them.
+    modes.  Every alignment layer reads the one assignment matrix, so
+    training mode column-normalizes it once for all of them.
     """
     trunk_caches = [] if train else None
     h = batch.features if trunk_done else _trunk_forward(model, batch.features, trunk_caches)
@@ -367,9 +363,8 @@ def backward_train(
             grad = relu_backward(relu_out, grad)
         layer = model.align_layers[j]
         grad, grad_w, g_gamma, g_beta = layer.backward(align_cache, grad)
-        if layer.cfg.affine:
-            layer.gamma.grad += g_gamma
-            layer.beta.grad += g_beta
+        layer.gamma.grad += g_gamma
+        layer.beta.grad += g_beta
         record.assignment.add_grad(grad_w)
         dlayer = model.classifier[j]
         grad, g_w, g_b = dense_backward(dense_input, dlayer.weight.value, grad)
@@ -476,7 +471,7 @@ def split_trunk(model: Model, split: Split) -> np.ndarray:
 # checkpoints
 
 
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 
 
 class CheckpointError(ValueError):
@@ -570,9 +565,8 @@ def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     for part, dims in (("trunk", trunk_dims), ("classifier", cls_dims)):
         for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
             shapes[f"{part}.{i}.weight"], shapes[f"{part}.{i}.bias"] = (a, b), (b,)
-    if cfg.align.affine:
-        for j, width in enumerate(cls_dims[1:]):
-            shapes[f"align.{j}.gamma"] = shapes[f"align.{j}.beta"] = (width,)
+    for j, width in enumerate(cls_dims[1:]):
+        shapes[f"align.{j}.gamma"] = shapes[f"align.{j}.beta"] = (width,)
     h, k = cfg.branch_hidden, cfg.k
     return shapes | {"branch.w1": (cfg.trunk_widths[-1], h), "branch.b1": (h,), "branch.w2": (h, k), "branch.b2": (k,)}
 
@@ -607,7 +601,6 @@ def load_checkpoint(path) -> Model:
     _same_names(str(path), doc, ("format", "config", "params", "running"))
     config = doc["config"]
     _same_names(f"{path}: config", config, [f.name for f in fields(ModelConfig)])
-    _same_names(f"{path}: config.align", config["align"], [f.name for f in fields(AlignConfig)])
     try:
         cfg = config_from_json(ModelConfig, config, "config")
     except ValueError as err:

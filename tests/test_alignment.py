@@ -67,6 +67,23 @@ def reference_batchnorm(x, eps):
     return (x - mu) / np.sqrt(var + eps)
 
 
+class TestAlignConfig:
+    @pytest.mark.parametrize("eps", [0.0, -1e-5])
+    def test_eps_must_be_positive(self, eps):
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            AlignConfig(eps=eps)
+
+    # a column holding one hard-assigned row has mass 1, so a threshold of 1 would call it absent
+    @pytest.mark.parametrize("threshold", [1.0, 1e308, -1e-9])
+    def test_zero_mass_threshold_must_lie_in_unit_interval(self, threshold):
+        with pytest.raises(ValueError, match=r"zero_mass_threshold must lie in \[0, 1\)"):
+            AlignConfig(zero_mass_threshold=threshold)
+
+    def test_bounds_of_the_interval(self):
+        assert AlignConfig(zero_mass_threshold=0.0).zero_mass_threshold == 0.0
+        assert AlignConfig(zero_mass_threshold=np.nextafter(1.0, 0.0)).zero_mass_threshold < 1
+
+
 class TestComputeAlpha:
     def test_column_normalization(self):
         w = np.array([[0.2, 0.8], [0.6, 0.4], [0.0, 1.0]])

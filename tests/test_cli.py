@@ -154,7 +154,8 @@ class TestTrainCommand:
             (["train.schedule=\"inverse\""], "train.schedule: unknown field"),
             (["train.momentum=0.5"], "train.momentum: unknown field"),
             (["train.weight_decay=0"], "train.weight_decay: unknown field"),
-            (["model.align.running_momentum=1.0"], "model.align.running_momentum: unknown field"),
+            (["model.align.running_momentum=1.0"], "model.align: unknown field"),
+            (["model.align.eps=0.001"], "model.align: unknown field"),
             (
                 ["data.synthetic.target_shift.permutation=[3, 2, 1, 0]"],
                 "data.synthetic.target_shift.permutation: unknown field",
@@ -176,7 +177,7 @@ class TestTrainCommand:
             (["train.batch.source_quota=2.5"], "train.batch.source_quota: expected int, found 2.5"),
             (["train.iterations=2.5"], "train.iterations: expected int, found 2.5"),
             (["model.k=1.5"], "model.k: expected int, found 1.5"),
-            (['model.align.affine="no"'], "model.align.affine: expected bool, found 'no'"),
+            (['model.whole_batch_norm="no"'], "model.whole_batch_norm: expected bool, found 'no'"),
             (["data.synthetic.standardize=1"], "data.synthetic.standardize: expected bool, found 1"),
             (["model.trunk_widths=[12.5]"], "model.trunk_widths[0]: expected int, found 12.5"),
             (["train.seed=true"], "train.seed: expected int, found True"),
@@ -206,18 +207,17 @@ class TestTrainCommand:
             (["model.branch_hidden=0"], "model: branch_hidden must be >= 1"),
             (["model.trunk_widths=[0]"], "model: trunk_widths[0] must be >= 1, found 0"),
             (["model.classifier_widths=[12, 0]"], "model: classifier_widths[1] must be >= 1, found 0"),
-            (["model.align.zero_mass_threshold=1e308"], "model.align: zero_mass_threshold must lie in [0, 1)"),
-            (["model.align.zero_mass_threshold=1"], "model.align: zero_mass_threshold must lie in [0, 1)"),
         ],
         ids=["conflict_pair", "conflict_strength", "patch_jitter", "replace", "align_after", "patch_hw",
-             "batch_seed", "schedule", "momentum", "weight_decay", "running_momentum", "permutation", "noise_sigma",
+             "batch_seed", "schedule", "momentum", "weight_decay", "running_momentum", "align", "permutation",
+             "noise_sigma",
              "balance_without_ids", "eval_every", "source_quota", "target_quota", "target_quota_without_class_entropy",
              "in_dim", "n_classes",
              "fractional_quota", "fractional_iterations", "fractional_k", "string_affine", "int_standardize",
              "fractional_width", "bool_seed", "nan_base_lr", "huge_int_base_lr", "string_offset", "short_offset", "one_entry_scale",
              "long_domain_scale", "int_manifest", "list_manifest", "negative_model_seed", "negative_train_seed",
              "negative_synthetic_seed", "train_list", "model_number", "data_number", "zero_branch_hidden",
-             "zero_trunk_width", "zero_classifier_width", "huge_zero_mass_threshold", "unit_zero_mass_threshold"],
+             "zero_trunk_width", "zero_classifier_width"],
     )
     def test_bad_override_is_a_config_error(self, quick_config, tmp_path, capsys, overrides, expected):
         sets = [arg for override in overrides for arg in ("--set", override)]
@@ -460,6 +460,51 @@ class TestRunnerCommands:
             main([*command, "--config", quick_config, "--out", str(out), "--seeds", "1"])
         assert exit_info.value.code == 2
         assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, path",
+        [
+            (["ablate-k", "--k", "2,1000000000000"], "--k"),
+            (["sweep-labels", "--set", "data.synthetic.feature_dim=1000000000000"], "data.synthetic.feature_dim"),
+            (["baselines", "--set", "model.branch_hidden=1000000000000"], "model.branch_hidden"),
+        ],
+        ids=["ablate_k", "sweep_labels", "baselines"],
+    )
+    def test_size_too_large_to_allocate_is_a_config_error(self, quick_config, tmp_path, args, path):
+        """Refused before any run trains: a run of 10**9 iterations would outlast the timeout.
+
+        Each size fails to allocate at once; the grid has a process of its own, its address space capped at 3 GiB.
+        """
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+        src = os.path.dirname(os.path.dirname(mdalign.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        out = tmp_path / "grid"
+        cmd = [sys.executable, "-m", "mdalign.cli", *args, "--config", quick_config, "--out", str(out)]
+        cmd += ["--seeds", "1", "--set", "train.iterations=1000000000"]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.startswith(f"config error: {path}: 1000000000000 is too large"), proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["train", "baselines", "ablate-k", "sweep-labels"])
+    @pytest.mark.parametrize(
+        "setting", ["data.synthetic.class_separation=1e308", 'data.synthetic.target_shift={"scale": 1e308}'],
+        ids=["class_separation", "target_scale"],
+    )
+    def test_non_finite_synthetic_features_are_a_data_error(self, quick_config, tmp_path, capsys, command, setting):
+        # these used to blame data.synthetic.train_per_domain as too large (train) or die with a traceback (grids)
+        out = tmp_path / "run"
+        seeds = [] if command == "train" else ["--seeds", "1"]
+        code = main([command, "--config", quick_config, "--out", str(out), *seeds, "--set", setting])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.match(r"config error: data\.synthetic: (source|target)_(train|test): row \d+ has non-finite", err)
+        assert "too large" not in err
         assert not out.exists()
 
 
@@ -739,7 +784,8 @@ class TestHelp:
 
 
 class TestConfigFields:
-    # Every field here is a setting a config file may name; adding or dropping one shows in this list.
+    # Every field here is a setting a config file, or a standalone alignment layer (AlignConfig), may name;
+    # adding or dropping one shows in this list.
     FIELDS = {
         SynthConfig: (
             "n_latent_domains", "n_classes", "feature_dim", "train_per_domain", "test_per_domain",
@@ -747,8 +793,8 @@ class TestConfigFields:
         ),
         FeatureShift: ("rotation", "offset", "scale"),
         ModelConfig: (
-            "in_dim", "n_classes", "k", "trunk_widths", "classifier_widths", "branch_hidden", "align",
-            "whole_batch_norm", "seed",
+            "in_dim", "n_classes", "k", "trunk_widths", "classifier_widths", "branch_hidden", "whole_batch_norm",
+            "seed",
         ),
         AlignConfig: ("eps", "affine", "zero_mass_threshold"),
         TrainConfig: ("iterations", "base_lr", "weights", "batch", "seed", "eval_every"),
@@ -771,9 +817,7 @@ class TestConfigFields:
         FeatureShift: FeatureShift(rotation=0.25, offset=(1.0, 2.5), scale=0.5),
         ModelConfig: ModelConfig(
             in_dim=5, n_classes=3, k=4, trunk_widths=(8, 6), classifier_widths=(7,), branch_hidden=9,
-            align=AlignConfig(eps=1e-3, affine=False, zero_mass_threshold=0.0),
-            whole_batch_norm=True,
-            seed=2,
+            whole_batch_norm=True, seed=2,
         ),
         AlignConfig: AlignConfig(eps=1e-4, affine=False, zero_mass_threshold=1e-3),
         TrainConfig: TrainConfig(

@@ -137,7 +137,7 @@ class TestForwardTrain:
         h = batch.features
         for layer in model.trunk:
             h = relu_forward(dense_forward(h, layer.weight.value, layer.bias.value))
-        eps = model.cfg.align.eps
+        eps = AlignConfig().eps  # every model's alignment layers take the default
         for j, layer in enumerate(model.classifier):
             z = dense_forward(h, layer.weight.value, layer.bias.value)
             al = model.align_layers[j]
@@ -549,22 +549,28 @@ class TestCheckpoint:
 
     def test_missing_format_version_rejected(self, tmp_path):
         path = self.tampered(tmp_path, lambda doc: doc.pop("format"))
-        with pytest.raises(CheckpointError, match="checkpoint format None, expected 3"):
+        with pytest.raises(CheckpointError, match="checkpoint format None, expected 4"):
             load_checkpoint(path)
 
         # older configs name removed fields; the version refuses them before the config is read
+        align = {"eps": 1e-5, "affine": True, "zero_mass_threshold": 1e-6}
+
         def format_1(doc):
             doc["format"] = 1
             doc["config"]["align_after"] = None
-            doc["config"]["align"]["running_momentum"] = 0.1
+            doc["config"]["align"] = align | {"running_momentum": 0.1}
 
         def format_2(doc):
             doc["format"] = 2
-            doc["config"]["align"]["running_momentum"] = 0.1
+            doc["config"]["align"] = align | {"running_momentum": 0.1}
 
-        for version, edit in ((1, format_1), (2, format_2)):
+        def format_3(doc):
+            doc["format"] = 3
+            doc["config"]["align"] = align
+
+        for version, edit in ((1, format_1), (2, format_2), (3, format_3)):
             path = self.tampered(tmp_path, edit)
-            with pytest.raises(CheckpointError, match=f"checkpoint format {version}, expected 3"):
+            with pytest.raises(CheckpointError, match=f"checkpoint format {version}, expected 4"):
                 load_checkpoint(path)
 
     # a missing field used to load with its default value
@@ -574,25 +580,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=rf"config: missing \['{name}'\], unexpected \[\]"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(AlignConfig)])
-    def test_missing_align_field_rejected(self, tmp_path, name):
-        path = self.tampered(tmp_path, lambda doc: doc["config"]["align"].pop(name))
-        with pytest.raises(CheckpointError, match=rf"config\.align: missing \['{name}'\], unexpected \[\]"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("section", ["config", "align"])
-    def test_extra_config_field_rejected(self, tmp_path, section):
-        def add(doc):
-            (doc["config"] if section == "config" else doc["config"]["align"])["running_momentum"] = 0.1
-
-        path = self.tampered(tmp_path, add)
-        with pytest.raises(CheckpointError, match=r"missing \[\], unexpected \['running_momentum'\]"):
+    # align: a format-4 file whose config still stores the alignment layers' settings
+    @pytest.mark.parametrize("name, value", [("running_momentum", 0.1), ("align", {"eps": 1e-3})],
+                             ids=["config", "align"])
+    def test_extra_config_field_rejected(self, tmp_path, name, value):
+        path = self.tampered(tmp_path, lambda doc: doc["config"].__setitem__(name, value))
+        with pytest.raises(CheckpointError, match=rf"config: missing \[\], unexpected \['{name}'\]"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "edit, expected",
         [
-            (lambda doc: doc["config"]["align"].update(affine=1), r"config\.align\.affine: expected bool, found 1"),
+            (lambda doc: doc["config"].update(whole_batch_norm=1), r"config\.whole_batch_norm: expected bool, found 1"),
             (lambda doc: doc["config"].update(seed=True), r"config\.seed: expected int, found True"),
             (lambda doc: doc["config"].update(trunk_widths="6"), r"config\.trunk_widths: expected a list, found '6'"),
             (lambda doc: doc["params"]["trunk.0.bias"].__setitem__(0, np.nan), r"params\.trunk\.0\.bias: .*finite"),
@@ -608,9 +607,12 @@ class TestCheckpoint:
                 r"params\.trunk\.0\.bias: bool values, expected float64",
             ),
             (lambda doc: doc["running"]["0"]["count"].__setitem__(0, False), r"running\.0\.count: bool values"),
-            (lambda doc: doc.update(format=3.0), r"checkpoint format 3\.0, expected 3"),
+            (lambda doc: doc.update(format=4.0), r"checkpoint format 4\.0, expected 4"),
             # an integer beyond a float's range used to load, then overflow in the first forward pass
-            (lambda doc: doc["config"]["align"].update(eps=2**1100), r"config\.align\.eps: expected finite float"),
+            (
+                lambda doc: doc["params"]["trunk.0.bias"].__setitem__(0, 2**1100),
+                r"params\.trunk\.0\.bias: object values, expected float64",
+            ),
         ],
         ids=[
             "int_affine", "bool_seed", "string_widths", "nan_param", "negative_var", "negative_count",
@@ -632,9 +634,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"align": AlignConfig(affine=False)}, {"classifier_widths": (5, 7)}, {"trunk_widths": (6, 3)},
-         {"whole_batch_norm": True}],
-        ids=["no_affine", "two_classifier_blocks", "two_trunk_blocks", "whole_batch_norm"],
+        [{"classifier_widths": (5, 7)}, {"trunk_widths": (6, 3)}, {"whole_batch_norm": True}],
+        ids=["two_classifier_blocks", "two_trunk_blocks", "whole_batch_norm"],
     )
     def test_other_architectures_round_trip(self, tmp_path, overrides):
         model = Model(tiny_config(**overrides))
@@ -656,6 +657,6 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_config_that_is_not_an_object_rejected(self, tmp_path):
-        path = self.tampered(tmp_path, lambda doc: doc["config"].__setitem__("align", 0.1))
-        with pytest.raises(CheckpointError, match="config.align: expected an object, found float"):
+        path = self.tampered(tmp_path, lambda doc: doc.__setitem__("config", 0.1))
+        with pytest.raises(CheckpointError, match="config: expected an object, found float"):
             load_checkpoint(path)
