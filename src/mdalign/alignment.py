@@ -70,12 +70,15 @@ class AlphaWeights:
 
     alpha[i, d] = w[i, d] / sum_j w[j, d] for live columns; columns whose
     total mass is at or below the threshold are flagged dead and left all
-    zero instead of dividing by a vanishing normalizer.
+    zero instead of dividing by a vanishing normalizer.  all_live records
+    once whether every column is live, so the layers that share these
+    weights do not test the mask again.
     """
 
     alpha: np.ndarray
     live: np.ndarray
     total_weight: np.ndarray
+    all_live: bool
 
 
 @dataclass
@@ -102,7 +105,7 @@ def compute_alpha(weights: np.ndarray, threshold: float = 1e-6) -> AlphaWeights:
     total = w.sum(axis=0)
     live = total > threshold
     alpha = np.divide(w, total, out=np.zeros_like(w), where=live)
-    return AlphaWeights(alpha=alpha, live=live, total_weight=total)
+    return AlphaWeights(alpha=alpha, live=live, total_weight=total, all_live=bool(live.all()))
 
 
 def _as_bcm(x: np.ndarray) -> np.ndarray:
@@ -125,7 +128,7 @@ def weighted_moments(x: np.ndarray, aw: AlphaWeights) -> DomainStats:
     xr = _as_bcm(x)
     if aw.alpha.shape[0] != xr.shape[0]:
         raise ValueError(f"{aw.alpha.shape[0]} weight rows for {xr.shape[0]} samples")
-    return _domain_moments(aw, *_sample_moments(xr))
+    return _domain_moments(aw, *_sample_moments(xr))[0]
 
 
 def _over_positions(a: np.ndarray, reduce) -> np.ndarray:
@@ -152,13 +155,17 @@ def _sample_moments(xr: np.ndarray):
     return _over_positions(xr, np.mean), _over_positions(xr**2, np.mean)
 
 
-def _domain_moments(aw: AlphaWeights, sample_mean: np.ndarray, sample_sq: np.ndarray) -> DomainStats:
-    """weighted_moments from the per-sample moments of its input; shares aw's live mask."""
+def _domain_moments(aw: AlphaWeights, sample_mean: np.ndarray, sample_sq: np.ndarray):
+    """(weighted_moments, alpha^T sample_sq) from the per-sample moments of its input; shares aw's live mask.
+
+    The second, the weighted mean square [domains, c], is the one backward reads; it is not zeroed on dead columns.
+    """
     mean = aw.alpha.T @ sample_mean
-    var = np.maximum(aw.alpha.T @ sample_sq - mean**2, 0.0)
-    if not aw.live.all():
+    mean_sq = aw.alpha.T @ sample_sq
+    var = np.maximum(mean_sq - mean**2, 0.0)
+    if not aw.all_live:
         mean[~aw.live] = var[~aw.live] = 0.0
-    return DomainStats(mean=mean, var=var, live=aw.live)
+    return DomainStats(mean=mean, var=var, live=aw.live), mean_sq
 
 
 class RunningStats:
@@ -189,14 +196,19 @@ class RunningStats:
 
 @dataclass
 class _Cache:
-    """What backward() reads of a forward(): the input and the small per-domain arrays."""
+    """What backward() reads of a forward(): the input, the assignment's free rows and the small per-domain arrays.
+
+    free is Assignment.free, a slice or an index array; mean_sq is alpha^T times the per-sample mean
+    squares, which forward forms for the variance and backward's free-row path reads.
+    """
 
     x_shape: tuple
     xr: np.ndarray
     w: np.ndarray
-    fixed: np.ndarray
+    free: slice | np.ndarray
     aw: AlphaWeights
     mean: np.ndarray
+    mean_sq: np.ndarray
     inv_std: np.ndarray
 
 
@@ -275,10 +287,10 @@ class AlignmentLayer:
             aw = self.alpha(assignment)
         elif aw.alpha.shape != w.shape:
             raise ValueError(f"alpha weights {aw.alpha.shape} do not match assignment {w.shape}")
-        stats = _domain_moments(aw, *_sample_moments(xr))
+        stats, mean_sq = _domain_moments(aw, *_sample_moments(xr))
 
         mean, var, used = stats.mean, stats.var, aw.live
-        fallback = None if used.all() else ~used & (w.max(axis=0) > 0.0)
+        fallback = None if aw.all_live else ~used & (w.max(axis=0) > 0.0)
         if fallback is not None and fallback.any():
             missing = fallback & ~self.running.initialized()
             if missing.any():
@@ -296,7 +308,9 @@ class AlignmentLayer:
         y = self._normalize(xr, w, mean, inv_std)
         if update_running:
             self.running.update(stats)
-        cache = _Cache(x_shape=x.shape, xr=xr, w=w, fixed=assignment.fixed, aw=aw, mean=mean, inv_std=inv_std)
+        cache = _Cache(
+            x_shape=x.shape, xr=xr, w=w, free=assignment.free, aw=aw, mean=mean, mean_sq=mean_sq, inv_std=inv_std
+        )
         return y.reshape(x.shape), cache
 
     def backward(self, cache: _Cache, grad_out: np.ndarray):
@@ -304,17 +318,23 @@ class AlignmentLayer:
 
         grad_x covers the direct path plus the paths through every live domain's mean and variance;
         grad_w the direct mixing path plus the path through the column-normalized weights, whose
-        normalizer couples all samples in a domain.  Fixed rows get exactly zero grad_w, so with every
-        row fixed it comes back as zeros without being built.  Fallback domains, normalized with
-        running statistics held constant, contribute only direct paths.
+        normalizer couples all samples in a domain.  grad_w is built on the assignment's free rows
+        only: fixed rows get exact zeros without being built, and with every row fixed nothing of it
+        is computed.  Fallback domains, normalized with running statistics held constant, contribute
+        only direct paths.
 
         Every path is built from two per-domain [domains, c] reductions of the upstream gradient g,
         taken before the affine scale: P = w^T sum_pos g and Q = (w^T sum_pos (g x) - mean P) / sigma.
-        Then grad_gamma = sum_d Q, and with G1 = gamma P, G2 = gamma Q and alpha over the live domains,
-        grad_x = (w @ (gamma/sigma)) g - [x (alpha @ (G2/sigma^2)) + alpha @ (G1/sigma - mean G2/sigma^2)] / n_pos.
-        grad_w reads gamma / sigma and the same two per-domain products.  No mix is formed: the cache
-        holds the input and the per-domain arrays, and the per-sample moments, which only the free
-        rows' path reads, are recomputed with forward's calls.  grad_out is only read.
+        Then grad_gamma = sum_d Q, and with G1 = gamma P, G2 = gamma Q, v = G2 / sigma^2,
+        u = G1 / sigma - mean v and alpha over the live domains,
+        grad_x = (w @ (gamma/sigma)) g - [x (alpha @ v) + alpha @ u] / n_pos.
+        For a free row i and a live domain d of total weight T_d, with h = v / 2, the row's mean xbar_i
+        and mean square xsq_i over positions, and m2 = alpha^T xsq (forward's mean_sq),
+        grad_w[i, d] = direct part + (mean_d . u_d + m2_d . h_d - xbar_i . u_d - xsq_i . h_d) / T_d:
+        sum_j alpha[j, d] = 1 on a live column, so the column term of the projection through
+        alpha = w / T is the constant mean_d . u_d + m2_d . h_d.  No mix is formed: the cache holds the
+        input and the per-domain arrays, and the free rows' per-sample moments are recomputed with
+        forward's calls.  grad_out is only read.
         """
         if grad_out.shape != cache.x_shape:
             raise ValueError(f"grad shape {grad_out.shape} does not match {cache.x_shape}")
@@ -338,7 +358,7 @@ class AlignmentLayer:
         # Input gradient: direct mixing term minus the mean/variance paths of
         # the live domains, spread over spatial positions.  With every domain
         # live, a slice takes their rows without copying them.
-        sel = slice(None) if live.all() else live
+        sel = slice(None) if cache.aw.all_live else live
         v = (g2 * inv_std**2)[sel]
         u = (g1 * inv_std)[sel] - mean[sel] * v
         alpha_live = alpha[:, sel]
@@ -349,24 +369,23 @@ class AlignmentLayer:
         grad_x = _times_into(gr, w @ scale)
         grad_x -= paths
         del paths
-        if cache.fixed.all():
-            return grad_x.reshape(cache.x_shape), np.zeros_like(w), grad_gamma, grad_beta
+        grad_w = np.zeros_like(w)
+        free = cache.free
+        gx_free = gx_sum[free]
+        if not len(gx_free):
+            return grad_x.reshape(cache.x_shape), grad_w, grad_gamma, grad_beta
 
         # Direct path of the assignment gradient: sum over channels and
         # positions of g * gamma * xhat per domain.
-        grad_w = _times_t(gx_sum, scale) - _times_t(g_sum, mean * scale)
-
-        if live.any():
-            sample_mean, sample_sq = _sample_moments(xr)
-            h2 = v / 2.0
-            # d loss / d alpha[i, d] through the live statistics
-            g_alpha = -(_times_t(sample_mean, u) + _times_t(sample_sq, h2))
-            g_alpha -= (mean[sel] ** 2 * h2).sum(axis=1)[None, :]
-            # project through alpha = w / column_total
-            colsum = (alpha_live * g_alpha).sum(axis=0)
-            grad_w[:, sel] += (g_alpha - colsum[None, :]) / cache.aw.total_weight[sel][None, :]
-
-        grad_w[cache.fixed] = 0.0
+        grad_free = _times_t(gx_free, scale) - _times_t(g_sum[free], mean * scale)
+        # the path through alpha = w / column_total and the live statistics
+        sample_mean, sample_sq = _sample_moments(xr[free])
+        h = v / 2.0
+        through = _times_t(sample_mean, u)
+        through += _times_t(sample_sq, h)
+        column = (mean[sel] * u + cache.mean_sq[sel] * h).sum(axis=1)
+        grad_free[:, sel] += (column - through) / cache.aw.total_weight[sel]
+        grad_w[free] = grad_free
         return grad_x.reshape(cache.x_shape), grad_w, grad_gamma, grad_beta
 
     def infer(self, x: np.ndarray, assignment) -> np.ndarray:

@@ -90,12 +90,26 @@ def tag_codes(tags) -> tuple[np.ndarray, np.ndarray]:
     return kinds, known
 
 
+def _free_rows(fixed: np.ndarray) -> slice | np.ndarray:
+    """The rows fixed leaves free: a slice when they are contiguous or none, else their index array."""
+    rows = np.flatnonzero(~fixed)
+    if rows.size == 0:
+        return slice(0, 0)
+    if rows[-1] - rows[0] + 1 == rows.size:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
 class Assignment:
     """Per-sample probabilities over the k source domains plus the target.
 
     probs is [b, k+1] with columns ordered (source_1 .. source_k, target);
-    fixed marks hard-assigned rows.  `grad` accumulates the assignment
-    gradients of every alignment layer; fixed rows accumulate exactly zero.
+    fixed marks hard-assigned rows.  free, worked out once here, indexes the
+    other rows: a slice when they are contiguous (an empty one when every
+    row is fixed), else an index array.  Every alignment layer reads it, and
+    only the free rows' assignment gradient is built.  `grad` accumulates
+    the assignment gradients of every alignment layer; fixed rows accumulate
+    exactly zero.
     """
 
     def __init__(self, probs: np.ndarray, fixed: np.ndarray):
@@ -112,6 +126,7 @@ class Assignment:
             raise ValueError("assignment rows must sum to 1")
         self.probs = probs
         self.fixed = fixed
+        self.free = _free_rows(fixed)
         self.grad = np.zeros_like(probs)
 
     @classmethod
@@ -120,13 +135,14 @@ class Assignment:
         obj = cls.__new__(cls)
         obj.probs = np.asarray(probs, dtype=np.float64)
         obj.fixed = np.asarray(fixed, dtype=bool)
+        obj.free = _free_rows(obj.fixed)
         obj.grad = np.zeros_like(obj.probs)
         return obj
 
     def add_grad(self, grad_w: np.ndarray) -> None:
         if grad_w.shape != self.probs.shape:
             raise ValueError(f"gradient shape {grad_w.shape} does not match {self.probs.shape}")
-        np.add(self.grad, grad_w, out=self.grad, where=~self.fixed[:, None])
+        self.grad[self.free] += grad_w[self.free]
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0

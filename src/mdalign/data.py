@@ -319,18 +319,21 @@ def synth_make(cfg: SynthConfig) -> Dataset:
     """Generate source and target sets for a synthetic latent-domain task."""
     rng = np.random.default_rng(cfg.seed)
     prototypes = cfg.class_separation * rng.normal(size=(cfg.n_classes, cfg.feature_dim))
-    shifts = cfg.domain_shifts or tuple(FeatureShift() for _ in range(cfg.n_latent_domains))
 
     def draw(count, shift):
         labels = _balanced_labels(count, cfg.n_classes, rng)
         base = prototypes[labels] + rng.normal(size=(count, cfg.feature_dim))
         return apply_feature_shift(base, shift), labels
 
-    source = []
-    for shift in shifts:
-        source.append(draw(cfg.train_per_domain, shift))
+    # the source arrays come first, so sizes too large to allocate fail before any domain is drawn
+    per = cfg.train_per_domain
+    x = np.empty((cfg.n_latent_domains * per, cfg.feature_dim))
+    labels = np.empty(cfg.n_latent_domains * per, dtype=np.int64)
+    identity = FeatureShift()
+    for d in range(cfg.n_latent_domains):
+        shift = cfg.domain_shifts[d] if cfg.domain_shifts else identity
+        x[d * per : (d + 1) * per], labels[d * per : (d + 1) * per] = draw(per, shift)
         draw(cfg.test_per_domain, shift)  # dropped; later draws depend on it
-    x, labels = (np.concatenate(column) for column in zip(*source))
     target_train = draw(cfg.train_per_domain, cfg.target_shift)
     target_test = draw(cfg.test_per_domain, cfg.target_shift)
 
@@ -353,7 +356,7 @@ def synth_make(cfg: SynthConfig) -> Dataset:
         kinds=np.full(len(x), UNKNOWN_CODE),
         class_labels=labels,
         hidden_labels=labels,
-        hidden_domains=np.repeat(np.arange(len(shifts)), cfg.train_per_domain),
+        hidden_domains=np.repeat(np.arange(cfg.n_latent_domains), per),
         name="source_train",
     )
     return Dataset(source_train, target("target_train", *target_train), target("target_test", *target_test))
@@ -630,23 +633,38 @@ def load_manifest(path) -> Dataset:
 
 @dataclass
 class Batch:
-    """A training batch of public columns; carries no hidden evaluation fields.
+    """A training batch of public columns, source rows first, then target rows; carries no hidden evaluation fields.
 
-    The masks are derived from the kind codes.
+    n_source counts the source rows, and source and target are the slices
+    of the two halves, so indexing a row array with them gives a view.  A
+    target row before a source row raises ValueError; BatchSampler.next_batch
+    and make_batch over any split the library builds keep the order.  The
+    known and unknown masks are derived from the kind codes.
     """
 
     features: np.ndarray
     class_labels: np.ndarray
     kinds: np.ndarray
     known_domains: np.ndarray
-    source_mask: np.ndarray = field(init=False)
-    target_mask: np.ndarray = field(init=False)
+    n_source: int = field(init=False)
+    source: slice = field(init=False)
+    target: slice = field(init=False)
     known_mask: np.ndarray = field(init=False)
     unknown_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.target_mask = self.kinds == TARGET_CODE
-        self.source_mask = ~self.target_mask
+        is_target = self.kinds == TARGET_CODE
+        n = len(is_target)
+        self.n_source = n - int(np.count_nonzero(is_target))
+        if is_target[: self.n_source].any():
+            first = int(np.argmax(is_target))
+            last = n - 1 - int(np.argmax(~is_target[::-1]))
+            raise ValueError(
+                f"batch row {first} is a target row before source row {last}: "
+                "a batch holds its source rows first, then its target rows"
+            )
+        self.source = slice(0, self.n_source)
+        self.target = slice(self.n_source, n)
         self.known_mask = self.kinds == KNOWN_CODE
         self.unknown_mask = self.kinds == UNKNOWN_CODE
 

@@ -191,7 +191,6 @@ class ForwardRecord:
     trunk_caches: list
     branch_cache: object
     cls_caches: list
-    src_idx: np.ndarray
 
 
 @dataclass
@@ -230,17 +229,16 @@ def _forward(
     With trunk_done, an evaluation starts from the trunk: the batch's
     features are already the trunk's output over its rows, as split_trunk
     computes it block by block for a whole split.  The predictor runs on every non-target sample in both
-    modes.  Every alignment layer reads the one assignment matrix, so
-    training mode column-normalizes it once for all of them.
+    modes, the batch's source half, which it reads as a view.  Every alignment layer reads the one
+    assignment matrix, so training mode column-normalizes it once for all of them.
     """
     trunk_caches = [] if train else None
     h = batch.features if trunk_done else _trunk_forward(model, batch.features, trunk_caches)
 
-    src_idx = np.flatnonzero(batch.source_mask)
     domain_probs = np.zeros((batch.size, model.cfg.k))
     branch_cache = None
-    if src_idx.size:
-        domain_probs[src_idx], branch_cache = model.branch.forward(h[src_idx])
+    if batch.n_source:
+        domain_probs[batch.source], branch_cache = model.branch.forward(h[batch.source])
         if not train:
             branch_cache = None
     if assignment is None and model.cfg.whole_batch_norm:
@@ -273,7 +271,6 @@ def _forward(
         trunk_caches=trunk_caches,
         branch_cache=branch_cache,
         cls_caches=cls_caches,
-        src_idx=src_idx,
     )
 
 
@@ -290,7 +287,7 @@ def forward_train(
     assignment_override substitutes an explicit matrix (gradient audits use
     this to probe the assignment input directly).
     """
-    if not batch.source_mask.any():
+    if not batch.n_source:
         raise ValueError("training batch needs at least one source sample")
     return _forward(model, batch, True, assignment_override, update_running)
 
@@ -305,18 +302,15 @@ def _objective(record: ForwardRecord, batch: Batch, weights: LossWeights):
 
     The class-entropy gradient is None when the batch has no target rows.
     """
-    src = batch.source_mask
-    tgt = batch.target_mask
-    known = batch.known_mask
-    unknown = batch.unknown_mask
+    src, known, unknown = batch.source, batch.known_mask, batch.unknown_mask
 
     class_ce = cross_entropy(record.class_probs[src], batch.class_labels[src])
     domain_ce = (
         cross_entropy(record.domain_probs[known], batch.known_domains[known]) if known.any() else 0.0
     )
     g_class = None
-    if tgt.any():
-        h_class, g_class = class_entropy(record.class_probs[tgt])
+    if batch.n_source < batch.size:
+        h_class, g_class = class_entropy(record.class_probs[batch.target])
     elif weights.class_entropy > 0:
         raise ValueError("class-entropy weight is active but the batch has no target samples")
     else:
@@ -340,8 +334,7 @@ def backward_train(
     model.zero_grads()
     record.assignment.zero_grad()
 
-    src = batch.source_mask
-    tgt = batch.target_mask
+    src, tgt = batch.source, batch.target
     b, n_classes = record.class_probs.shape
 
     # gradient at the classifier softmax input
@@ -349,7 +342,7 @@ def backward_train(
     g_logits[src] = softmax_cross_entropy_backward(
         record.class_probs[src], batch.class_labels[src]
     )
-    if weights.class_entropy > 0 and tgt.any():
+    if weights.class_entropy > 0 and g_class_ent is not None:
         g_logits[tgt] += softmax_backward(record.class_probs[tgt], weights.class_entropy * g_class_ent)
 
     # classifier stack, collecting assignment gradients on the way down
@@ -372,24 +365,24 @@ def backward_train(
         dlayer.bias.grad += g_b
     g_trunk = grad
 
-    # predictor head
-    src_idx = record.src_idx
-    if src_idx.size and not model.cfg.whole_batch_norm:
-        probs_b = record.domain_probs[src_idx]
+    # predictor head, over the batch's source half; it starts at row 0, so a
+    # batch row's index is also its index in that half
+    if batch.n_source and not model.cfg.whole_batch_norm:
+        probs_b = record.domain_probs[src]
         g_b_logits = np.zeros_like(probs_b)
-        known_rows = np.flatnonzero(batch.known_mask[src_idx])
+        known_rows = np.flatnonzero(batch.known_mask)
         if weights.domain_ce > 0 and known_rows.size:
-            labels = batch.known_domains[src_idx][known_rows]
+            labels = batch.known_domains[known_rows]
             g_b_logits[known_rows] = weights.domain_ce * softmax_cross_entropy_backward(
                 probs_b[known_rows], labels
             )
         g_b_probs = np.zeros_like(probs_b)
-        unknown_rows = np.flatnonzero(batch.unknown_mask[src_idx])
+        unknown_rows = np.flatnonzero(batch.unknown_mask)
         if weights.domain_entropy > 0 and unknown_rows.size:
             g_b_probs[unknown_rows] += weights.domain_entropy * g_domain_ent
-        g_b_probs += record.assignment.grad[src_idx][:, : model.cfg.k]
+        g_b_probs += record.assignment.grad[src, : model.cfg.k]
         g_b_logits += softmax_backward(probs_b, g_b_probs)
-        g_trunk[src_idx] += model.branch.backward(record.branch_cache, g_b_logits)
+        g_trunk[src] += model.branch.backward(record.branch_cache, g_b_logits)
 
     # trunk stack
     grad = g_trunk
@@ -416,9 +409,9 @@ def calibrate_predictor(model: Model, batch: Batch) -> None:
     feature-dependent tilt that seeds the partition.  Only the trunk and the
     branch run, on the batch's non-target rows.
     """
-    if model.cfg.whole_batch_norm or not batch.source_mask.any():
+    if model.cfg.whole_batch_norm or not batch.n_source:
         return
-    logits, _ = model.branch.logits(_trunk_forward(model, batch.features)[np.flatnonzero(batch.source_mask)])
+    logits, _ = model.branch.logits(_trunk_forward(model, batch.features)[batch.source])
     model.branch.b2.value -= logits.mean(axis=0)
 
 

@@ -547,7 +547,9 @@ def reference_step(layer, x, assignment, grad_out):
     """forward() then backward() in the layer's arithmetic, every temporary unfused, moments recomputed.
 
     gamma is folded into 1/sigma, s = inv_std * gamma, and backward builds
-    every path from the per-domain reductions P and Q of grad_out.  Returns
+    every path from the per-domain reductions P and Q of grad_out.  grad_w
+    is built on the free rows only, with the closed-form column term
+    mean . u + mean_sq . h of the projection through alpha.  Returns
     (y, grad_x, grad_w, grad_gamma, grad_beta).  Reads the layer's
     parameters and running statistics and changes neither.
     """
@@ -555,7 +557,8 @@ def reference_step(layer, x, assignment, grad_out):
     xr = x.reshape(x.shape[0], x.shape[1], -1)
     aw = compute_alpha(w, layer.cfg.zero_mass_threshold)
     mean = aw.alpha.T @ xr.mean(axis=2)
-    var = np.maximum(aw.alpha.T @ (xr**2).mean(axis=2) - mean**2, 0.0)
+    mean_sq = aw.alpha.T @ (xr**2).mean(axis=2)
+    var = np.maximum(mean_sq - mean**2, 0.0)
     mean[~aw.live] = 0.0
     var[~aw.live] = 0.0
     fallback = ~aw.live & (w.max(axis=0) > 0.0)
@@ -586,15 +589,17 @@ def reference_step(layer, x, assignment, grad_out):
     u = (g1 * inv_std)[live] - mean[live] * v
     paths = xr * (alpha[:, live] @ v)[:, :, None] + (alpha[:, live] @ u)[:, :, None]
     grad_x = gr * (w @ scale)[:, :, None] - paths / n_pos
-    grad_w = gx_sum @ scale.T.copy() - g_sum @ (mean * scale).T.copy()
-    if live.any():
-        sample_mean = xr.mean(axis=2)
-        sample_sq = (xr**2).mean(axis=2)
-        h2 = v / 2.0
-        g_alpha = -(sample_mean @ u.T.copy() + sample_sq @ h2.T.copy()) - (mean[live] ** 2 * h2).sum(axis=1)[None, :]
-        colsum = (alpha[:, live] * g_alpha).sum(axis=0)
-        grad_w[:, live] += (g_alpha - colsum[None, :]) / aw.total_weight[live][None, :]
-    grad_w[assignment.fixed] = 0.0
+    grad_w = np.zeros_like(w)
+    free = ~assignment.fixed
+    if free.any():
+        grad_free = gx_sum[free] @ scale.T.copy() - g_sum[free] @ (mean * scale).T.copy()
+        sample_mean = xr[free].mean(axis=2)
+        sample_sq = (xr[free] ** 2).mean(axis=2)
+        h = v / 2.0
+        through = sample_mean @ u.T.copy() + sample_sq @ h.T.copy()
+        column = (mean[live] * u + mean_sq[live] * h).sum(axis=1)
+        grad_free[:, live] += (column - through) / aw.total_weight[live]
+        grad_w[free] = grad_free
     return y.reshape(x.shape), grad_x.reshape(x.shape), grad_w, grad_gamma, grad_beta
 
 

@@ -300,10 +300,19 @@ class TestTrainCommand:
             # a byte count past intp is refused before any allocation, with a ValueError
             ("model.branch_hidden=1000000000000000000", "model.branch_hidden"),
             ("data.synthetic.train_per_domain=1000000000000000000", "data.synthetic.train_per_domain"),
+            # one identity shift per latent domain was once built before any array, for 40 s
+            pytest.param(
+                ("data.synthetic.domain_shifts=[]", "data.synthetic.n_latent_domains=1000000000000"),
+                "data.synthetic.n_latent_domains",
+                id="data.synthetic.n_latent_domains=1000000000000-identity_shifts",
+            ),
         ],
     )
     def test_size_too_large_to_allocate_is_a_config_error(self, quick_config, tmp_path, setting, path):
-        """Each size fails to allocate at once; the run has a process of its own, its address space capped at 3 GiB."""
+        """Each size fails to allocate at once; the run has a process of its own, its address space capped at 3 GiB.
+
+        setting is one --set value or a tuple of them, the last one setting the size.
+        """
 
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
@@ -312,12 +321,14 @@ class TestTrainCommand:
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         out = tmp_path / "run"
         cmd = [sys.executable, "-m", "mdalign.cli", "train", "--config", quick_config, "--out", str(out)]
-        cmd += ["--set", setting]
+        settings = (setting,) if isinstance(setting, str) else setting
+        for one in settings:
+            cmd += ["--set", one]
         proc = subprocess.run(
-            cmd, env=env, capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space
+            cmd, env=env, capture_output=True, text=True, timeout=15, preexec_fn=cap_address_space
         )
         assert proc.returncode == EXIT_CONFIG, proc.stderr
-        size = setting.rsplit("=", 1)[1].strip("[]")
+        size = settings[-1].rsplit("=", 1)[1].strip("[]")
         assert proc.stderr.startswith(f"config error: {path}: {size} is too large"), proc.stderr
         assert not out.exists()
 

@@ -14,6 +14,7 @@ import pytest
 from mdalign.assignment import KNOWN_CODE, TARGET_CODE, UNKNOWN_CODE, DomainTag
 import mdalign.data as mdata
 from mdalign.data import (
+    Batch,
     BatchSampler,
     BatchSpec,
     Dataset,
@@ -694,9 +695,9 @@ class TestBatchSampler:
         sampler = BatchSampler(source, target, BatchSpec(source_quota=4, target_quota=4), seed=0)
         batch = sampler.next_batch()
         assert batch.size == 8
-        assert batch.source_mask.sum() == 4
-        assert batch.target_mask.sum() == 4
-        assert batch.class_labels[batch.target_mask].tolist() == [-1] * 4
+        assert batch.n_source == 4
+        assert batch.size - batch.n_source == 4
+        assert batch.class_labels[batch.target].tolist() == [-1] * 4
 
     def test_deterministic_under_seed(self):
         source, target = self.make_pools()
@@ -710,7 +711,7 @@ class TestBatchSampler:
         sampler = BatchSampler(source, target, BatchSpec(source_quota=6, target_quota=2), seed=1)
         for _ in range(50):
             batch = sampler.next_batch()
-            assert batch.source_mask.sum() == 6 and batch.target_mask.sum() == 2
+            assert batch.n_source == 6 and batch.size - batch.n_source == 2
 
     def test_epoch_covers_pool_without_replacement(self):
         source, target = self.make_pools(n_source=10, n_target=10)
@@ -718,7 +719,7 @@ class TestBatchSampler:
         seen = []
         for _ in range(2):
             batch = sampler.next_batch()
-            seen += [tuple(f) for f in batch.features[batch.source_mask]]
+            seen += [tuple(f) for f in batch.features[batch.source]]
         assert len(set(seen)) == 10
 
     def test_zero_quota_rejected(self):
@@ -745,7 +746,7 @@ class TestBatchSampler:
             source, target, BatchSpec(source_quota=6, target_quota=2, balance_datasets=True), seed=0
         )
         batch = sampler.next_batch()
-        assert batch.source_mask.sum() == 6
+        assert batch.n_source == 6
 
     # First four batches (5 source + 3 target rows) of an index-valued pool: source
     # row i holds i and belongs to dataset i % 3, target row j holds 100 + j.
@@ -798,6 +799,58 @@ class TestBatchSampler:
         batch = sampler.next_batch()
         assert not hasattr(batch, "hidden_label")
         assert not hasattr(batch, "hidden_latent_domain")
+
+
+class TestBatchOrder:
+    """A batch holds its source rows first, then its target rows, and its halves are two slices."""
+
+    def test_target_row_before_a_source_row_is_refused(self):
+        kinds = np.array([UNKNOWN_CODE, TARGET_CODE, KNOWN_CODE, TARGET_CODE], dtype=np.int8)
+        expected = (
+            "batch row 1 is a target row before source row 2: "
+            "a batch holds its source rows first, then its target rows"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            Batch(np.zeros((4, 2)), np.full(4, -1), kinds, np.array([-1, -1, 0, -1]))
+
+    @pytest.mark.parametrize(
+        "codes",
+        [[], [TARGET_CODE] * 3, [UNKNOWN_CODE] * 3, [KNOWN_CODE, UNKNOWN_CODE, KNOWN_CODE, TARGET_CODE, TARGET_CODE]],
+        ids=["empty", "target_only", "source_only", "mixed"],
+    )
+    def test_halves_cover_the_rows_of_each_kind(self, codes):
+        """source and target index exactly the rows a mask of non-target and of target codes selects."""
+        kinds = np.array(codes, dtype=np.int8)
+        n = len(kinds)
+        batch = Batch(np.arange(n, dtype=np.float64)[:, None], np.full(n, -1), kinds, np.full(n, -1))
+        rows = np.arange(n)
+        assert rows[batch.source].tolist() == np.flatnonzero(kinds != TARGET_CODE).tolist()
+        assert rows[batch.target].tolist() == np.flatnonzero(kinds == TARGET_CODE).tolist()
+        assert batch.n_source == np.count_nonzero(kinds != TARGET_CODE)
+        assert np.shares_memory(batch.features[batch.source], batch.features) or batch.n_source == 0
+
+    def test_library_batches_keep_the_order(self, tmp_path):
+        """make_batch of every split synth_make and load_manifest build, and next_batch in both modes, comply."""
+        synthetic = synth_make(SynthConfig(n_latent_domains=3, train_per_domain=12, test_per_domain=4, seed=2))
+        pairs = TestManifest()
+        doc = {
+            "sources": [pairs.make_pair(tmp_path, "a", 9, 0) | {"domain": 0}, pairs.make_pair(tmp_path, "b", 7, 1)],
+            "target": pairs.make_pair(tmp_path, "t", 8, 2),
+            "target_test": pairs.make_pair(tmp_path, "u", 5, 3),
+        }
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        files = load_manifest(tmp_path / "manifest.json")
+        revealed = dataclasses.replace(synthetic, source_train=reveal_domain_labels(synthetic.source_train, [0, 5]))
+        for data in (synthetic, files, revealed):
+            assert make_batch(data.source_train).n_source == len(data.source_train)
+            assert make_batch(data.target_train).n_source == make_batch(data.target_test).n_source == 0
+            for balance in (False, True) if data is files else (False,):
+                spec = BatchSpec(source_quota=6, target_quota=4, balance_datasets=balance)
+                sampler = BatchSampler(data.source_train, data.target_train, spec, seed=0)
+                for _ in range(3):
+                    batch = sampler.next_batch()
+                    assert (batch.n_source, batch.size) == (6, 10)
+                    assert (batch.kinds[batch.target] == TARGET_CODE).all()
 
 
 class TestRevealDomainLabel:

@@ -140,7 +140,7 @@ class TestRunnerContracts:
         """All four baselines train to the same bytes when backward always builds the full assignment gradient.
 
         source_only and multi_source fix every assignment row, so their layers
-        skip that gradient; the patched backward builds it, then zeroes the fixed rows.
+        skip that gradient; the patched backward builds it over every row, then zeroes the fixed rows.
         """
         from dataclasses import replace
 
@@ -171,9 +171,10 @@ class TestRunnerContracts:
         all_fixed = []
 
         def full_backward(layer, cache, grad_out):
-            fixed = cache.fixed
+            fixed = np.ones(len(cache.w), dtype=bool)
+            fixed[cache.free] = False
             all_fixed.append(bool(fixed.all()))
-            out = backward(layer, replace(cache, fixed=np.zeros_like(fixed)), grad_out)
+            out = backward(layer, replace(cache, free=slice(None)), grad_out)
             out[1][fixed] = 0.0
             return out
 

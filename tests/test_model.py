@@ -120,7 +120,8 @@ class TestForwardTrain:
         rng = np.random.default_rng(2)
         batch = make_mixed_batch(rng)
         record = forward_train(Model(tiny_config()), batch)
-        np.testing.assert_array_equal(record.assignment.fixed, batch.known_mask | batch.target_mask)
+        is_target = np.arange(batch.size) >= batch.n_source
+        np.testing.assert_array_equal(record.assignment.fixed, batch.known_mask | is_target)
 
     def test_all_known_single_domain_equals_plain_batchnorm_network(self):
         """k=1 with every row hard-assigned reduces to a plain-BN network."""
