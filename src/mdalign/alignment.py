@@ -355,12 +355,30 @@ class AlignmentLayer:
             grad_gamma = grad_beta = None
             g1, g2 = p, q
 
-        # Input gradient: direct mixing term minus the mean/variance paths of
-        # the live domains, spread over spatial positions.  With every domain
-        # live, a slice takes their rows without copying them.
         sel = slice(None) if cache.aw.all_live else live
         v = (g2 * inv_std**2)[sel]
         u = (g1 * inv_std)[sel] - mean[sel] * v
+        grad_w = np.zeros_like(w)
+        free = cache.free
+        gx_free = gx_sum[free]
+        if len(gx_free):
+            # Direct path of the assignment gradient: sum over channels and
+            # positions of g * gamma * xhat per domain.
+            grad_free = _times_t(gx_free, scale) - _times_t(g_sum[free], mean * scale)
+            # the path through alpha = w / column_total and the live statistics
+            sample_mean, sample_sq = _sample_moments(xr[free])
+            h = v / 2.0
+            through = _times_t(sample_mean, u)
+            through += _times_t(sample_sq, h)
+            column = (mean[sel] * u + cache.mean_sq[sel] * h).sum(axis=1)
+            grad_free[:, sel] += (column - through) / cache.aw.total_weight[sel]
+            grad_w[free] = grad_free
+        # g * x goes before the input gradient's [b, c] temporaries are made, which can then take its memory
+        del gx_sum, gx_free
+
+        # Input gradient: direct mixing term minus the mean/variance paths of
+        # the live domains, spread over spatial positions.  With every domain
+        # live, a slice takes their rows without copying them.
         alpha_live = alpha[:, sel]
         paths = _times_into(xr, alpha_live @ v)
         paths += (alpha_live @ u)[:, :, None]
@@ -369,23 +387,6 @@ class AlignmentLayer:
         grad_x = _times_into(gr, w @ scale)
         grad_x -= paths
         del paths
-        grad_w = np.zeros_like(w)
-        free = cache.free
-        gx_free = gx_sum[free]
-        if not len(gx_free):
-            return grad_x.reshape(cache.x_shape), grad_w, grad_gamma, grad_beta
-
-        # Direct path of the assignment gradient: sum over channels and
-        # positions of g * gamma * xhat per domain.
-        grad_free = _times_t(gx_free, scale) - _times_t(g_sum[free], mean * scale)
-        # the path through alpha = w / column_total and the live statistics
-        sample_mean, sample_sq = _sample_moments(xr[free])
-        h = v / 2.0
-        through = _times_t(sample_mean, u)
-        through += _times_t(sample_sq, h)
-        column = (mean[sel] * u + cache.mean_sq[sel] * h).sum(axis=1)
-        grad_free[:, sel] += (column - through) / cache.aw.total_weight[sel]
-        grad_w[free] = grad_free
         return grad_x.reshape(cache.x_shape), grad_w, grad_gamma, grad_beta
 
     def infer(self, x: np.ndarray, assignment) -> np.ndarray:
