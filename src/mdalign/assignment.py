@@ -90,6 +90,15 @@ def tag_codes(tags) -> tuple[np.ndarray, np.ndarray]:
     return kinds, known
 
 
+def _check_rows(probs: np.ndarray) -> None:
+    """Raise ValueError unless every row of probs lies in [0, 1] and sums to 1 within 1e-9."""
+    # written so that NaN, which fails every comparison, is rejected too
+    if probs.size and not (probs.min() >= 0 and probs.max() <= 1):
+        raise ValueError("assignment entries must be finite and lie in [0, 1]")
+    if probs.size and np.max(np.abs(probs.sum(axis=1) - 1.0)) > 1e-9:
+        raise ValueError("assignment rows must sum to 1")
+
+
 def _free_rows(fixed: np.ndarray) -> slice | np.ndarray:
     """The rows fixed leaves free: a slice when they are contiguous or none, else their index array."""
     rows = np.flatnonzero(~fixed)
@@ -119,11 +128,7 @@ class Assignment:
             raise ValueError("assignment probabilities must be [batch, domains]")
         if fixed.shape != (probs.shape[0],):
             raise ValueError("fixed mask must have one entry per row")
-        # written so that NaN, which fails every comparison, is rejected too
-        if probs.size and not (probs.min() >= 0 and probs.max() <= 1):
-            raise ValueError("assignment entries must be finite and lie in [0, 1]")
-        if probs.size and np.max(np.abs(probs.sum(axis=1) - 1.0)) > 1e-9:
-            raise ValueError("assignment rows must sum to 1")
+        _check_rows(probs)
         self.probs = probs
         self.fixed = fixed
         self.free = _free_rows(fixed)
@@ -131,7 +136,7 @@ class Assignment:
 
     @classmethod
     def unchecked(cls, probs: np.ndarray, fixed: np.ndarray) -> "Assignment":
-        """Bypass row validation; gradient probing perturbs rows off the simplex."""
+        """Bypass row validation: gradient probing perturbs rows off the simplex, and merge_assignments checks its rows itself."""
         obj = cls.__new__(cls)
         obj.probs = np.asarray(probs, dtype=np.float64)
         obj.fixed = np.asarray(fixed, dtype=bool)
@@ -156,7 +161,8 @@ def merge_assignments(pred: np.ndarray, tags, known_domains: np.ndarray | None =
     Target rows become one-hot on the target column and fixed; known-source
     rows one-hot on their labeled column and fixed; unknown-source rows carry
     the predicted probabilities with an exact zero in the target column and
-    stay free to receive gradient.
+    stay free to receive gradient.  Only those predicted rows are validated
+    as Assignment validates rows; the one-hot rows are made valid here.
     """
     if known_domains is None:
         tags, known_domains = tag_codes(tags)
@@ -165,16 +171,21 @@ def merge_assignments(pred: np.ndarray, tags, known_domains: np.ndarray | None =
     if pred.ndim != 2 or pred.shape[0] != len(tags):
         raise ValueError(f"predictions {pred.shape} do not match {len(tags)} tags")
     b, k = pred.shape
-    known = np.flatnonzero(tags == KNOWN_CODE)
+    if tags.size and not (tags.min() >= 0 and tags.max() < len(TAG_KINDS)):
+        raise ValueError(f"kind codes must lie in 0..{len(TAG_KINDS) - 1}")
+    known, free = tags == KNOWN_CODE, tags == UNKNOWN_CODE
     labels = known_domains[known]
-    if labels.size and labels.max() >= k:
-        raise ValueError(f"domain label {labels.max()} out of range for k={k}")
-    free = tags == UNKNOWN_CODE
-    probs = np.zeros((b, k + 1))
-    probs[tags == TARGET_CODE, k] = 1.0
-    probs[known, labels] = 1.0
-    probs[free, :k] = pred[free]
-    return Assignment(probs, ~free)
+    bad = labels[(labels < 0) | (labels >= k)]
+    if bad.size:
+        raise ValueError(f"domain label {bad[0]} out of range for k={k}")
+    # every row in one gather from an identity whose last row is zero: one-hot on the declared
+    # domain of a known-source row, on the target column k of a target row, zero (row k + 1) on a free row
+    probs = np.eye(k + 2, k + 1).take(np.where(known, known_domains, np.where(free, k + 1, k)), axis=0)
+    rows = np.flatnonzero(free)
+    predicted = pred.take(rows, axis=0)
+    _check_rows(predicted)
+    probs[rows, :k] = predicted
+    return Assignment.unchecked(probs, ~free)
 
 
 class DomainPredictor:

@@ -12,7 +12,10 @@ assignment gradients.
 from __future__ import annotations
 
 import json
+import os
+import queue
 import sys
+import threading
 import types
 import typing
 from dataclasses import asdict, dataclass, fields, is_dataclass
@@ -108,6 +111,11 @@ class _Dense:
 
 class Model:
     """Instantiated network; owned by a single training thread.
+
+    backward_train may hand some dense weight and bias gradients to the
+    process's worker thread, which writes them into this model's grad views;
+    it joins that work before it returns or raises, so no other thread
+    touches the model outside a backward_train call.
 
     The value, grad and momentum of every ParamBlock are views into three flat
     buffers, the parameter arena, which `flat` wraps as one ParamBlock.  Blocks
@@ -320,6 +328,99 @@ def _objective(record: ForwardRecord, batch: Batch, weights: LossWeights):
     return breakdown, g_class, g_domain
 
 
+# ---------------------------------------------------------------------------
+# backward, with the large weight-gradient products on a second thread
+
+# A dense layer's weight gradient goes to the worker thread when x^T g takes at
+# least this many multiply-adds.  A round trip through the worker (queue put,
+# wake-up, join) took about 16 us on a 2-core x86 VM, where one OpenBLAS thread
+# needs about 170 us for 2**22 multiply-adds: some ten handoffs' worth.
+_OFFLOAD_MIN_MACS = 1 << 22
+
+_jobs: queue.SimpleQueue | None = None  # the worker's queue; None until this process's first offload
+
+
+def _forget_worker() -> None:
+    # a forked child inherits the queue but not the thread that reads it
+    global _jobs
+    _jobs = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _work(jobs: queue.SimpleQueue) -> None:
+    """The worker's loop: run each job, then put its exception, or None, on the job's reply queue."""
+    while True:
+        fn, args, done = jobs.get()
+        try:
+            fn(*args)
+        except Exception as err:  # the joining thread raises it
+            done.put(err)
+        else:
+            done.put(None)
+        # hold no array while waiting for the next job
+        del fn, args, done
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _weight_grads(x: np.ndarray, grad_out: np.ndarray, g_weight: np.ndarray, g_bias: np.ndarray) -> None:
+    """Give the zeroed views g_weight and g_bias the bits of adding dense_backward's weight and bias gradient to them.
+
+    The product is written straight into g_weight: a temporary made on the
+    worker thread would come from that thread's own malloc arena and stay
+    resident.  + 0.0 then turns its -0.0 into +0.0, as adding it to 0.0 does.
+    """
+    np.matmul(x.T, grad_out, out=g_weight)
+    g_weight += 0.0
+    g_bias += grad_out.sum(axis=0)
+
+
+class _Offloads:
+    """The weight-gradient jobs one backward pass hands to the process's worker thread."""
+
+    def __init__(self):
+        self.done: queue.SimpleQueue | None = None
+        self.count = 0
+
+    def submit(self, fn, *args) -> None:
+        global _jobs
+        if _jobs is None:
+            _jobs = queue.SimpleQueue()
+            threading.Thread(target=_work, args=(_jobs,), name="mdalign-weight-grads", daemon=True).start()
+        if self.done is None:
+            self.done = queue.SimpleQueue()
+        _jobs.put((fn, args, self.done))
+        self.count += 1
+
+    def join(self) -> Exception | None:
+        """Wait for every job submitted; returns the first exception one raised, or None."""
+        errors = [self.done.get() for _ in range(self.count)]
+        return next((err for err in errors if err is not None), None)
+
+
+def _dense_layer_backward(layer: _Dense, x: np.ndarray, grad: np.ndarray, offloads: _Offloads, input_grad: bool = True):
+    """dense_backward of one layer, its weight and bias gradient added to the layer's grad views; returns grad_x.
+
+    The weight and bias gradient go to the worker thread, and this thread goes
+    straight on with grad_x, when grad_x is wanted (so there is work to
+    overlap), x^T grad takes at least _OFFLOAD_MIN_MACS multiply-adds and the
+    process may run on two CPUs.
+    """
+    if input_grad and x.shape[0] * x.shape[1] * grad.shape[1] >= _OFFLOAD_MIN_MACS and _cpus() >= 2:
+        offloads.submit(_weight_grads, x, grad, layer.weight.grad, layer.bias.grad)
+        return dense_backward(x, layer.weight.value, grad, weight_grad=False)[0]
+    grad_x, g_w, g_b = dense_backward(x, layer.weight.value, grad, input_grad=input_grad)
+    layer.weight.grad += g_w
+    layer.bias.grad += g_b
+    return grad_x
+
+
 def backward_train(
     model: Model, record: ForwardRecord, batch: Batch, weights: LossWeights
 ) -> LossBreakdown:
@@ -329,7 +430,25 @@ def backward_train(
     on labeled rows, the weighted domain entropy on unlabeled rows, and the
     assignment gradients accumulated from every alignment layer (free rows
     only), all routed through its single softmax.
+
+    A large dense weight gradient whose layer's input gradient the pass goes
+    on with is computed on one worker thread per process (_dense_layer_backward
+    says when), overlapping the rest of the pass.  Every such job is joined
+    before this returns or raises, so the caller sees complete gradients with
+    the bits of a pass on one thread; an exception a job raised is raised here.
     """
+    offloads = _Offloads()
+    try:
+        breakdown = _backward(model, record, batch, weights, offloads)
+    finally:
+        error = offloads.join()
+    if error is not None:
+        raise error
+    return breakdown
+
+
+def _backward(model: Model, record: ForwardRecord, batch: Batch, weights: LossWeights, offloads: _Offloads):
+    """backward_train's pass; some weight gradients may still be computing on the worker when it returns."""
     breakdown, g_class_ent, g_domain_ent = _objective(record, batch, weights)
     model.zero_grads()
     record.assignment.zero_grad()
@@ -359,10 +478,7 @@ def backward_train(
         layer.gamma.grad += g_gamma
         layer.beta.grad += g_beta
         record.assignment.add_grad(grad_w)
-        dlayer = model.classifier[j]
-        grad, g_w, g_b = dense_backward(dense_input, dlayer.weight.value, grad)
-        dlayer.weight.grad += g_w
-        dlayer.bias.grad += g_b
+        grad = _dense_layer_backward(model.classifier[j], dense_input, grad, offloads)
     g_trunk = grad
 
     # predictor head, over the batch's source half; it starts at row 0, so a
@@ -390,11 +506,8 @@ def backward_train(
         inp, relu_out = record.trunk_caches[i]
         # grad is made here: g_trunk, or the dense_backward output of the block above
         grad = relu_backward(relu_out, grad)
-        layer = model.trunk[i]
         # the gradient at the network input is never used
-        grad, g_w, g_b = dense_backward(inp, layer.weight.value, grad, input_grad=i > 0)
-        layer.weight.grad += g_w
-        layer.bias.grad += g_b
+        grad = _dense_layer_backward(model.trunk[i], inp, grad, offloads, input_grad=i > 0)
 
     return breakdown
 

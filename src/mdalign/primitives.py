@@ -64,15 +64,19 @@ def dense_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.nda
     return y
 
 
-def dense_backward(x, weight, grad_out, input_grad: bool = True):
+def dense_backward(x, weight, grad_out, input_grad: bool = True, weight_grad: bool = True):
     """Exact gradients of dense_forward: returns (grad_x, grad_weight, grad_bias).
 
     With input_grad off, grad_x is not computed and comes back as None (for a
-    first layer, whose input needs no gradient).
+    first layer, whose input needs no gradient).  With weight_grad off,
+    grad_weight and grad_bias come back as None (for a caller that has them
+    computed elsewhere, as backward_train's worker thread does).
     """
     if grad_out.shape != (x.shape[0], weight.shape[1]):
         raise ValueError(f"grad shape {grad_out.shape} incompatible with y = x{x.shape} @ W{weight.shape}")
     grad_x = grad_out @ weight.T if input_grad else None
+    if not weight_grad:
+        return grad_x, None, None
     grad_w = x.T @ grad_out
     grad_b = grad_out.sum(axis=0)
     return grad_x, grad_w, grad_b

@@ -66,6 +66,13 @@ class TestMergeAssignments:
                     tags.append(DomainTag.unknown_source())
             a = merge_assignments(pred, tags)
             coded = merge_assignments(pred, *tag_codes(tags))
+            expected = np.zeros((b, k + 1))  # the merge, row by row
+            for i, tag in enumerate(tags):
+                if tag.kind == "unknown-source":
+                    expected[i, :k] = pred[i]
+                else:
+                    expected[i, k if tag.index is None else tag.index] = 1.0
+            assert a.probs.tobytes() == expected.tobytes()
             np.testing.assert_array_equal(coded.probs, a.probs)
             np.testing.assert_array_equal(coded.fixed, a.fixed)
             np.testing.assert_allclose(a.probs.sum(axis=1), 1.0, atol=1e-9)
@@ -77,6 +84,25 @@ class TestMergeAssignments:
                     assert a.fixed[i] and a.probs[i, tag.index] == 1.0
                 else:
                     assert not a.fixed[i] and a.probs[i, k] == 0.0
+
+
+    def test_out_of_range_codes_rejected(self):
+        pred = np.array([[0.4, 0.6], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="kind codes"):
+            merge_assignments(pred, np.array([UNKNOWN_CODE, 3]), np.array([-1, -1]))
+        with pytest.raises(ValueError, match="kind codes"):
+            merge_assignments(pred, np.array([-1, UNKNOWN_CODE]), np.array([-1, -1]))
+        # a known-source row without a domain would land on the target column
+        with pytest.raises(ValueError, match="domain label -1 out of range"):
+            merge_assignments(pred, np.array([KNOWN_CODE, UNKNOWN_CODE]), np.array([-1, -1]))
+
+    def test_predictions_are_checked_on_free_rows_only(self):
+        tags = [DomainTag.target(), DomainTag.known_source(0), DomainTag.unknown_source()]
+        # a fixed row's prediction is never read
+        a = merge_assignments(np.array([[np.nan, 2.0], [-1.0, 0.0], [0.25, 0.75]]), tags)
+        np.testing.assert_array_equal(a.probs, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.25, 0.75, 0.0]])
+        with pytest.raises(ValueError, match="sum to 1"):
+            merge_assignments(np.array([[0.5, 0.5], [0.5, 0.5], [0.25, 0.5]]), tags)
 
 
 class TestSharedView:

@@ -3,7 +3,10 @@
 import copy
 import dataclasses
 import json
+import os
 import re
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 from mdalign.alignment import AlignConfig, weighted_moments
 from mdalign.assignment import KNOWN_CODE, TARGET_CODE, UNKNOWN_CODE, Assignment
 from mdalign.data import Batch, Split, make_batch
+from mdalign import model as mmodel
 from mdalign.losses import LossWeights
 from mdalign.model import (
     EVAL_BLOCK_ROWS,
@@ -30,6 +34,7 @@ from mdalign.model import (
 )
 from mdalign.primitives import (
     central_difference,
+    dense_backward,
     dense_forward,
     max_relative_error,
     relu_forward,
@@ -333,6 +338,144 @@ def assert_blocks_view_the_arena(model):
     for name, p in model.named_params():
         for attr in ("value", "grad", "momentum"):
             assert np.shares_memory(getattr(p, attr), getattr(model.flat, attr)), f"{name}.{attr}"
+
+
+class TestWeightGradientWorker:
+    """backward_train's dense weight gradients on the worker thread: the bits, the joins and the fork.
+
+    No test model is wide enough to pass the offload rule's size threshold,
+    so these tests lower the private threshold, and let the rule see two CPUs
+    on any machine.
+    """
+
+    WEIGHTS = LossWeights(domain_ce=0.5, class_entropy=0.2, domain_entropy=0.2)
+
+    @staticmethod
+    def gradients(model, batch):
+        record = forward_train(model, batch, update_running=False)
+        breakdown = backward_train(model, record, batch, TestWeightGradientWorker.WEIGHTS)
+        return model.flat.grad.copy(), breakdown
+
+    @pytest.fixture
+    def jobs(self, monkeypatch):
+        """Offload every product the rule allows; returns the list of (x, grad_out) shapes each job got."""
+        monkeypatch.setattr(mmodel, "_OFFLOAD_MIN_MACS", 0)
+        monkeypatch.setattr(mmodel, "_cpus", lambda: 2)
+        shapes, real = [], mmodel._weight_grads
+
+        def recording(x, grad_out, g_weight, g_bias):
+            shapes.append((x.shape, grad_out.shape))
+            real(x, grad_out, g_weight, g_bias)
+
+        monkeypatch.setattr(mmodel, "_weight_grads", recording)
+        return shapes
+
+    CASES = {
+        "default model, mixed rows": (dict(in_dim=4, n_classes=3), dict(n_known=2, n_unknown=3, n_target=3)),
+        "3-layer classifier, mixed rows": (
+            dict(trunk_widths=(6, 5), classifier_widths=(5, 7)), dict(n_known=2, n_unknown=3, n_target=3),
+        ),
+        "default model, all rows fixed": (dict(in_dim=4, n_classes=3), dict(n_known=4, n_unknown=0, n_target=3)),
+        "3-layer classifier, all rows fixed": (
+            dict(trunk_widths=(6, 5), classifier_widths=(5, 7)), dict(n_known=4, n_unknown=0, n_target=3),
+        ),
+    }
+
+    def test_weight_grads_give_the_bits_of_dense_backward_added_to_zeroed_views(self):
+        rng = np.random.default_rng(30)
+        x, grad_out, weight = np.abs(rng.normal(size=(9, 4))), rng.normal(size=(9, 3)), rng.normal(size=(4, 3))
+        grad_out[:, 1] = -0.0
+        expected_w, expected_b = np.zeros((4, 3)), np.zeros(3)
+        _, g_w, g_b = dense_backward(x, weight, grad_out)
+        expected_w += g_w
+        expected_b += g_b
+        g_weight, g_bias = np.zeros((4, 3)), np.zeros(3)
+        mmodel._weight_grads(x, grad_out, g_weight, g_bias)
+        assert g_weight.tobytes() == expected_w.tobytes() and g_bias.tobytes() == expected_b.tobytes()
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_offloaded_products_give_the_bits_of_one_thread(self, monkeypatch, jobs, case):
+        overrides, rows = self.CASES[case]
+        cfg = ModelConfig(**overrides) if "in_dim" in overrides else tiny_config(**overrides)
+        model = Model(cfg)
+        batch = make_mixed_batch(np.random.default_rng(31), **rows)
+        offloaded = self.gradients(model, batch)
+        # every classifier layer and every trunk layer above the first: the first's input needs no gradient
+        n_jobs = len(cfg.classifier_widths) + 1 + len(cfg.trunk_widths) - 1
+        assert len(jobs) == n_jobs
+        assert (batch.features.shape, (batch.size, cfg.trunk_widths[0])) not in jobs
+
+        monkeypatch.setattr(mmodel, "_OFFLOAD_MIN_MACS", 1 << 62)
+        serial = self.gradients(model, batch)
+        monkeypatch.setattr(mmodel, "_OFFLOAD_MIN_MACS", 0)
+        monkeypatch.setattr(mmodel, "_cpus", lambda: 1)
+        one_cpu = self.gradients(model, batch)
+        assert len(jobs) == n_jobs
+        for grads, breakdown in (serial, one_cpu):
+            assert grads.tobytes() == offloaded[0].tobytes()
+            assert breakdown == offloaded[1]
+
+    def test_a_layer_error_waits_for_the_queued_products(self, monkeypatch, jobs):
+        model = Model(tiny_config(classifier_widths=(5, 7)))
+        batch = make_mixed_batch(np.random.default_rng(32))
+        finished, real = [], mmodel._weight_grads
+
+        def slow(*args):
+            time.sleep(0.2)
+            real(*args)
+            finished.append(True)
+
+        def failing(cache, grad):
+            raise RuntimeError("alignment layer 1 failed")
+
+        monkeypatch.setattr(mmodel, "_weight_grads", slow)
+        # layer 2's products are queued before layer 1's backward runs
+        monkeypatch.setattr(model.align_layers[1], "backward", failing)
+        with pytest.raises(RuntimeError, match="alignment layer 1 failed"):
+            self.gradients(model, batch)
+        assert finished == [True]
+        after_return = model.flat.grad.copy()
+        time.sleep(0.3)
+        assert model.flat.grad.tobytes() == after_return.tobytes()
+
+    def test_an_error_in_the_worker_surfaces(self, monkeypatch, jobs):
+        model = Model(tiny_config())
+        batch = make_mixed_batch(np.random.default_rng(33))
+        real = mmodel._weight_grads
+
+        def failing(*args):
+            raise FloatingPointError("weight product failed")
+
+        monkeypatch.setattr(mmodel, "_weight_grads", failing)
+        with pytest.raises(FloatingPointError, match="weight product failed"):
+            self.gradients(model, batch)
+        # the worker survives its job's error
+        monkeypatch.setattr(mmodel, "_weight_grads", real)
+        offloaded = self.gradients(model, batch)
+        monkeypatch.setattr(mmodel, "_OFFLOAD_MIN_MACS", 1 << 62)
+        assert self.gradients(model, batch)[0].tobytes() == offloaded[0].tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_worker(self, jobs):
+        model = Model(tiny_config(classifier_widths=(5, 7)))
+        batch = make_mixed_batch(np.random.default_rng(34))
+        grads, _ = self.gradients(model, batch)
+        assert jobs and mmodel._jobs is not None  # the parent's worker exists
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if self.gradients(model, batch)[0].tobytes() == grads.tobytes() else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while not (reaped := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish its training step within 30 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(reaped[1]) == 0, "the child's gradients differ from the parent's"
 
 
 class TestParameterArena:
