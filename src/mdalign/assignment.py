@@ -95,13 +95,13 @@ def _check_rows(probs: np.ndarray) -> None:
     # written so that NaN, which fails every comparison, is rejected too
     if probs.size and not (probs.min() >= 0 and probs.max() <= 1):
         raise ValueError("assignment entries must be finite and lie in [0, 1]")
-    if probs.size and np.max(np.abs(probs.sum(axis=1) - 1.0)) > 1e-9:
+    if probs.size and np.maximum.reduce(np.abs(probs.sum(axis=1) - 1.0)) > 1e-9:
         raise ValueError("assignment rows must sum to 1")
 
 
 def _free_rows(fixed: np.ndarray) -> slice | np.ndarray:
     """The rows fixed leaves free: a slice when they are contiguous or none, else their index array."""
-    rows = np.flatnonzero(~fixed)
+    rows = (~fixed).nonzero()[0]
     if rows.size == 0:
         return slice(0, 0)
     if rows[-1] - rows[0] + 1 == rows.size:
@@ -132,7 +132,7 @@ class Assignment:
         self.probs = probs
         self.fixed = fixed
         self.free = _free_rows(fixed)
-        self.grad = np.zeros_like(probs)
+        self.grad = np.zeros(probs.shape)
 
     @classmethod
     def unchecked(cls, probs: np.ndarray, fixed: np.ndarray) -> "Assignment":
@@ -141,7 +141,7 @@ class Assignment:
         obj.probs = np.asarray(probs, dtype=np.float64)
         obj.fixed = np.asarray(fixed, dtype=bool)
         obj.free = _free_rows(obj.fixed)
-        obj.grad = np.zeros_like(obj.probs)
+        obj.grad = np.zeros(obj.probs.shape)
         return obj
 
     def add_grad(self, grad_w: np.ndarray) -> None:
@@ -181,7 +181,7 @@ def merge_assignments(pred: np.ndarray, tags, known_domains: np.ndarray | None =
     # every row in one gather from an identity whose last row is zero: one-hot on the declared
     # domain of a known-source row, on the target column k of a target row, zero (row k + 1) on a free row
     probs = np.eye(k + 2, k + 1).take(np.where(known, known_domains, np.where(free, k + 1, k)), axis=0)
-    rows = np.flatnonzero(free)
+    rows = free.nonzero()[0]
     predicted = pred.take(rows, axis=0)
     _check_rows(predicted)
     probs[rows, :k] = predicted

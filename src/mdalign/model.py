@@ -400,6 +400,8 @@ class _Offloads:
 
     def join(self) -> Exception | None:
         """Wait for every job submitted; returns the first exception one raised, or None."""
+        if not self.count:
+            return None
         errors = [self.done.get() for _ in range(self.count)]
         return next((err for err in errors if err is not None), None)
 
