@@ -783,6 +783,11 @@ class BatchSampler:
 
         The stored rows of both pools are gathered into one array and scaled once.
         """
+        return self._draw()
+
+    def _draw(self) -> Batch:
+        # next_batch's body; train runs it on its worker thread when it draws a
+        # batch ahead, so that a tracer wrapping next_batch sees main-thread calls only
         rows = ((self.source, self._source_indices()), (self.target, self._target_epoch.take(self.spec.target_quota)))
         features = _scale(np.concatenate([split.features[idx] for split, idx in rows]))
         columns = (np.concatenate([getattr(split, name)[idx] for split, idx in rows]) for name in _BATCH_COLUMNS)

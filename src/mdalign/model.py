@@ -329,7 +329,8 @@ def _objective(record: ForwardRecord, batch: Batch, weights: LossWeights):
 
 
 # ---------------------------------------------------------------------------
-# backward, with the large weight-gradient products on a second thread
+# the process's worker thread, and backward with the large weight-gradient
+# products on it
 
 # A dense layer's weight gradient goes to the worker thread when x^T g takes at
 # least this many multiply-adds.  A round trip through the worker (queue put,
@@ -337,7 +338,7 @@ def _objective(record: ForwardRecord, batch: Batch, weights: LossWeights):
 # needs about 170 us for 2**22 multiply-adds: some ten handoffs' worth.
 _OFFLOAD_MIN_MACS = 1 << 22
 
-_jobs: queue.SimpleQueue | None = None  # the worker's queue; None until this process's first offload
+_jobs: queue.SimpleQueue | None = None  # the worker's queue; None until this process's first job
 
 
 def _forget_worker() -> None:
@@ -351,17 +352,44 @@ if hasattr(os, "register_at_fork"):
 
 
 def _work(jobs: queue.SimpleQueue) -> None:
-    """The worker's loop: run each job, then put its exception, or None, on the job's reply queue."""
+    """The worker's loop: run each job, then put (its result, None) or (None, its exception) on its reply queue."""
     while True:
         fn, args, done = jobs.get()
         try:
-            fn(*args)
+            outcome = fn(*args), None
         except Exception as err:  # the joining thread raises it
-            done.put(err)
-        else:
-            done.put(None)
+            outcome = None, err
+        done.put(outcome)
         # hold no array while waiting for the next job
-        del fn, args, done
+        del fn, args, done, outcome
+
+
+def _submit(fn, *args) -> queue.SimpleQueue:
+    """Run fn(*args) on the process's one worker thread, started on first use; returns the job's reply queue.
+
+    Jobs run one at a time, in the order they were submitted.  _join waits
+    for a job through its reply queue.
+    """
+    global _jobs
+    if _jobs is None:
+        _jobs = queue.SimpleQueue()
+        threading.Thread(target=_work, args=(_jobs,), name="mdalign-worker", daemon=True).start()
+    done = queue.SimpleQueue()
+    _jobs.put((fn, args, done))
+    return done
+
+
+def _join(pending: list[queue.SimpleQueue]) -> list:
+    """Wait for every job whose reply queue is in pending; return their results in order.
+
+    Once all of them have ended, the first exception one raised is raised
+    instead.
+    """
+    outcomes = [done.get() for done in pending]
+    for _, error in outcomes:
+        if error is not None:
+            raise error
+    return [result for result, _ in outcomes]
 
 
 def _cpus() -> int:
@@ -372,55 +400,31 @@ def _cpus() -> int:
 def _weight_grads(x: np.ndarray, grad_out: np.ndarray, g_weight: np.ndarray, g_bias: np.ndarray) -> None:
     """Give the zeroed views g_weight and g_bias the bits of adding dense_backward's weight and bias gradient to them.
 
-    The product is written straight into g_weight: a temporary made on the
-    worker thread would come from that thread's own malloc arena and stay
-    resident.  + 0.0 then turns its -0.0 into +0.0, as adding it to 0.0 does.
+    The product is written straight into g_weight, with no temporary and no
+    add pass (a temporary made on the worker thread would also come from that
+    thread's own malloc arena and stay resident).  + 0.0 then turns its -0.0
+    into +0.0, as adding it to 0.0 does.
     """
     np.matmul(x.T, grad_out, out=g_weight)
     g_weight += 0.0
     g_bias += grad_out.sum(axis=0)
 
 
-class _Offloads:
-    """The weight-gradient jobs one backward pass hands to the process's worker thread."""
+def _dense_layer_backward(layer: _Dense, x: np.ndarray, grad: np.ndarray, queued: list, input_grad: bool = True):
+    """dense_backward of one layer, its weight and bias gradient written into the layer's zeroed grad views.
 
-    def __init__(self):
-        self.done: queue.SimpleQueue | None = None
-        self.count = 0
-
-    def submit(self, fn, *args) -> None:
-        global _jobs
-        if _jobs is None:
-            _jobs = queue.SimpleQueue()
-            threading.Thread(target=_work, args=(_jobs,), name="mdalign-weight-grads", daemon=True).start()
-        if self.done is None:
-            self.done = queue.SimpleQueue()
-        _jobs.put((fn, args, self.done))
-        self.count += 1
-
-    def join(self) -> Exception | None:
-        """Wait for every job submitted; returns the first exception one raised, or None."""
-        if not self.count:
-            return None
-        errors = [self.done.get() for _ in range(self.count)]
-        return next((err for err in errors if err is not None), None)
-
-
-def _dense_layer_backward(layer: _Dense, x: np.ndarray, grad: np.ndarray, offloads: _Offloads, input_grad: bool = True):
-    """dense_backward of one layer, its weight and bias gradient added to the layer's grad views; returns grad_x.
-
-    The weight and bias gradient go to the worker thread, and this thread goes
+    Returns grad_x, or None without input_grad.  The weight and bias gradient
+    go to the worker thread, their reply queue to queued, and this thread goes
     straight on with grad_x, when grad_x is wanted (so there is work to
     overlap), x^T grad takes at least _OFFLOAD_MIN_MACS multiply-adds and the
-    process may run on two CPUs.
+    process may run on two CPUs.  Otherwise this thread computes them with the
+    worker's function, _weight_grads.
     """
     if input_grad and x.shape[0] * x.shape[1] * grad.shape[1] >= _OFFLOAD_MIN_MACS and _cpus() >= 2:
-        offloads.submit(_weight_grads, x, grad, layer.weight.grad, layer.bias.grad)
-        return dense_backward(x, layer.weight.value, grad, weight_grad=False)[0]
-    grad_x, g_w, g_b = dense_backward(x, layer.weight.value, grad, input_grad=input_grad)
-    layer.weight.grad += g_w
-    layer.bias.grad += g_b
-    return grad_x
+        queued.append(_submit(_weight_grads, x, grad, layer.weight.grad, layer.bias.grad))
+    else:
+        _weight_grads(x, grad, layer.weight.grad, layer.bias.grad)
+    return dense_backward(x, layer.weight.value, grad, weight_grad=False)[0] if input_grad else None
 
 
 def backward_train(
@@ -439,18 +443,16 @@ def backward_train(
     before this returns or raises, so the caller sees complete gradients with
     the bits of a pass on one thread; an exception a job raised is raised here.
     """
-    offloads = _Offloads()
+    queued: list[queue.SimpleQueue] = []
     try:
-        breakdown = _backward(model, record, batch, weights, offloads)
+        return _backward(model, record, batch, weights, queued)
     finally:
-        error = offloads.join()
-    if error is not None:
-        raise error
-    return breakdown
+        if queued:
+            _join(queued)
 
 
-def _backward(model: Model, record: ForwardRecord, batch: Batch, weights: LossWeights, offloads: _Offloads):
-    """backward_train's pass; some weight gradients may still be computing on the worker when it returns."""
+def _backward(model: Model, record: ForwardRecord, batch: Batch, weights: LossWeights, queued: list):
+    """backward_train's pass; the reply queues of the weight gradients it hands to the worker go to queued."""
     breakdown, g_class_ent, g_domain_ent = _objective(record, batch, weights)
     model.zero_grads()
     record.assignment.zero_grad()
@@ -480,7 +482,7 @@ def _backward(model: Model, record: ForwardRecord, batch: Batch, weights: LossWe
         layer.gamma.grad += g_gamma
         layer.beta.grad += g_beta
         record.assignment.add_grad(grad_w)
-        grad = _dense_layer_backward(model.classifier[j], dense_input, grad, offloads)
+        grad = _dense_layer_backward(model.classifier[j], dense_input, grad, queued)
     g_trunk = grad
 
     # predictor head, over the batch's source half; it starts at row 0, so a
@@ -509,7 +511,7 @@ def _backward(model: Model, record: ForwardRecord, batch: Batch, weights: LossWe
         # grad is made here: g_trunk, or the dense_backward output of the block above
         grad = relu_backward(relu_out, grad)
         # the gradient at the network input is never used
-        grad = _dense_layer_backward(model.trunk[i], inp, grad, offloads, input_grad=i > 0)
+        grad = _dense_layer_backward(model.trunk[i], inp, grad, queued, input_grad=i > 0)
 
     return breakdown
 

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import signal
+import threading
 import time
 import tracemalloc
 
@@ -14,8 +15,9 @@ import pytest
 
 from mdalign.alignment import AlignConfig, weighted_moments
 from mdalign.assignment import KNOWN_CODE, TARGET_CODE, UNKNOWN_CODE, Assignment
-from mdalign.data import Batch, Split, make_batch
+from mdalign.data import Batch, BatchSpec, Split, SynthConfig, make_batch, synth_make
 from mdalign import model as mmodel
+from mdalign import training as mtraining
 from mdalign.losses import LossWeights
 from mdalign.model import (
     EVAL_BLOCK_ROWS,
@@ -40,6 +42,7 @@ from mdalign.primitives import (
     relu_forward,
     softmax,
 )
+from mdalign.training import TrainConfig, metrics_csv_lines, train
 
 E2E_TOL = 1e-4
 
@@ -358,13 +361,18 @@ class TestWeightGradientWorker:
 
     @pytest.fixture
     def jobs(self, monkeypatch):
-        """Offload every product the rule allows; returns the list of (x, grad_out) shapes each job got."""
+        """Offload every product the rule allows; returns the list of (x, grad_out) shapes each job got.
+
+        The serial path calls the same _weight_grads on the main thread; only
+        the worker thread's calls are jobs.
+        """
         monkeypatch.setattr(mmodel, "_OFFLOAD_MIN_MACS", 0)
         monkeypatch.setattr(mmodel, "_cpus", lambda: 2)
         shapes, real = [], mmodel._weight_grads
 
         def recording(x, grad_out, g_weight, g_bias):
-            shapes.append((x.shape, grad_out.shape))
+            if threading.current_thread() is not threading.main_thread():
+                shapes.append((x.shape, grad_out.shape))
             real(x, grad_out, g_weight, g_bias)
 
         monkeypatch.setattr(mmodel, "_weight_grads", recording)
@@ -455,17 +463,14 @@ class TestWeightGradientWorker:
         monkeypatch.setattr(mmodel, "_OFFLOAD_MIN_MACS", 1 << 62)
         assert self.gradients(model, batch)[0].tobytes() == offloaded[0].tobytes()
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_child_starts_its_own_worker(self, jobs):
-        model = Model(tiny_config(classifier_widths=(5, 7)))
-        batch = make_mixed_batch(np.random.default_rng(34))
-        grads, _ = self.gradients(model, batch)
-        assert jobs and mmodel._jobs is not None  # the parent's worker exists
+    @staticmethod
+    def in_forked_child(check) -> int:
+        """Fork; the child exits 0 when check() is true, else 2 (1 when it raised); returns the child's exit code."""
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                code = 0 if self.gradients(model, batch)[0].tobytes() == grads.tobytes() else 2
+                code = 0 if check() else 2
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 30.0
@@ -473,9 +478,37 @@ class TestWeightGradientWorker:
             if time.monotonic() > deadline:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-                pytest.fail("the forked child did not finish its training step within 30 s")
+                pytest.fail("the forked child did not finish within 30 s")
             time.sleep(0.01)
-        assert os.waitstatus_to_exitcode(reaped[1]) == 0, "the child's gradients differ from the parent's"
+        return os.waitstatus_to_exitcode(reaped[1])
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_worker(self, jobs):
+        model = Model(tiny_config(classifier_widths=(5, 7)))
+        batch = make_mixed_batch(np.random.default_rng(34))
+        grads, _ = self.gradients(model, batch)
+        assert jobs and mmodel._jobs is not None  # the parent's worker exists
+        code = self.in_forked_child(lambda: self.gradients(model, batch)[0].tobytes() == grads.tobytes())
+        assert code == 0, "the child's gradients differ from the parent's"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_trains_with_prefetch_on_its_own_worker(self, monkeypatch, jobs):
+        """train's batch draws, like backward's products, go to the child's own worker, with the parent's bits."""
+        monkeypatch.setattr(mtraining, "_PREFETCH_MIN_VALUES", 0)
+        monkeypatch.setattr(mtraining, "_cpus", lambda: 2)
+        data = synth_make(SynthConfig(n_latent_domains=2, n_classes=3, feature_dim=4, train_per_domain=30,
+                                      test_per_domain=30, seed=35))
+        cfg = TrainConfig(iterations=8, eval_every=4, batch=BatchSpec(source_quota=12, target_quota=12),
+                          weights=self.WEIGHTS)
+
+        def trained():
+            model, rows = train(Model(tiny_config(classifier_widths=(5, 7))), data, cfg)
+            return metrics_csv_lines(rows), model.flat.value.tobytes()
+
+        parent = trained()
+        assert jobs and mmodel._jobs is not None  # the parent's worker exists
+        code = self.in_forked_child(lambda: trained() == parent)
+        assert code == 0, "the child's training differs from the parent's"
 
 
 class TestParameterArena:

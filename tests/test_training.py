@@ -2,22 +2,30 @@
 
 import copy
 import dataclasses
+import json
 import math
+import threading
+import time
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from mdalign import model as mmodel
 from mdalign import training
 from mdalign.alignment import AlignmentLayer
 from mdalign.assignment import TARGET_CODE, UNKNOWN_CODE
 from mdalign.data import (
+    BatchSampler,
     BatchSpec,
     Dataset,
     FeatureShift,
     Split,
     SynthConfig,
+    idx_write_images,
+    idx_write_labels,
+    load_manifest,
     make_batch,
     reveal_domain_labels,
     synth_make,
@@ -361,6 +369,143 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=expected):
             train(model, synth_make(quick_task()), quick_train_cfg(iterations=5))
         assert calls == []
+
+
+def pixel_manifest_data(store):
+    """Two 4x4 uint8 source files, the first declaring domain 0, and a target file, loaded through a manifest."""
+    rng = np.random.default_rng(40)
+    entries = {}
+    for stem, n in (("s0", 48), ("s1", 48), ("t", 60)):
+        labels = rng.integers(0, 3, n)
+        images = rng.integers(0, 256, (n, 4, 4)).astype(np.uint8)
+        images[np.arange(n), labels, labels] = 255  # the class is the bright diagonal pixel
+        idx_write_images(store / f"{stem}-images.idx", images)
+        idx_write_labels(store / f"{stem}-labels.idx", labels.astype(np.uint8))
+        entries[stem] = {"images": f"{stem}-images.idx", "labels": f"{stem}-labels.idx"}
+    entries["s0"]["domain"] = 0
+    (store / "manifest.json").write_text(json.dumps({"sources": [entries["s0"], entries["s1"]], "target": entries["t"]}))
+    return load_manifest(store / "manifest.json")
+
+
+class TestBatchPrefetch:
+    """train draws the next batch on the worker thread: the bits, the joins, the errors and the threads.
+
+    No test batch is large enough to pass the prefetch rule's size threshold,
+    so these tests lower the private threshold, and let the rule see two CPUs
+    on any machine, as the weight-gradient worker's tests do.
+    """
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Prefetch every batch but the first; returns the list of the threads each draw ran on."""
+        monkeypatch.setattr(training, "_PREFETCH_MIN_VALUES", 0)
+        monkeypatch.setattr(training, "_cpus", lambda: 2)
+        threads, real = [], BatchSampler._draw
+
+        def recording(sampler):
+            threads.append(threading.current_thread())
+            return real(sampler)
+
+        monkeypatch.setattr(BatchSampler, "_draw", recording)
+        return threads
+
+    @staticmethod
+    def trained(data, in_dim, cfg):
+        model = Model(
+            ModelConfig(in_dim=in_dim, n_classes=3, k=2, trunk_widths=(16,), classifier_widths=(16,), branch_hidden=8)
+        )
+        _, rows = train(model, data, cfg)
+        return metrics_csv_lines(rows), model.flat.value.tobytes()
+
+    @pytest.mark.parametrize("dataset", ["synthetic", "pixel manifest"])
+    def test_prefetching_unprefetched_and_one_cpu_runs_give_the_same_bits(self, monkeypatch, draws, tmp_path, dataset):
+        data, in_dim = (synth_make(quick_task()), 4) if dataset == "synthetic" else (pixel_manifest_data(tmp_path), 16)
+        cfg = quick_train_cfg(iterations=12, eval_every=5)
+        prefetched = self.trained(data, in_dim, cfg)
+        workers = [t for t in draws if t is not threading.main_thread()]
+        assert len(draws) == cfg.iterations and len(workers) == cfg.iterations - 1
+
+        monkeypatch.setattr(training, "_PREFETCH_MIN_VALUES", 1 << 62)
+        unprefetched = self.trained(data, in_dim, cfg)
+        monkeypatch.setattr(training, "_PREFETCH_MIN_VALUES", 0)
+        monkeypatch.setattr(training, "_cpus", lambda: 1)
+        one_cpu = self.trained(data, in_dim, cfg)
+        assert len(draws) == 3 * cfg.iterations
+        assert all(t is threading.main_thread() for t in draws[cfg.iterations :])
+        assert unprefetched == prefetched
+        assert one_cpu == prefetched
+
+    def test_a_draw_error_is_raised_at_the_iteration_that_needs_its_batch(self, monkeypatch, draws):
+        running, forwards = [], []
+        recording = BatchSampler._draw
+
+        def third_fails(sampler):
+            running.append(True)
+            try:
+                time.sleep(0.05)
+                if len(draws) == 2:  # this is the third draw
+                    raise RuntimeError("draw 3 failed")
+                return recording(sampler)
+            finally:
+                running.pop()
+
+        forward_train = training.forward_train
+        monkeypatch.setattr(BatchSampler, "_draw", third_fails)
+        monkeypatch.setattr(training, "forward_train", lambda *a: forwards.append(1) or forward_train(*a))
+        with pytest.raises(RuntimeError, match="^draw 3 failed$"):
+            train(quick_model(), synth_make(quick_task()), quick_train_cfg(iterations=6))
+        assert running == []
+        assert len(forwards) == 2  # iterations 0 and 1 ran; iteration 2 needed the failed draw's batch
+        assert len(draws) == 2  # and no draw after it was submitted
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_diverging_run_raises_after_its_pending_draw_has_finished(self, monkeypatch, draws):
+        started, finished = [], []
+        recording = BatchSampler._draw
+
+        def slow(sampler):
+            started.append(True)
+            time.sleep(0.2)
+            batch = recording(sampler)
+            finished.append(True)
+            return batch
+
+        monkeypatch.setattr(BatchSampler, "_draw", slow)
+        cfg = quick_train_cfg(iterations=5, eval_every=5, base_lr=1e308)
+        with pytest.raises(NumericalAbortError) as info:
+            train(quick_model(), synth_make(quick_task()), cfg)
+        assert str(info.value) == "non-finite domain probabilities from the predictor branch at iteration 1"
+        # batch 2's draw was pending when iteration 1 diverged
+        assert len(finished) == len(started) == 3
+
+    def test_the_public_next_batch_runs_on_the_main_thread_only(self, monkeypatch, draws):
+        callers, next_batch = [], BatchSampler.next_batch
+
+        def recording(sampler):
+            callers.append(threading.current_thread())
+            return next_batch(sampler)
+
+        monkeypatch.setattr(BatchSampler, "next_batch", recording)
+        train(quick_model(), synth_make(quick_task()), quick_train_cfg(iterations=8, eval_every=4))
+        assert callers == [threading.main_thread()]
+        assert len(draws) == 8 and len(set(draws) - {threading.main_thread()}) == 1
+
+    def test_prefetching_and_offloading_trainings_share_one_worker_thread(self, monkeypatch, draws):
+        offloaded, weight_grads = [], mmodel._weight_grads
+
+        def recording(*args):
+            offloaded.append(threading.current_thread())
+            weight_grads(*args)
+
+        monkeypatch.setattr(mmodel, "_OFFLOAD_MIN_MACS", 0)
+        monkeypatch.setattr(mmodel, "_cpus", lambda: 2)
+        monkeypatch.setattr(mmodel, "_weight_grads", recording)
+        data = synth_make(quick_task())
+        for seed in range(3):
+            train(quick_model(seed=seed), data, quick_train_cfg(iterations=6, seed=seed))
+        (worker,) = [t for t in threading.enumerate() if t.name.startswith("mdalign")]
+        assert set(draws) - {threading.main_thread()} == {worker}
+        assert set(offloaded) - {threading.main_thread()} == {worker}
 
 
 class TestEvaluateModel:
